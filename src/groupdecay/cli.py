@@ -323,9 +323,8 @@ def _loop_config(config: dict) -> LoopConfig:
 class _RunWriter:
     """Observer that persists checkpoints, batches, fits, and snapshots."""
 
-    def __init__(self, run_dir: Path, partitions: list[Partition]):
+    def __init__(self, run_dir: Path):
         self.run_dir = run_dir
-        self.partitions = partitions
         (run_dir / "batches").mkdir(parents=True, exist_ok=True)
         (run_dir / "fits").mkdir(exist_ok=True)
         (run_dir / "snapshots").mkdir(exist_ok=True)
@@ -500,7 +499,7 @@ def cmd_simulate(args) -> int:
     if resume:
         resume_history, resume_snaps, resume_refs = _load_resume(run_dir)
 
-    writer = _RunWriter(run_dir, partitions)
+    writer = _RunWriter(run_dir)
     history = run_active_loop(
         loop_cfg,
         partitions,

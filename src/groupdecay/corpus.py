@@ -21,7 +21,6 @@ __all__ = [
     "load_embeddings",
     "sentence_embedding",
     "shape_class",
-    "concat_sentences",
     "entity_type",
 ]
 
@@ -101,9 +100,6 @@ class Dataset:
         return all(
             t.gold_label is not None for s in self.sentences for t in s.tokens
         )
-
-    def with_role(self, role: str) -> "Dataset":
-        return Dataset(self.sentences, self.label_inventory, role, self.bio_warnings)
 
 
 def _iter_lines(source: Union[str, IO]) -> Iterator[tuple[int, str]]:
@@ -305,11 +301,3 @@ def shape_class(token: Union[Token, str]) -> ShapeClass:
     if first.isalpha() and first.isupper() and all(c.islower() for c in alpha[1:]):
         return ShapeClass.INIT_CAP
     return ShapeClass.OTHER
-
-
-def concat_sentences(datasets: Iterable[Dataset]) -> list[Sentence]:
-    """Flatten several datasets into one sentence list (ids left untouched)."""
-    out: list[Sentence] = []
-    for ds in datasets:
-        out.extend(ds.sentences)
-    return out

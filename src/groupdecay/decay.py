@@ -104,18 +104,18 @@ def _basis(a: np.ndarray, n: np.ndarray) -> np.ndarray:
     return a[1] * np.sqrt(inv) + a[2] * inv + a[3] * inv**2 + a[4] * inv**3
 
 
-def curve_values(params: DecayParams, n: np.ndarray, clamp: bool = False) -> np.ndarray:
-    """Predicted error per group at masses ``n`` (broadcast against b, c)."""
+def curve_values(params: DecayParams, n, clamp: bool = False, groups=None) -> np.ndarray:
+    """Predicted error per group at masses ``n`` (broadcast against b, c);
+    with ``groups`` (one id or an array) only those groups' curves."""
     a = np.array([params.a0, params.a_half, params.a1, params.a2, params.a3])
-    e = params.c + params.b * _basis(a, np.asarray(n, dtype=np.float64))
+    b, c = (params.b, params.c) if groups is None else (params.b[groups], params.c[groups])
+    e = c + b * _basis(a, np.asarray(n, dtype=np.float64))
     return np.clip(e, 0.0, 1.0) if clamp else e
 
 
 def eval_curve(params: DecayParams, group: int, n: float, clamp: bool = False) -> float:
     """Predicted average error of one group at training mass n."""
-    a = np.array([params.a0, params.a_half, params.a1, params.a2, params.a3])
-    e = params.c[group] + params.b[group] * float(_basis(a, np.asarray(float(n))))
-    return float(min(max(e, 0.0), 1.0)) if clamp else float(e)
+    return float(curve_values(params, float(n), clamp=clamp, groups=group))
 
 
 def default_weights(
@@ -152,12 +152,7 @@ def objective_value(
     vec: np.ndarray, N: np.ndarray, Y: np.ndarray, W: np.ndarray
 ) -> float:
     """Weighted squared loss of the decay model at a raw parameter vector."""
-    J = N.shape[1]
-    a = vec[:5]
-    b = vec[5 : 5 + J]
-    c = vec[5 + J :]
-    e = c[None, :] + b[None, :] * _basis(a, N)
-    r = e - Y
+    r = curve_values(DecayParams.from_vector(vec, N.shape[1]), N) - Y
     per_group = np.sum(W * r * r, axis=0)
     if not np.all(np.isfinite(per_group)):
         raise DecayNumericalError(int(np.flatnonzero(~np.isfinite(per_group))[0]))

@@ -19,7 +19,11 @@ import numpy as np
 
 from .corpus import Dataset, EmbeddingTable, Sentence, sentence_embedding
 from .decay import DecayFit, FitConfig, fit
-from .partition import GroupErrorRecord, Partition, group_error, group_mass, sentence_group_delta
+# group_error, group_mass and sentence_group_delta stay bound for bench/tracing.py
+from .partition import (  # noqa: F401
+    GroupErrorRecord, GroupIndex, Partition, aligned_labels, build_group_index,
+    group_error, group_mass, mismatch_rates, sentence_group_delta,
+)
 from .scoring import micro_f1
 from .selection import Batch, SelectionState, default_epsilon, select_batch
 from .strategies import (
@@ -204,9 +208,6 @@ class RunHistory:
             ]
         )
 
-    def selection_batches(self) -> list[CheckpointRecord]:
-        return [c for c in self.checkpoints if c.phase == "select"]
-
     def group_record_history(self, n_partitions: int) -> list[list[GroupErrorRecord]]:
         """Per-partition record lists across checkpoints (fit input)."""
         out: list[list[GroupErrorRecord]] = [[] for _ in range(n_partitions)]
@@ -230,6 +231,8 @@ class StrategyContext:
     token_budget: int
     table: EmbeddingTable | None
     partitions: list[Partition]
+    pool_index: list[GroupIndex]  # per partition, rows in the order of ``pool``
+    val_index: list[GroupIndex]   # per partition, rows in the order of ``reference``
     group_records: list[list[GroupErrorRecord]]
     mass_history: list[list[np.ndarray]]
     train_mass: list[np.ndarray]
@@ -238,7 +241,6 @@ class StrategyContext:
     snapshots: list[UncertaintySnapshot]
     reference: Dataset | None
     reference_history: list[dict[int, tuple[str, ...]]]
-    train_tokens: int
     embedding_cache: dict[int, np.ndarray]
     fits_out: dict
 
@@ -251,7 +253,6 @@ class Strategy:
     needs_snapshots = False           # pool uncertainty at selection checkpoints
     needs_snapshot_history = False    # pool uncertainty at every checkpoint (decay lag)
     needs_reference_predictions = False
-    uses_partitions = False
 
     def base_score(self, record: PredictionRecord) -> float:
         raise NotImplementedError
@@ -383,7 +384,6 @@ class DecayCurveStrategy(Strategy):
 
     name = "edg"
     needs_val_labels = True
-    uses_partitions = True
 
     def _fits(self, ctx: StrategyContext) -> list[DecayFit]:
         return [fit(records, config=ctx.config.fit) for records in ctx.group_records]
@@ -400,7 +400,7 @@ class DecayCurveStrategy(Strategy):
             epsilon=ctx.epsilon,
             table=ctx.table,
         )
-        return select_batch(state, ctx.pool, ctx.config.mode)
+        return select_batch(state, ctx.pool, ctx.config.mode, ctx.pool_index)
 
 
 class PredictionDifferenceStrategy(DecayCurveStrategy):
@@ -413,13 +413,12 @@ class PredictionDifferenceStrategy(DecayCurveStrategy):
 
     def _fits(self, ctx: StrategyContext) -> list[DecayFit]:
         fits = []
-        for p, partition in enumerate(ctx.partitions):
+        for p, index in enumerate(ctx.val_index):
             records = prediction_difference_records(
                 ctx.reference,
                 ctx.reference_history,
                 [masses[p] for masses in ctx.mass_history],
-                partition,
-                ctx.table,
+                index,
             )
             fits.append(fit(records, config=ctx.config.fit))
         return fits
@@ -506,7 +505,11 @@ def run_active_loop(
     train_tokens = 0
     train_mass = [np.zeros(p.n_groups) for p in partitions]
     da_sentences = list(pool.sentences) + list(validation.sentences)
-    da_mass = [group_mass(p, da_sentences, table) for p in partitions]
+    # rows: the pool's sentences, then the validation set's
+    index = [build_group_index(p, da_sentences, table) for p in partitions]
+    da_mass = [ix.mass() for ix in index]
+    pool_row = {s.id: row for row, s in enumerate(pool.sentences)}
+    val_index = [ix.take(slice(len(pool.sentences), None)) for ix in index]
     epsilon = (
         config.epsilon
         if config.epsilon is not None
@@ -557,9 +560,9 @@ def run_active_loop(
         sentence = remaining.pop(sid)
         train.append(sentence)
         train_tokens += len(sentence)
-        for idx, p in enumerate(partitions):
-            gids, vals = sentence_group_delta(p, sentence, table)
-            train_mass[idx][gids] += vals
+        for ix, masses in zip(index, train_mass):
+            gids, vals = ix.delta(pool_row[sid])
+            masses[gids] += vals
         return sentence
 
     # -- replay of completed checkpoints ------------------------------------
@@ -585,6 +588,7 @@ def run_active_loop(
             done += 1
 
     val_sentences = list(validation.sentences)
+    val_gold = [s.labels for s in val_sentences]
 
     def checkpoint(step_idx: int, phase: str, batch_index: int | None,
                    selected: tuple[int, ...], exhausted: bool,
@@ -604,9 +608,10 @@ def run_active_loop(
             val_f1 = micro_f1(validation, val_labels).f1
             if config.class_weights:
                 weighted = micro_f1(validation, val_labels, config.class_weights).f1
+            val_tags = aligned_labels(val_labels, val_sentences)
             recs = []
-            for pi, p in enumerate(partitions):
-                ge = group_error(p, val_labels, validation, table, config.class_weights)
+            for pi, ix in enumerate(val_index):
+                ge = mismatch_rates(ix, val_gold, val_tags, config.class_weights)
                 recs.append(
                     GroupErrorRecord(
                         checkpoint_index=step_idx,
@@ -699,6 +704,7 @@ def run_active_loop(
             if not remaining:
                 log.warning("pool exhausted; stopping before batch %d", batch_index)
                 break
+            pool_rows = [pool_row[sid] for sid in remaining]
             ctx = StrategyContext(
                 config=config,
                 batch_index=batch_index,
@@ -707,6 +713,8 @@ def run_active_loop(
                 token_budget=config.selection_batch_tokens,
                 table=table,
                 partitions=partitions,
+                pool_index=[ix.take(pool_rows) for ix in index],
+                val_index=val_index,
                 group_records=group_records,
                 mass_history=mass_history,
                 train_mass=train_mass,
@@ -715,7 +723,6 @@ def run_active_loop(
                 snapshots=snapshots,
                 reference=validation,
                 reference_history=reference_history,
-                train_tokens=train_tokens,
                 embedding_cache=embedding_cache,
                 fits_out={},
             )

@@ -3,8 +3,10 @@
 A partition assigns every word token (or sentence) of a corpus to one of J
 groups.  Word-unit partitions are hard; the sentence partition is soft, with
 membership probabilities from a temperature softmax over cosine similarity
-to cluster centers.  Group masses count expected tokens per group, and group
-errors average per-token tag mismatches against gold labels.
+to cluster centers.  A :class:`GroupIndex` holds what each sentence of a
+fixed sequence contributes to the groups, computed once; group masses count
+expected tokens per group, and group errors average per-token tag
+mismatches between two labelings.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "PartitionConfig",
     "Group",
     "Partition",
+    "GroupIndex",
     "GroupErrors",
     "GroupErrorRecord",
     "ParameterError",
@@ -38,6 +41,9 @@ __all__ = [
     "minibatch_kmeans",
     "build_partition",
     "build_identity_partition",
+    "build_group_index",
+    "aligned_labels",
+    "mismatch_rates",
     "group_mass",
     "sentence_group_delta",
     "group_error",
@@ -79,6 +85,11 @@ class Group:
     id: int
     descriptor: dict
     exemplar_surfaces: tuple[str, ...] = ()
+
+
+def _nearest(centers: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Nearest center of every row of X (squared distance, first on ties)."""
+    return np.argmin(((centers[None, :, :] - X[:, None, :]) ** 2).sum(axis=2), axis=1)
 
 
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -132,8 +143,7 @@ def minibatch_kmeans(
     for _ in range(iterations):
         batch_idx = rng.choice(n, size=m, replace=False)
         B = X[batch_idx]
-        d2 = ((B[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assign = np.argmin(d2, axis=1)
+        assign = _nearest(centers, B)
         # sequential 1/count running-mean updates collapse to a closed form:
         # new center = (old_count * old + sum(batch members)) / (old_count + m_c)
         sums = np.zeros_like(centers)
@@ -156,9 +166,7 @@ def minibatch_kmeans(
         dist_to_own = d2[np.arange(n), assign]
         farthest = int(np.argmax(dist_to_own))
         centers[empty[0]] = X[farthest]
-    d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    assign = np.argmin(d2, axis=1)
-    return centers, assign
+    return centers, _nearest(centers, X)
 
 
 def _cosine_to_centers(vec: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -197,7 +205,6 @@ class Partition:
         groups: list[Group] | None = None,
     ):
         self.kind = PartitionKind(kind)
-        self.unit = "sentence" if self.kind == PartitionKind.SENTENCE else "word"
         self.soft = self.kind == PartitionKind.SENTENCE
         self.temperature = float(temperature)
         self.seed = int(seed)
@@ -210,8 +217,6 @@ class Partition:
         )
         self.sub_slots = int(sub_slots)
         self.groups = groups or []
-        self._word_cluster_cache: dict[str, int] = {}
-        self._word_group_cache: dict[str, int] = {}
 
     @property
     def n_groups(self) -> int:
@@ -228,15 +233,6 @@ class Partition:
 
     # -- membership ------------------------------------------------------
 
-    def _word_cluster(self, surface: str, table: EmbeddingTable) -> int:
-        hit = self._word_cluster_cache.get(surface)
-        if hit is not None:
-            return hit
-        vec = table.get(surface)
-        c = int(np.argmin(np.sum((self.word_centers - vec) ** 2, axis=1)))
-        self._word_cluster_cache[surface] = c
-        return c
-
     def sentence_group_scores(self, sentence: Sentence, table: EmbeddingTable) -> np.ndarray:
         emb = sentence_embedding(sentence, table)
         return _cosine_to_centers(emb, self.sentence_centers)
@@ -251,47 +247,30 @@ class Partition:
         """Hard group id of every token in the sentence (word-unit kinds)."""
         if self.kind == PartitionKind.SENTENCE:
             raise ParameterError("token_group_ids requires a word-unit partition")
+        return build_group_index(self, [sentence], table).gids
+
+    def _surface_groups(self, surfaces: list[str], table: EmbeddingTable | None) -> np.ndarray:
+        """Group id of each distinct surface; the word cluster alone for
+        WORD_SENTENCE, whose second level comes from the sentence."""
         if self._identity_index is not None:
             try:
-                return np.asarray(
-                    [self._identity_index[t.surface] for t in sentence.tokens],
-                    dtype=np.intp,
-                )
+                return np.asarray([self._identity_index[w] for w in surfaces], dtype=np.intp)
             except KeyError as exc:
                 raise ParameterError(
                     f"surface {exc.args[0]!r} outside the identity partition vocabulary"
                 ) from exc
+        X = np.stack([table.get(w) for w in surfaces])
+        top = _nearest(self.word_centers, X)
         if self.kind == PartitionKind.WORD:
-            out = np.empty(len(sentence), dtype=np.intp)
-            for i, tok in enumerate(sentence.tokens):
-                gid = self._word_group_cache.get(tok.surface)
-                if gid is None:
-                    top = self._word_cluster(tok.surface, table)
-                    subs = self.sub_centers[top]
-                    vec = table.get(tok.surface)
-                    sub = int(np.argmin(np.sum((subs - vec) ** 2, axis=1)))
-                    gid = top * self.sub_slots + sub
-                    self._word_group_cache[tok.surface] = gid
-                out[i] = gid
+            out = np.empty_like(top)
+            for t in np.unique(top):
+                rows = np.flatnonzero(top == t)
+                out[rows] = t * self.sub_slots + _nearest(self.sub_centers[t], X[rows])
             return out
         if self.kind == PartitionKind.WORD_SHAPE:
-            out = np.empty(len(sentence), dtype=np.intp)
-            for i, tok in enumerate(sentence.tokens):
-                gid = self._word_group_cache.get(tok.surface)
-                if gid is None:
-                    top = self._word_cluster(tok.surface, table)
-                    gid = top * N_SHAPES + int(shape_class(tok.surface))
-                    self._word_group_cache[tok.surface] = gid
-                out[i] = gid
-            return out
-        # WORD_SENTENCE: second level is the sentence's most likely group
-        sent_group = int(np.argmax(self.sentence_group_scores(sentence, table)))
-        js = self.sentence_centers.shape[0]
-        out = np.empty(len(sentence), dtype=np.intp)
-        for i, tok in enumerate(sentence.tokens):
-            top = self._word_cluster(tok.surface, table)
-            out[i] = top * js + sent_group
-        return out
+            shapes = np.asarray([int(shape_class(w)) for w in surfaces], dtype=np.intp)
+            return top * N_SHAPES + shapes
+        return top
 
     def membership(self, unit, table: EmbeddingTable | None = None) -> np.ndarray:
         """Probability vector over groups for one unit.
@@ -438,9 +417,7 @@ def build_partition(
                 continue
             Xm = X[members]
             subs = part.sub_centers[top]
-            sub_assign = np.argmin(
-                ((Xm[:, None, :] - subs[None, :, :]) ** 2).sum(axis=2), axis=1
-            )
+            sub_assign = _nearest(subs, Xm)
             for sub in range(subs.shape[0]):
                 gid = top * cfg.word_subgroups + sub
                 sel = members[sub_assign == sub]
@@ -474,7 +451,114 @@ def build_partition(
     return part
 
 
-# -- masses and errors ----------------------------------------------------
+# -- group index, masses and errors ------------------------------------------
+
+
+def _weighted_bincount(gids: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Per-group sums of ``weights`` in element order, float also when empty."""
+    return np.bincount(gids, weights=weights, minlength=n).astype(np.float64, copy=False)
+
+
+class GroupIndex:
+    """What each sentence of a fixed sequence adds to one partition's groups.
+
+    Rows are positions in the sequence, never ``Sentence.id`` (pool and
+    validation ids both count from 0).  Hard partitions keep every token's
+    group id, row ``r`` owning ``gids[offsets[r]:offsets[r + 1]]``; the soft
+    partition keeps one membership row per sentence.  Per-group sums add
+    the rows in order, equal bit for bit to a running sum over sentences.
+    """
+
+    def __init__(self, n_groups: int, lengths: np.ndarray, gids=None, membership=None):
+        self.n_groups = n_groups
+        self.lengths = lengths  # tokens per row
+        self.offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.intp)
+        self.gids = gids  # hard: group id per token
+        self.membership = membership  # soft: rows x groups
+        self.soft = membership is not None
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def take(self, rows) -> "GroupIndex":
+        """The index of the rows at ``rows`` (positions or a slice), in order."""
+        rows = np.arange(len(self))[rows]
+        lengths = self.lengths[rows]
+        if self.soft:
+            return GroupIndex(self.n_groups, lengths, membership=self.membership[rows])
+        starts = np.cumsum(lengths) - lengths
+        tokens = np.arange(lengths.sum()) + np.repeat(self.offsets[rows] - starts, lengths)
+        return GroupIndex(self.n_groups, lengths, gids=self.gids[tokens])
+
+    def _row_sums(self, row_weights: np.ndarray) -> np.ndarray:
+        """Soft: per group, the sum over rows of membership x row weight."""
+        contrib = self.membership * row_weights[:, None]
+        groups = np.tile(np.arange(self.n_groups), len(self))
+        return _weighted_bincount(groups, contrib.ravel(), self.n_groups)
+
+    def mass(self) -> np.ndarray:
+        """Expected token count per group over all rows."""
+        if self.soft:
+            return self._row_sums(self.lengths)
+        return np.bincount(self.gids, minlength=self.n_groups).astype(np.float64)
+
+    def token_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-group sum of a per-token quantity (soft: sentence totals
+        spread by membership)."""
+        if self.soft:
+            # one ``sum`` per sentence: np.add.reduceat adds in another order
+            totals = np.asarray(
+                [values[a:b].sum() for a, b in zip(self.offsets[:-1], self.offsets[1:])],
+                dtype=np.float64,
+            )
+            return self._row_sums(totals)
+        return _weighted_bincount(self.gids, values, self.n_groups)
+
+    def delta(self, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sparse (group ids, mass increments) contributed by one row."""
+        if self.soft:
+            return np.arange(self.n_groups, dtype=np.intp), self.membership[row] * self.lengths[row]
+        gids = self.gids[self.offsets[row] : self.offsets[row + 1]]
+        uniq, counts = np.unique(gids, return_counts=True)
+        return uniq, counts.astype(np.float64)
+
+    def deltas(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hard partitions: every row's :meth:`delta` as CSR (indptr, ids, values)."""
+        rows = np.repeat(np.arange(len(self)), self.lengths)
+        keys, counts = np.unique(rows * self.n_groups + self.gids, return_counts=True)
+        per_row = np.bincount(keys // self.n_groups, minlength=len(self))
+        indptr = np.concatenate(([0], np.cumsum(per_row))).astype(np.intp)
+        return indptr, keys % self.n_groups, counts.astype(np.float64)
+
+
+def build_group_index(
+    partition: Partition,
+    sentences: Dataset | Iterable[Sentence],
+    table: EmbeddingTable | None = None,
+) -> GroupIndex:
+    """Each sentence's group contributions under ``partition``: hard
+    partitions look up every distinct surface once, the soft one stacks
+    :meth:`Partition.sentence_membership` rows."""
+    sentences = list(sentences.sentences if isinstance(sentences, Dataset) else sentences)
+    lengths = np.asarray([len(s) for s in sentences], dtype=np.intp)
+    J = partition.n_groups
+    if partition.soft:
+        rows = [partition.sentence_membership(s, table) for s in sentences]
+        membership = np.stack(rows) if rows else np.zeros((0, J))
+        return GroupIndex(J, lengths, membership=membership)
+    slot: dict[str, int] = {}
+    tokens = np.asarray(
+        [slot.setdefault(t.surface, len(slot)) for s in sentences for t in s.tokens],
+        dtype=np.intp,
+    )
+    gids = partition._surface_groups(list(slot), table)[tokens] if slot else tokens
+    if partition.kind == PartitionKind.WORD_SENTENCE:
+        sentence_groups = np.asarray(
+            [int(np.argmax(partition.sentence_group_scores(s, table))) for s in sentences],
+            dtype=np.intp,
+        )
+        gids = gids * partition.sentence_centers.shape[0] + np.repeat(sentence_groups, lengths)
+    return GroupIndex(J, lengths, gids=gids)
 
 
 def group_mass(
@@ -483,28 +567,14 @@ def group_mass(
     table: EmbeddingTable | None = None,
 ) -> np.ndarray:
     """Expected token count per group over a dataset (or any sentence batch)."""
-    sentences = data.sentences if isinstance(data, Dataset) else data
-    masses = np.zeros(partition.n_groups, dtype=np.float64)
-    if partition.soft:
-        for s in sentences:
-            masses += partition.sentence_membership(s, table) * len(s)
-    else:
-        for s in sentences:
-            gids = partition.token_group_ids(s, table)
-            masses += np.bincount(gids, minlength=partition.n_groups)
-    return masses
+    return build_group_index(partition, data, table).mass()
 
 
 def sentence_group_delta(
     partition: Partition, sentence: Sentence, table: EmbeddingTable | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sparse (group ids, mass increments) contributed by one sentence."""
-    if partition.soft:
-        memb = partition.sentence_membership(sentence, table)
-        return np.arange(partition.n_groups, dtype=np.intp), memb * len(sentence)
-    gids = partition.token_group_ids(sentence, table)
-    uniq, counts = np.unique(gids, return_counts=True)
-    return uniq, counts.astype(np.float64)
+    return build_group_index(partition, [sentence], table).delta(0)
 
 
 @dataclass
@@ -539,6 +609,48 @@ def _token_losses(
     return mism * w
 
 
+def aligned_labels(
+    labels: Mapping[int, Sequence[str]], sentences: Sequence[Sentence]
+) -> list[Sequence[str]]:
+    """The tag sequences of ``labels`` (keyed by sentence id) in the order
+    of ``sentences``, each checked against its sentence's length."""
+    out = []
+    for s in sentences:
+        if s.id not in labels:
+            raise AlignmentError(f"no prediction for sentence {s.id}")
+        tags = labels[s.id]
+        if len(tags) != len(s):
+            raise AlignmentError(
+                f"sentence {s.id}: prediction length {len(tags)} != {len(s)} tokens"
+            )
+        out.append(tags)
+    return out
+
+
+def mismatch_rates(
+    index: GroupIndex,
+    first: Sequence[Sequence[str]],
+    second: Sequence[Sequence[str]],
+    class_weights: Mapping[str, float] | None = None,
+) -> GroupErrors:
+    """Per-group rate of tokens on which two labelings (one tag sequence
+    per index row) differ: gold against predictions gives the validation
+    error, two checkpoints' predictions the prediction difference.  With
+    ``class_weights`` a mismatch costs the mean of the two tags' weights.
+    Groups with zero mass report rate 0 and are flagged.
+    """
+    a = [t for tags in first for t in tags]
+    b = [t for tags in second for t in tags]
+    if not len(a) == len(b) == index.offsets[-1]:
+        raise AlignmentError(f"labelings of {len(a)} and {len(b)} for {index.offsets[-1]} tokens")
+    err = index.token_sums(_token_losses(a, b, class_weights))
+    mass = index.mass()
+    zero = mass == 0
+    rate = np.zeros_like(err)
+    np.divide(err, mass, out=rate, where=~zero)
+    return GroupErrors(error=rate, mass=mass, zero_mass=zero)
+
+
 def group_error(
     partition: Partition,
     predictions: Mapping[int, Sequence[str]],
@@ -553,29 +665,13 @@ def group_error(
     mean of the gold and predicted class weights on mismatches.  Groups with
     zero mass report error 0 and are flagged.
     """
-    err = np.zeros(partition.n_groups, dtype=np.float64)
-    mass = np.zeros(partition.n_groups, dtype=np.float64)
-    for s in gold.sentences:
-        if s.id not in predictions:
-            raise AlignmentError(f"no prediction for sentence {s.id}")
-        pred = predictions[s.id]
-        if len(pred) != len(s):
-            raise AlignmentError(
-                f"sentence {s.id}: prediction length {len(pred)} != {len(s)} tokens"
-            )
-        losses = _token_losses([t.gold_label for t in s.tokens], pred, class_weights)
-        if partition.soft:
-            memb = partition.sentence_membership(s, table)
-            err += memb * losses.sum()
-            mass += memb * len(s)
-        else:
-            gids = partition.token_group_ids(s, table)
-            np.add.at(err, gids, losses)
-            mass += np.bincount(gids, minlength=partition.n_groups)
-    zero = mass == 0
-    avg = np.zeros_like(err)
-    np.divide(err, mass, out=avg, where=~zero)
-    return GroupErrors(error=avg, mass=mass, zero_mass=zero)
+    sentences = gold.sentences
+    return mismatch_rates(
+        build_group_index(partition, sentences, table),
+        [s.labels for s in sentences],
+        aligned_labels(predictions, sentences),
+        class_weights,
+    )
 
 
 # -- serialization ---------------------------------------------------------

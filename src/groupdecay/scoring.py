@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 
 from .corpus import Dataset
 from .decay import DecayFit, curve_values
-from .partition import AlignmentError, Partition
+from .partition import Partition, aligned_labels
 
 __all__ = [
     "Phrase",
@@ -101,14 +101,7 @@ def micro_f1(
     n_match = 0.0
     per_type: dict[str, list[int]] = {}
 
-    for s in gold.sentences:
-        if s.id not in predictions:
-            raise AlignmentError(f"no prediction for sentence {s.id}")
-        pred_tags = predictions[s.id]
-        if len(pred_tags) != len(s):
-            raise AlignmentError(
-                f"sentence {s.id}: prediction length {len(pred_tags)} != {len(s)} tokens"
-            )
+    for s, pred_tags in zip(gold.sentences, aligned_labels(predictions, gold.sentences)):
         gold_phrases = set(decode_phrases([t.gold_label for t in s.tokens], s.id))
         pred_phrases = set(decode_phrases(list(pred_tags), s.id))
         matched = gold_phrases & pred_phrases

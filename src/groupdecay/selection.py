@@ -16,8 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import EmbeddingTable, Sentence
-from .decay import DecayFit, DecayParams, _basis
-from .partition import Partition, group_mass, sentence_group_delta
+from .decay import DecayFit, curve_values
+from .partition import (
+    GroupIndex,
+    Partition,
+    build_group_index,
+    group_mass,
+    sentence_group_delta,
+)
 
 __all__ = [
     "Batch",
@@ -96,103 +102,62 @@ class SelectionState:
         self.selected.append(sentence.id)
 
 
-def _curve_full(params: DecayParams, masses: np.ndarray) -> np.ndarray:
-    a = np.array([params.a0, params.a_half, params.a1, params.a2, params.a3])
-    return params.c + params.b * _basis(a, masses)
-
-
-def _curve_at(params: DecayParams, gids: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    a = np.array([params.a0, params.a_half, params.a1, params.a2, params.a3])
-    return params.c[gids] + params.b[gids] * _basis(a, masses)
-
-
 def objective(state: SelectionState, partition_index: int) -> float:
     """Negative predicted error mass over the corpus union for one partition."""
     params = state.fits[partition_index].params
-    e = _curve_full(params, state.train_mass[partition_index])
+    e = curve_values(params, state.train_mass[partition_index])
     return float(-(e * state.da_mass[partition_index]).sum())
-
-
-def _sentence_gain(state: SelectionState, partition_index: int, sentence: Sentence) -> float:
-    params = state.fits[partition_index].params
-    masses = state.train_mass[partition_index]
-    da = state.da_mass[partition_index]
-    gids, vals = sentence_group_delta(state.partitions[partition_index], sentence, state.table)
-    before = _curve_at(params, gids, masses[gids])
-    after = _curve_at(params, gids, masses[gids] + vals)
-    return float(((before - after) * da[gids]).sum())
 
 
 def edg_score(state: SelectionState, sentence: Sentence) -> float:
     """Geometric mean over partitions of the length-normalized gain + epsilon."""
-    factors = []
-    for idx in range(len(state.partitions)):
-        f = _sentence_gain(state, idx, sentence) / len(sentence) + state.epsilon
-        if f <= 0.0:
-            state.numeric_faults += 1
-            log.warning("non-positive selection factor %g clamped", f)
-            f = SCORE_FLOOR
-        factors.append(f)
-    prod = float(np.prod(factors))
-    return prod ** (1.0 / len(factors))
+    return float(_PoolScorer(state, [sentence]).scores()[0])
 
 
 class _PoolScorer:
     """Vectorized per-step scoring of all remaining pool sentences."""
 
-    def __init__(self, state: SelectionState, pool: Sequence[Sentence]):
+    def __init__(
+        self,
+        state: SelectionState,
+        pool: Sequence[Sentence],
+        index: Sequence[GroupIndex] | None = None,
+    ):
         self.state = state
-        self.pool = sorted(pool, key=lambda s: s.id)
+        if index is None:
+            index = [build_group_index(p, pool, state.table) for p in state.partitions]
+        order = sorted(range(len(pool)), key=lambda i: pool[i].id)
+        self.pool = [pool[i] for i in order]
+        self.index = [ix.take(order) for ix in index]
         self.lengths = np.asarray([len(s) for s in self.pool], dtype=np.float64)
         self.active = np.ones(len(self.pool), dtype=bool)
-        self.hard: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = []
-        self.soft: list[np.ndarray | None] = []
-        for p in state.partitions:
-            if p.soft:
-                P = np.stack([p.sentence_membership(s, state.table) for s in self.pool])
-                self.soft.append(P)
-                self.hard.append(None)
-            else:
-                indptr = [0]
-                gids: list[np.ndarray] = []
-                vals: list[np.ndarray] = []
-                for s in self.pool:
-                    g, v = sentence_group_delta(p, s, state.table)
-                    gids.append(g)
-                    vals.append(v)
-                    indptr.append(indptr[-1] + len(g))
-                self.soft.append(None)
-                self.hard.append(
-                    (
-                        np.asarray(indptr, dtype=np.intp),
-                        np.concatenate(gids) if gids else np.empty(0, dtype=np.intp),
-                        np.concatenate(vals) if vals else np.empty(0),
-                    )
-                )
+        self.hard = [None if ix.soft else ix.deltas() for ix in self.index]
+
+    def take(self, row: int) -> Sentence:
+        """Add the sentence at ``row`` to the training masses."""
+        self.active[row] = False
+        for ix, masses in zip(self.index, self.state.train_mass):
+            gids, vals = ix.delta(row)
+            masses[gids] += vals
+        sentence = self.pool[row]
+        self.state.selected.append(sentence.id)
+        return sentence
 
     def gains(self, partition_index: int) -> np.ndarray:
         state = self.state
         params = state.fits[partition_index].params
         m = state.train_mass[partition_index]
         da = state.da_mass[partition_index]
-        if self.soft[partition_index] is not None:
-            P = self.soft[partition_index]
-            delta = P * self.lengths[:, None]
-            before = _curve_full(params, m)[None, :]
-            after_masses = m[None, :] + delta
-            a = np.array([params.a0, params.a_half, params.a1, params.a2, params.a3])
-            after = params.c[None, :] + params.b[None, :] * _basis(a, after_masses)
+        if self.hard[partition_index] is None:
+            P = self.index[partition_index].membership
+            before = curve_values(params, m)[None, :]
+            after = curve_values(params, m[None, :] + P * self.lengths[:, None])
             return ((before - after) * da[None, :]).sum(axis=1)
         indptr, gids, vals = self.hard[partition_index]
-        before = _curve_at(params, gids, m[gids])
-        after = _curve_at(params, gids, m[gids] + vals)
-        contrib = (before - after) * da[gids]
-        # segment sum per sentence
-        out = np.zeros(len(self.pool), dtype=np.float64)
-        nonempty = indptr[:-1] < indptr[1:]
-        sums = np.add.reduceat(contrib, indptr[:-1][nonempty]) if contrib.size else []
-        out[nonempty] = sums
-        return out
+        before = curve_values(params, m[gids], groups=gids)
+        after = curve_values(params, m[gids] + vals, groups=gids)
+        # segment sum per sentence; every sentence touches at least one group
+        return np.add.reduceat((before - after) * da[gids], indptr[:-1])
 
     def scores(self) -> np.ndarray:
         state = self.state
@@ -211,7 +176,10 @@ class _PoolScorer:
 
 
 def select_batch(
-    state: SelectionState, pool: Sequence[Sentence], mode: str = "SENTENCE"
+    state: SelectionState,
+    pool: Sequence[Sentence],
+    mode: str = "SENTENCE",
+    index: Sequence[GroupIndex] | None = None,
 ) -> Batch:
     """Greedy batch construction under the token budget.
 
@@ -219,7 +187,8 @@ def select_batch(
     ties) and updates masses incrementally.  DOCUMENT mode scores a document
     by the length-weighted mean of its sentences' scores and takes whole
     documents.  Selection stops once the selected token count reaches the
-    budget; the overshoot is bounded by the last added unit.
+    budget; the overshoot is bounded by the last added unit.  ``index``, a
+    :class:`GroupIndex` of ``pool`` per partition, is built when not given.
     """
     if mode not in ("SENTENCE", "DOCUMENT"):
         raise ValueError(f"unknown selection mode {mode!r}")
@@ -227,47 +196,39 @@ def select_batch(
     tokens = 0
     if state.token_budget <= 0:
         return Batch(sentence_ids=(), token_count=0)
-    scorer = _PoolScorer(state, pool)
-
-    if mode == "SENTENCE":
-        while tokens < state.token_budget:
-            if not scorer.active.any():
-                return Batch(tuple(picked), tokens, exhausted=True)
-            scores = scorer.scores()
-            best = int(np.argmax(scores))
-            sentence = scorer.pool[best]
-            scorer.active[best] = False
-            state.add_sentence(sentence)
-            picked.append(sentence.id)
-            tokens += len(sentence)
-        return Batch(tuple(picked), tokens)
-
-    # DOCUMENT mode
-    doc_ids = []
-    for s in scorer.pool:
-        if s.doc_id is None:
-            raise ValueError(f"sentence {s.id} has no document id (DOCUMENT mode)")
-        doc_ids.append(s.doc_id)
-    doc_ids = np.asarray(doc_ids)
+    scorer = _PoolScorer(state, pool, index)
+    doc_ids = None
+    if mode == "DOCUMENT":
+        for s in scorer.pool:
+            if s.doc_id is None:
+                raise ValueError(f"sentence {s.id} has no document id (DOCUMENT mode)")
+        doc_ids = np.asarray([s.doc_id for s in scorer.pool])
     while tokens < state.token_budget:
         if not scorer.active.any():
             return Batch(tuple(picked), tokens, exhausted=True)
         scores = scorer.scores()
-        active = scorer.active
-        docs = np.unique(doc_ids[active])
-        best_doc = None
-        best_score = -np.inf
-        for d in docs:
-            sel = active & (doc_ids == d)
-            w = scorer.lengths[sel]
-            ds = float((scores[sel] * w).sum() / w.sum())
-            if ds > best_score:
-                best_doc, best_score = d, ds
-        sel = np.flatnonzero(active & (doc_ids == best_doc))
-        for i in sel:
-            sentence = scorer.pool[int(i)]
-            scorer.active[int(i)] = False
-            state.add_sentence(sentence)
+        if doc_ids is None:
+            rows = [int(np.argmax(scores))]
+        else:
+            rows = best_document_rows(scores, scorer.lengths, doc_ids, scorer.active)
+        for row in rows:
+            sentence = scorer.take(int(row))
             picked.append(sentence.id)
             tokens += len(sentence)
     return Batch(tuple(picked), tokens)
+
+
+def best_document_rows(
+    scores: np.ndarray, lengths: np.ndarray, doc_ids: np.ndarray, active: np.ndarray
+) -> np.ndarray:
+    """Active rows of the document with the largest length-weighted mean
+    score (the smallest document id on ties)."""
+    best_doc = None
+    best_score = -np.inf
+    for d in np.unique(doc_ids[active]):
+        sel = active & (doc_ids == d)
+        w = lengths[sel]
+        ds = float((scores[sel] * w).sum() / w.sum())
+        if ds > best_score:
+            best_doc, best_score = d, ds
+    return np.flatnonzero(active & (doc_ids == best_doc))

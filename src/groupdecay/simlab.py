@@ -525,10 +525,9 @@ def load_tagger(text: str) -> ReferenceTagger:
     }
     train = Dataset(sentences=sentences, label_inventory=frozenset(types), role="train")
     tagger = ReferenceTagger(train, payload["alpha"])
-    # counts are recomputed from the stored training sentences; verify
-    stored = np.asarray(payload["token_counts"])
-    if stored.shape != tagger.token_counts.shape or not np.array_equal(
-        stored, tagger.token_counts
-    ):
-        raise ValueError("stored counts disagree with recomputed counts")
+    # the tables are recomputed from the stored training sentences; verify
+    recomputed = json.loads(save_tagger(tagger))
+    for key in ("labels", "surfaces", "token_counts", "context_counts", "label_totals"):
+        if payload.get(key) != recomputed[key]:
+            raise ValueError(f"stored {key} disagree with the recomputed {key}")
     return tagger

@@ -18,8 +18,8 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Dataset, Sentence
-from .partition import AlignmentError, GroupErrorRecord, Partition
-from .selection import Batch
+from .partition import GroupErrorRecord, GroupIndex, aligned_labels, mismatch_rates
+from .selection import Batch, best_document_rows
 
 __all__ = [
     "PredictionRecord",
@@ -32,7 +32,6 @@ __all__ = [
     "score_uncertainty_decay",
     "alternation_policy",
     "fass_select",
-    "prediction_difference_rates",
     "prediction_difference_records",
     "write_records",
     "read_records",
@@ -231,7 +230,11 @@ def fass_select(
     norms = np.linalg.norm(X, axis=1)
     norms[norms == 0] = 1.0
     Xn = X / norms[:, None]
-    sim = Xn @ Xn.T + np.float32(1.0)  # shifted cosine in [0, 2]
+    # shifted cosine in [0, 2], built in place; clamping at 0 changes no
+    # gain, because ``cover`` starts at 0 and only grows
+    sim = Xn @ Xn.T
+    sim += np.float32(1.0)
+    np.maximum(sim, 0.0, out=sim)
     lens = np.asarray([lengths[i] for i in cand_ids], dtype=np.float64)
 
     if mode == "DOCUMENT":
@@ -255,7 +258,7 @@ def fass_select(
         # reproduces the exact argmax, including smallest-id tie-breaking
         import heapq
 
-        init = np.maximum(sim, 0.0).sum(axis=1, dtype=np.float64) / lens
+        init = sim.sum(axis=1, dtype=np.float64) / lens
         heap = [(-g, row) for row, g in enumerate(init)]
         heapq.heapify(heap)
         fresh = np.zeros(len(cand_ids), dtype=bool)
@@ -300,16 +303,7 @@ def fass_select(
             return Batch(tuple(picked), tokens, exhausted=True)
         gains = np.asarray([row_gain(r) if active[r] else -np.inf
                             for r in range(len(cand_ids))])
-        best_doc = None
-        best_score = -np.inf
-        for d in np.unique(docs[active]):
-            sel = active & (docs == d)
-            w = lens[sel]
-            ds = float((gains[sel] * w).sum() / w.sum())
-            if ds > best_score:
-                best_doc, best_score = d, ds
-        chosen_rows = list(np.flatnonzero(active & (docs == best_doc)))
-        for row in chosen_rows:
+        for row in best_document_rows(gains, lens, docs, active):
             active[row] = False
             cover = np.maximum(cover, sim[row])
             picked.append(cand_ids[row])
@@ -320,66 +314,32 @@ def fass_select(
 # -- prediction-difference decay (no validation labels) ---------------------
 
 
-def prediction_difference_rates(
-    current: Mapping[int, Sequence[str]],
-    past: Mapping[int, Sequence[str]],
-    partition: Partition,
-    reference: Dataset | Sequence[Sentence],
-    table=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-group mass-weighted fraction of reference tokens where a past
-    model disagrees with the current one.  Uses predictions only; gold
-    labels never enter."""
-    sentences = reference.sentences if isinstance(reference, Dataset) else reference
-    diff = np.zeros(partition.n_groups, dtype=np.float64)
-    mass = np.zeros(partition.n_groups, dtype=np.float64)
-    for s in sentences:
-        if s.id not in current or s.id not in past:
-            raise AlignmentError(f"missing predictions for reference sentence {s.id}")
-        cur = current[s.id]
-        old = past[s.id]
-        if len(cur) != len(s) or len(old) != len(s):
-            raise AlignmentError(f"reference sentence {s.id}: prediction length mismatch")
-        losses = np.asarray([c != o for c, o in zip(cur, old)], dtype=np.float64)
-        if partition.soft:
-            memb = partition.sentence_membership(s, table)
-            diff += memb * losses.sum()
-            mass += memb * len(s)
-        else:
-            gids = partition.token_group_ids(s, table)
-            np.add.at(diff, gids, losses)
-            mass += np.bincount(gids, minlength=partition.n_groups)
-    zero = mass == 0
-    rates = np.zeros_like(diff)
-    np.divide(diff, mass, out=rates, where=~zero)
-    return rates, mass
-
-
 def prediction_difference_records(
     reference: Dataset | Sequence[Sentence],
     prediction_history: Sequence[Mapping[int, Sequence[str]]],
     train_mass_history: Sequence[np.ndarray],
-    partition: Partition,
-    table=None,
+    index: GroupIndex,
 ) -> list[GroupErrorRecord]:
     """Decay-fit records where the error signal is the disagreement of each
-    past checkpoint's predictions with the current model's predictions."""
+    past checkpoint's predictions with the current model's predictions:
+    the per-group fraction of reference tokens where they differ.  Uses
+    predictions only; gold labels never enter.  ``index`` is one
+    partition's :class:`GroupIndex` of the reference sentences."""
     if len(prediction_history) != len(train_mass_history):
         raise ValueError("prediction and mass histories differ in length")
     if len(prediction_history) < 2:
         raise ValueError("need at least 2 checkpoints of predictions")
-    current = prediction_history[-1]
+    sentences = reference.sentences if isinstance(reference, Dataset) else reference
+    current = aligned_labels(prediction_history[-1], sentences)
     records = []
     for t in range(len(prediction_history) - 1):
-        rates, mass = prediction_difference_rates(
-            current, prediction_history[t], partition, reference, table
-        )
+        rates = mismatch_rates(index, current, aligned_labels(prediction_history[t], sentences))
         records.append(
             GroupErrorRecord(
                 checkpoint_index=t,
                 train_mass=np.asarray(train_mass_history[t], dtype=np.float64),
-                val_error=rates,
-                val_mass=mass,
+                val_error=rates.error,
+                val_mass=rates.mass,
             )
         )
     return records

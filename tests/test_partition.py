@@ -1,21 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupdecay.corpus import Sentence, Token, load_embeddings
+from groupdecay.corpus import Dataset, Sentence, Token, load_embeddings
 from groupdecay.partition import (
     AlignmentError,
     ParameterError,
     PartitionConfig,
     PartitionKind,
+    aligned_labels,
+    build_group_index,
     build_identity_partition,
     build_partition,
     group_error,
     group_mass,
     load_partition,
     minibatch_kmeans,
+    mismatch_rates,
     save_partition,
     sentence_group_delta,
 )
+from oracles import per_sentence_delta, per_sentence_mass, per_sentence_rates
 
 
 def _sent(i, *pairs, doc=None):
@@ -306,3 +312,105 @@ class TestGroupError:
         preds = {0: ["B-PER", "B-PER", "B-PER"], 1: ["B-PER", "B-PER"]}
         ge = group_error(part, preds, ds)
         assert ((ge.error >= 0) & (ge.error <= 1)).all()
+
+
+_WORDS = ["alpha", "beta", "gamma", "delta", "Paris", "Rome", "NATO", "UN", "x1", "mRNA"]
+_TAGS = ["O", "B-PER", "I-PER", "B-LOC"]
+
+
+def _random_sentences(rng, n, words):
+    return [
+        _sent(
+            i,
+            *[
+                (words[int(rng.integers(len(words)))], _TAGS[int(rng.integers(len(_TAGS)))])
+                for _ in range(int(rng.integers(1, 12)))
+            ],
+        )
+        for i in range(n)
+    ]
+
+
+class TestGroupIndex:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_pool=st.integers(1, 10),
+        n_val=st.integers(1, 8),
+        weighted=st.booleans(),
+    )
+    def test_matches_per_sentence_computation(self, seed, n_pool, n_val, weighted):
+        # pool and validation ids both count from 0, so they collide; the
+        # partitions also cover sentences outside both, so some groups have
+        # zero mass in them
+        rng = np.random.default_rng(seed)
+        words = _WORDS[: int(rng.integers(6, len(_WORDS) + 1))]
+        table = _table(_WORDS, 4, rng)
+        pool = _random_sentences(rng, n_pool, words)
+        val = _random_sentences(rng, n_val, words)
+        corpus = [_sent(100 + i, (w, "O"), (words[i - 1], "O")) for i, w in enumerate(words)]
+        corpus.append(_sent(99, ("Unseen", "O")))
+        cfg = PartitionConfig(
+            sentence_groups=3, word_groups=2, word_subgroups=2, seed=seed % 5, kmeans_iters=5
+        )
+        partitions = [build_identity_partition(corpus + pool + val)] + [
+            build_partition(corpus + pool + val, table, kind, cfg) for kind in PartitionKind
+        ]
+        weights = {"PER": 0.9, "LOC": 0.3, "O": 0.5} if weighted else None
+        preds = {s.id: [_TAGS[int(rng.integers(len(_TAGS)))] for _ in s.tokens] for s in val}
+        gold = {s.id: [t.gold_label for t in s.tokens] for s in val}
+        val_ds = Dataset(tuple(val), frozenset({"PER", "LOC"}), role="validation")
+        for part in partitions:
+            index = build_group_index(part, pool + val, table)
+            assert np.array_equal(index.mass(), per_sentence_mass(part, pool + val, table))
+            for row, s in enumerate(pool + val):
+                gids, vals = index.delta(row)
+                want_gids, want_vals = per_sentence_delta(part, s, table)
+                assert np.array_equal(gids, want_gids) and np.array_equal(vals, want_vals)
+            if not part.soft:
+                indptr, gids, vals = index.take(slice(0, n_pool)).deltas()
+                pairs = [per_sentence_delta(part, s, table) for s in pool]
+                assert np.array_equal(indptr, np.cumsum([0] + [len(g) for g, _ in pairs]))
+                assert np.array_equal(gids, np.concatenate([g for g, _ in pairs]))
+                assert np.array_equal(vals, np.concatenate([v for _, v in pairs]))
+            val_index = index.take(slice(n_pool, None))
+            want_rates, want_mass = per_sentence_rates(part, val, gold, preds, table, weights)
+            got = mismatch_rates(
+                val_index, aligned_labels(gold, val), aligned_labels(preds, val), weights
+            )
+            assert np.array_equal(got.error, want_rates)
+            assert np.array_equal(got.mass, want_mass)
+            assert np.array_equal(got.zero_mass, want_mass == 0)
+            view = group_error(part, preds, val_ds, table, weights)
+            assert np.array_equal(view.error, want_rates)
+            if part.identity_vocab is not None:
+                assert got.zero_mass.any()
+
+    def test_take_reorders_rows(self, small_corpus):
+        sentences, table = small_corpus
+        cfg = PartitionConfig(sentence_groups=4, word_groups=3, seed=0, kmeans_iters=10)
+        for kind in (PartitionKind.SENTENCE, PartitionKind.WORD_SENTENCE):
+            part = build_partition(sentences, table, kind, cfg)
+            index = build_group_index(part, sentences, table)
+            rows = [7, 2, 30, 2]
+            sub = index.take(rows)
+            direct = build_group_index(part, [sentences[r] for r in rows], table)
+            assert np.array_equal(sub.lengths, direct.lengths)
+            assert np.array_equal(sub.offsets, direct.offsets)
+            if part.soft:
+                assert np.array_equal(sub.membership, direct.membership)
+            else:
+                assert np.array_equal(sub.gids, direct.gids)
+
+    def test_empty_index(self):
+        part = build_identity_partition([_sent(0, ("a", "O")), _sent(1, ("b", "O"))])
+        index = build_group_index(part, [])
+        assert len(index) == 0
+        np.testing.assert_array_equal(index.mass(), [0.0, 0.0])
+        np.testing.assert_array_equal(mismatch_rates(index, [], []).mass, [0.0, 0.0])
+
+    def test_misaligned_labelings_raise(self):
+        gold = [_sent(0, ("a", "O"), ("b", "O"))]
+        index = build_group_index(build_identity_partition(gold), gold)
+        with pytest.raises(AlignmentError):
+            mismatch_rates(index, [["O", "O"]], [["O"]])

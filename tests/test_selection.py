@@ -312,7 +312,8 @@ class TestDefaultEpsilon:
 class TestVectorizedScorerAgreement:
     def test_pool_scorer_matches_single_sentence_scores(self):
         # the greedy path scores with sparse/vectorized bookkeeping; it must
-        # agree with the direct one-sentence computation on mixed partitions
+        # agree with the gain read off the objective when one sentence is
+        # added, on all four partition kinds
         from groupdecay.corpus import load_embeddings
         from groupdecay.partition import PartitionConfig, PartitionKind, build_partition
         from groupdecay.selection import _PoolScorer
@@ -332,10 +333,7 @@ class TestVectorizedScorerAgreement:
             sentence_groups=4, word_groups=3, word_subgroups=2,
             seed=2, kmeans_iters=10,
         )
-        parts = [
-            build_partition(pool, table, PartitionKind.SENTENCE, cfg),
-            build_partition(pool, table, PartitionKind.WORD_SHAPE, cfg),
-        ]
+        parts = [build_partition(pool, table, kind, cfg) for kind in PartitionKind]
         fits = []
         for p in parts:
             J = p.n_groups
@@ -347,7 +345,18 @@ class TestVectorizedScorerAgreement:
         scorer = _PoolScorer(state, pool)
         vectorized = scorer.scores()
         for k, s in enumerate(scorer.pool):
-            assert vectorized[k] == pytest.approx(edg_score(state, s), abs=1e-9)
+            factors = []
+            for p, f, train, da in zip(parts, fits, state.train_mass, state.da_mass):
+                probe = SelectionState(
+                    partitions=[p], fits=[f], train_mass=[train.copy()], da_mass=[da],
+                    token_budget=10, epsilon=1e-3, table=table,
+                )
+                before = objective(probe, 0)
+                probe.add_sentence(s)
+                factors.append((objective(probe, 0) - before) / len(s) + 1e-3)
+            direct = float(np.prod(factors)) ** (1.0 / len(factors))
+            assert vectorized[k] == pytest.approx(direct, abs=1e-9)
+            assert edg_score(state, s) == pytest.approx(vectorized[k], abs=1e-12)
 
 
 class TestFourPartitionRun:

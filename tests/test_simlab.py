@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter, defaultdict
@@ -337,3 +338,25 @@ class TestTaggerSerialization:
         a = tagger_predict(tagger, sents, want_logprobs=True)
         b = tagger_predict(clone, sents, want_logprobs=True)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "key", ["labels", "surfaces", "token_counts", "context_counts", "label_totals"]
+    )
+    def test_altered_table_raises(self, corpus, key):
+        tagger = ReferenceTagger(
+            Dataset(corpus.sentences[:20], corpus.label_inventory, "train")
+        )
+        payload = json.loads(save_tagger(tagger))
+        table = payload[key]
+        if key == "labels":
+            table.reverse()
+        elif key == "surfaces":
+            table[0], table[1] = table[1], table[0]
+        elif key == "context_counts":
+            table[1][0][0] += 1.0
+        elif key == "token_counts":
+            table[0][0] += 1.0
+        else:
+            table[0] += 1.0
+        with pytest.raises(ValueError, match=f"stored {key}"):
+            load_tagger(json.dumps(payload))

@@ -4,8 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from groupdecay.corpus import Dataset, Sentence, Token
-from groupdecay.partition import AlignmentError, build_identity_partition
+from groupdecay.corpus import Dataset, Sentence, Token, load_embeddings
+from groupdecay.partition import (
+    AlignmentError,
+    PartitionConfig,
+    PartitionKind,
+    aligned_labels,
+    build_group_index,
+    build_identity_partition,
+    build_partition,
+    mismatch_rates,
+)
 from groupdecay.strategies import (
     AlternationChoice,
     CapabilityError,
@@ -13,7 +22,6 @@ from groupdecay.strategies import (
     UncertaintySnapshot,
     alternation_policy,
     fass_select,
-    prediction_difference_rates,
     prediction_difference_records,
     read_records,
     score_bald,
@@ -22,6 +30,7 @@ from groupdecay.strategies import (
     score_us,
     write_records,
 )
+from oracles import per_sentence_rates
 
 
 def _lp(probs: dict[str, float]) -> dict[str, float]:
@@ -236,6 +245,17 @@ def _sent(i, words, labels=None):
     )
 
 
+def prediction_difference_rates(current, past, partition, reference):
+    """Per-group rate at which two checkpoints' predictions differ."""
+    sentences = reference.sentences
+    rates = mismatch_rates(
+        build_group_index(partition, sentences),
+        aligned_labels(current, sentences),
+        aligned_labels(past, sentences),
+    )
+    return rates.error, rates.mass
+
+
 class TestPredictionDifference:
     def _setup(self):
         ref = Dataset(
@@ -296,12 +316,42 @@ class TestPredictionDifference:
             {0: ["O"] * 5, 1: ["O"] * 5},
         ]
         masses = [np.array([5.0, 0.0]), np.array([7.0, 3.0]), np.array([9.0, 6.0])]
-        records = prediction_difference_records(ref, hist, masses, part)
+        records = prediction_difference_records(ref, hist, masses, build_group_index(part, ref))
         assert len(records) == 2
         gid_a = part.token_group_ids(ref.sentences[0], None)[0]
         assert records[0].val_error[gid_a] == pytest.approx(1.0)
         assert records[1].val_error[gid_a] == pytest.approx(0.0)
         np.testing.assert_array_equal(records[0].train_mass, masses[0])
+
+    def test_merged_rates_match_per_sentence_prediction_difference(self):
+        rng = np.random.default_rng(8)
+        words = [f"w{i}" for i in range(12)]
+        tags = ["O", "B-PER", "I-PER"]
+        ref = [
+            _sent(i, [words[int(rng.integers(12))] for _ in range(int(rng.integers(1, 15)))])
+            for i in range(30)
+        ]
+        table_lines = "\n".join(
+            f"{w} " + " ".join(repr(float(v)) for v in rng.normal(size=4)) for w in words
+        )
+        table = load_embeddings(table_lines, normalize=True)
+        cfg = PartitionConfig(sentence_groups=3, seed=1, kmeans_iters=5)
+        partitions = [
+            build_identity_partition(ref),
+            build_partition(ref, table, PartitionKind.SENTENCE, cfg),
+        ]
+        cur = {s.id: [tags[int(rng.integers(3))] for _ in s.tokens] for s in ref}
+        past = {s.id: [tags[int(rng.integers(3))] for _ in s.tokens] for s in ref}
+        for part in partitions:
+            got = mismatch_rates(
+                build_group_index(part, ref, table),
+                aligned_labels(cur, ref),
+                aligned_labels(past, ref),
+                class_weights=None,
+            )
+            want_rates, want_mass = per_sentence_rates(part, ref, cur, past, table)
+            assert np.array_equal(got.error, want_rates)
+            assert np.array_equal(got.mass, want_mass)
 
 
 class TestRecordIO:
