@@ -117,12 +117,30 @@ def config_hash(config: dict) -> str:
     ).hexdigest()
 
 
+_ORPHAN_TAGS = "I- tags with no open phrase of their type (kept as written)"
+
+
+def _warn(path: str, count: int, what: str) -> None:
+    """One stderr line for the problems an input file's reader tolerated."""
+    if count:
+        print(f"warning: {path}: {count} {what}", file=sys.stderr)
+
+
 def _read_dataset(path: str, role: str) -> Dataset:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            return parse_conll(fh, role=role)
+            dataset = parse_conll(fh, role=role)
     except FileNotFoundError as exc:
         raise ConfigError(f"{role} file not found: {path}") from exc
+    _warn(path, dataset.bio_warnings, _ORPHAN_TAGS)
+    return dataset
+
+
+def _read_embeddings(path: str) -> EmbeddingTable:
+    with open(path, "r", encoding="utf-8") as fh:
+        table = load_embeddings(fh, normalize=True)
+    _warn(path, table.duplicate_warnings, "duplicate surfaces (the last entry kept)")
+    return table
 
 
 # -- external predictor -------------------------------------------------------
@@ -447,8 +465,7 @@ def cmd_simulate(args) -> int:
 
     table = None
     if "embeddings" in paths:
-        with open(paths["embeddings"], "r", encoding="utf-8") as fh:
-            table = load_embeddings(fh, normalize=True)
+        table = _read_embeddings(paths["embeddings"])
     elif config.get("partitions", {}).get("one_hot", False):
         spec_cfg = {
             k: v
@@ -585,8 +602,7 @@ def cmd_select(args) -> int:
         raise ConfigError("need one fit file per partition file")
     table = None
     if args.embeddings:
-        with open(args.embeddings, "r", encoding="utf-8") as fh:
-            table = load_embeddings(fh, normalize=True)
+        table = _read_embeddings(args.embeddings)
     fits = [
         DecayFit(params=p, history=[], objective_value=0.0, converged=True)
         for p in params
@@ -626,6 +642,7 @@ def _load_predictions(path: str, fmt: str) -> dict[int, tuple[str, ...]]:
     if fmt == "records":
         return {sid: rec.labels for sid, rec in read_records(text, validate=False).items()}
     ds = parse_conll(text, role="predictions")
+    _warn(path, ds.bio_warnings, _ORPHAN_TAGS)
     return {s.id: tuple(t.gold_label for t in s.tokens) for s in ds.sentences}
 
 

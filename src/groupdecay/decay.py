@@ -11,10 +11,12 @@ parameters.  n is evaluated at max(n, 1) so empty groups get a large finite
 predicted error instead of a division by zero.
 
 The fit minimizes a doubly weighted squared loss over recorded
-(training mass, validation error) checkpoints.  The optimizer alternates an
-exact non-negative least-squares refresh of (b_j, c_j) with monotone
-projected-gradient steps on the shared coefficients, restarted from several
-deterministic initializations.
+(training mass, validation error) checkpoints.  The mass scale a0 is
+redundant with the other shared coefficients, so the fit holds it at 1 and
+alternates two exact block minimizations: a non-negative least-squares
+refresh of (b_j, c_j), then the four shared basis coefficients solved by
+enumerating the active sets of their 4-variable non-negative least-squares
+problem.  It restarts from several deterministic initializations.
 """
 
 from __future__ import annotations

@@ -102,9 +102,12 @@ def micro_f1(
     per_type: dict[str, list[int]] = {}
 
     for s, pred_tags in zip(gold.sentences, aligned_labels(predictions, gold.sentences)):
-        gold_phrases = set(decode_phrases([t.gold_label for t in s.tokens], s.id))
-        pred_phrases = set(decode_phrases(list(pred_tags), s.id))
-        matched = gold_phrases & pred_phrases
+        # phrases in decoding order: summing weights in set order would make
+        # the weighted totals depend on string hashing
+        gold_phrases = decode_phrases([t.gold_label for t in s.tokens], s.id)
+        pred_phrases = decode_phrases(list(pred_tags), s.id)
+        gold_set = set(gold_phrases)
+        matched = [ph for ph in pred_phrases if ph in gold_set]
         for ph in gold_phrases:
             per_type.setdefault(ph.type, [0, 0, 0])[0] += 1
         for ph in pred_phrases:

@@ -11,10 +11,11 @@ easy words quickly, plateaus on noise words, and learns context slowly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -225,7 +226,32 @@ def gen_synthetic(
 
 # -- reference tagger --------------------------------------------------------
 
-_OFFSETS = (-2, -1, 1, 2)
+# A token's window: the token itself, then its context offsets.
+_WINDOW = (0, -2, -1, 1, 2)
+
+
+def _flatten(sentences: Sequence[Sentence]) -> tuple[list[str], np.ndarray]:
+    """The sentences' surfaces as one flat list, and each sentence's length."""
+    surfaces = [t.surface for s in sentences for t in s.tokens]
+    return surfaces, np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
+
+
+def _spans(lengths: np.ndarray) -> list[tuple[int, int]]:
+    """Each sentence's [start, end) slice of the flat token array."""
+    ends = np.cumsum(lengths).tolist()
+    return list(zip([0] + ends[:-1], ends))
+
+
+def _windows(rows: np.ndarray, lengths: np.ndarray, pad: int) -> Iterator[np.ndarray]:
+    """For each offset of ``_WINDOW`` in turn, the row of every token's
+    neighbour at that offset in the flat ``rows``, and ``pad`` where the
+    neighbour falls past the edge of the token's sentence.  One offset at a
+    time, so that a large input holds one window's temporaries at once."""
+    ends = np.repeat(np.cumsum(lengths), lengths)
+    starts = ends - np.repeat(lengths, lengths)
+    for off in _WINDOW:
+        q = np.arange(off, len(rows) + off)
+        yield np.where((q >= starts) & (q < ends), rows[np.clip(q, 0, len(rows) - 1)], pad)
 
 
 class ReferenceTagger:
@@ -240,89 +266,73 @@ class ReferenceTagger:
     def __init__(self, train: Dataset, smoothing_alpha: float = 1.0):
         if len(train) == 0:
             raise ValueError("training data is empty")
-        self.smoothing_alpha = float(smoothing_alpha)
-        self.train_sentences: tuple[Sentence, ...] = train.sentences
-        labels = sorted({t.gold_label for s in train.sentences for t in s.tokens})
-        if any(l is None for l in labels):
+        tags = [t.gold_label for s in train.sentences for t in s.tokens]
+        if None in tags:
             raise ValueError("training data must be fully labeled")
-        self.labels: tuple[str, ...] = tuple(labels)
-        self.label_index = {l: i for i, l in enumerate(labels)}
-        surfaces = sorted({t.surface for s in train.sentences for t in s.tokens})
-        self.surface_index = {w: i for i, w in enumerate(surfaces)}
-        self.surface_index[_PAD] = len(surfaces)
+        surfaces, lengths = _flatten(train.sentences)
+        self.train_sentences: tuple[Sentence, ...] = train.sentences
+        self._fit(surfaces, tags, lengths, smoothing_alpha)
+
+    def _fit(self, surfaces, tags, lengths, smoothing_alpha, weights=None) -> None:
+        """Count the flat tokens of the sentences ``lengths`` delimits, each
+        token ``weights`` times (once by default)."""
+        self.smoothing_alpha = float(smoothing_alpha)
+        self._train = (surfaces, tags, lengths)
+        self.labels: tuple[str, ...] = tuple(sorted(set(tags)))
+        vocab = sorted(set(surfaces))
+        self.surface_index = {w: i for i, w in enumerate(vocab)}
+        self.surface_index[_PAD] = len(vocab)
         self.vocab_size = len(self.surface_index)
-        self._count(train)
-        self._finalize()
-
-    def _count(self, train: Dataset) -> None:
-        L = len(self.labels)
-        V = self.vocab_size
-        self.token_counts = np.zeros((V, L), dtype=np.float64)
-        self.context_counts = [np.zeros((V, L), dtype=np.float64) for _ in _OFFSETS]
-        pad = self.surface_index[_PAD]
-        tok_rows, lab_rows = [], []
-        ctx_rows: list[list[np.ndarray]] = [[] for _ in _OFFSETS]
-        for s in train.sentences:
-            sidx = np.asarray([self.surface_index[t.surface] for t in s.tokens])
-            lidx = np.asarray([self.label_index[t.gold_label] for t in s.tokens])
-            n = len(sidx)
-            tok_rows.append(sidx)
-            lab_rows.append(lidx)
-            pos = np.arange(n)
-            for k, off in enumerate(_OFFSETS):
-                q = pos + off
-                ctx_rows[k].append(
-                    np.where((q >= 0) & (q < n), sidx[np.clip(q, 0, n - 1)], pad)
-                )
-        tok = np.concatenate(tok_rows)
-        lab = np.concatenate(lab_rows)
-        np.add.at(self.token_counts, (tok, lab), 1.0)
-        self.label_totals = np.bincount(lab, minlength=L).astype(np.float64)
-        for k in range(len(_OFFSETS)):
-            np.add.at(self.context_counts[k], (np.concatenate(ctx_rows[k]), lab), 1.0)
-
-    def _finalize(self) -> None:
+        label_index = {l: i for i, l in enumerate(self.labels)}
+        label_ids = np.fromiter(map(label_index.__getitem__, tags), np.intp, len(tags))
+        L, V = len(self.labels), self.vocab_size
+        self.token_counts, *self.context_counts = [
+            np.bincount(w * L + label_ids, weights, minlength=V * L).reshape(V, L).astype(float)
+            for w in _windows(self._rows(surfaces), lengths, self.surface_index[_PAD])
+        ]
+        self.label_totals = np.bincount(label_ids, weights, minlength=L).astype(float)
         a = self.smoothing_alpha
-        unseen = np.full((1, len(self.labels)), math.log(a))
+        unseen = np.full((1, L), math.log(a))
         # one virtual all-zero-count row appended for unseen surfaces
         self._log_token = np.vstack([np.log(self.token_counts + a), unseen])
         self._log_ctx = [np.vstack([np.log(c + a), unseen]) for c in self.context_counts]
         self._log_denom = np.log(self.label_totals + a * self.vocab_size)
 
-    def _surface_rows(self, sentences: Sequence[Sentence]) -> list[np.ndarray]:
-        """Map each sentence's surfaces to count-matrix rows (OOV -> pad-free
-        virtual row handled via a zero-count lookup)."""
-        unseen = self.vocab_size  # virtual all-zero-count row
-        rows = []
-        for s in sentences:
-            rows.append(
-                np.asarray(
-                    [self.surface_index.get(t.surface, unseen) for t in s.tokens],
-                    dtype=np.intp,
-                )
-            )
-        return rows
+    def _rows(self, surfaces: Sequence[str]) -> np.ndarray:
+        """Count-table rows of the surfaces; unseen ones get the virtual row."""
+        index, unseen = self.surface_index, self.vocab_size
+        return np.fromiter((index.get(w, unseen) for w in surfaces), np.intp, len(surfaces))
+
+    def _log_probs(self, surfaces: Sequence[str], lengths: np.ndarray) -> np.ndarray:
+        """(tokens, L) log-probabilities of the flat tokens."""
+        windows = _windows(self._rows(surfaces), lengths, self.surface_index[_PAD])
+        score = self._log_token[next(windows)]
+        score -= 4.0 * self._log_denom
+        for table, ctx in zip(self._log_ctx, windows):
+            score += table[ctx]
+        z = score.max(axis=1, keepdims=True)
+        e = score - z
+        np.exp(e, out=e)
+        logz = np.log(e.sum(axis=1, keepdims=True))
+        logz += z
+        score -= logz
+        return score
+
+    def _label_names(self, surfaces: Sequence[str], lengths: np.ndarray) -> list[str]:
+        """The most probable label of every flat token."""
+        ids = self._log_probs(surfaces, lengths).argmax(axis=1)
+        return [self.labels[i] for i in ids.tolist()]
 
     def scores(self, sentences: Sequence[Sentence]) -> list[np.ndarray]:
         """Per-sentence (length, L) log-probability matrices."""
-        pad = self.surface_index[_PAD]
-        out = []
-        for s, rows in zip(sentences, self._surface_rows(sentences)):
-            n = len(rows)
-            score = self._log_token[rows] - 4.0 * self._log_denom[None, :]
-            for k, off in enumerate(_OFFSETS):
-                q = np.arange(n) + off
-                ctx = np.where((q >= 0) & (q < n), rows[np.clip(q, 0, n - 1)], pad)
-                score = score + self._log_ctx[k][ctx]
-            z = score.max(axis=1, keepdims=True)
-            logz = z + np.log(np.exp(score - z).sum(axis=1, keepdims=True))
-            out.append(score - logz)
-        return out
+        surfaces, lengths = _flatten(sentences)
+        flat = self._log_probs(surfaces, lengths)
+        return [flat[a:b] for a, b in _spans(lengths)]
 
     def predict_labels(self, sentences: Sequence[Sentence]) -> list[list[str]]:
-        return [
-            [self.labels[i] for i in np.argmax(m, axis=1)] for m in self.scores(sentences)
-        ]
+        surfaces, lengths = _flatten(sentences)
+        names = self._label_names(surfaces, lengths)
+        return [names[a:b] for a, b in _spans(lengths)]
 
 
 def train_reference_tagger(
@@ -342,43 +352,41 @@ def tagger_predict(
     seed: int = 0,
 ) -> dict[int, PredictionRecord]:
     """Predictions as exchange records; optional per-token log-probabilities
-    and an optional ensemble of K bootstrap-retrained taggers."""
+    and an optional ensemble of K bootstrap-retrained taggers.  A member
+    counts each training sentence as many times as its bootstrap drew it."""
     sentences = list(dataset.sentences if isinstance(dataset, Dataset) else dataset)
-    matrices = tagger.scores(sentences)
+    surfaces, lengths = _flatten(sentences)
+    flat = tagger._log_probs(surfaces, lengths)
+    labels = [tagger.labels[i] for i in flat.argmax(axis=1).tolist()]
 
-    ensemble_labels: list[list[list[str]]] | None = None
+    members: list[list[str]] = []
     if ensemble_k is not None:
         if ensemble_k < 2:
             raise ValueError("ensemble_k must be >= 2")
-        ensemble_labels = []
-        base = tagger.train_sentences
+        train_surfaces, train_tags, train_lengths = tagger._train
+        n = len(train_lengths)
         for k in range(ensemble_k):
             rng = np.random.default_rng([seed, 71, k])
-            idx = rng.integers(0, len(base), size=len(base))
-            boot = Dataset(
-                sentences=tuple(
-                    Sentence(id=i, tokens=base[j].tokens) for i, j in enumerate(idx)
-                ),
-                label_inventory=frozenset(),
-                role="train",
+            draws = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            drawn = np.repeat(draws > 0, train_lengths)
+            member = object.__new__(ReferenceTagger)
+            member._fit(
+                list(itertools.compress(train_surfaces, drawn)),
+                list(itertools.compress(train_tags, drawn)),
+                train_lengths[draws > 0],
+                tagger.smoothing_alpha,
+                np.repeat(draws, train_lengths)[drawn],
             )
-            member = ReferenceTagger(boot, tagger.smoothing_alpha)
-            ensemble_labels.append(member.predict_labels(sentences))
+            members.append(member._label_names(surfaces, lengths))
 
     records: dict[int, PredictionRecord] = {}
-    for i, (s, m) in enumerate(zip(sentences, matrices)):
-        labels = tuple(tagger.labels[j] for j in np.argmax(m, axis=1))
+    for s, (a, b) in zip(sentences, _spans(lengths)):
         logprobs = None
         if want_logprobs:
-            logprobs = tuple(
-                {tag: float(m[l, j]) for j, tag in enumerate(tagger.labels)}
-                for l in range(len(s))
-            )
-        ensemble = None
-        if ensemble_labels is not None:
-            ensemble = tuple(tuple(member[i]) for member in ensemble_labels)
+            logprobs = tuple(dict(zip(tagger.labels, row)) for row in flat[a:b].tolist())
+        ensemble = tuple(tuple(member[a:b]) for member in members) if members else None
         records[s.id] = PredictionRecord(
-            sentence_id=s.id, labels=labels, logprobs=logprobs, ensemble=ensemble
+            sentence_id=s.id, labels=tuple(labels[a:b]), logprobs=logprobs, ensemble=ensemble
         )
     return records
 
@@ -429,18 +437,18 @@ def make_pseudo_pool(
     Raises ``RuntimeError`` when no fixed point is reached within the round
     bound, rather than return labels the tagger family cannot reproduce.
     """
-    sentences = pool_inputs.sentences
-    labels = ReferenceTagger(full_gold_train, smoothing_alpha).predict_labels(sentences)
+    surfaces, lengths = _flatten(pool_inputs.sentences)
+    teacher = ReferenceTagger(full_gold_train, smoothing_alpha)
+    labels = teacher._label_names(surfaces, lengths)
     for _ in range(_PSEUDO_MAX_ROUNDS):
-        pseudo = _with_labels(pool_inputs, labels)
-        oracle = ReferenceTagger(pseudo, smoothing_alpha)
-        relabeled = oracle.predict_labels(sentences)
+        retrained = object.__new__(ReferenceTagger)
+        retrained._fit(surfaces, labels, lengths, smoothing_alpha)
+        relabeled = retrained._label_names(surfaces, lengths)
         if relabeled == labels:
-            return pseudo, oracle
+            pseudo = _with_labels(pool_inputs, [labels[a:b] for a, b in _spans(lengths)])
+            return pseudo, ReferenceTagger(pseudo, smoothing_alpha)
         previous, labels = labels, relabeled
-    changing = sum(
-        a != b for old, new in zip(previous, labels) for a, b in zip(old, new)
-    )
+    changing = sum(a != b for a, b in zip(previous, labels))
     raise RuntimeError(
         f"pseudo labels reached no fixed point in {_PSEUDO_MAX_ROUNDS} rounds: "
         f"{changing} pool labels still changing"
@@ -484,14 +492,11 @@ _TAGGER_FORMAT = "groupdecay-tagger/1"
 
 
 def save_tagger(tagger: ReferenceTagger) -> str:
-    surfaces = [None] * len(tagger.surface_index)
-    for w, i in tagger.surface_index.items():
-        surfaces[i] = w
     payload = {
         "format": _TAGGER_FORMAT,
         "alpha": tagger.smoothing_alpha,
         "labels": list(tagger.labels),
-        "surfaces": surfaces,
+        "surfaces": list(tagger.surface_index),  # in row order
         "token_counts": tagger.token_counts.tolist(),
         "context_counts": [c.tolist() for c in tagger.context_counts],
         "label_totals": tagger.label_totals.tolist(),
@@ -517,13 +522,7 @@ def load_tagger(text: str) -> ReferenceTagger:
         )
         for s in payload["train"]
     )
-    types = {
-        t.gold_label.split("-", 1)[1]
-        for s in sentences
-        for t in s.tokens
-        if t.gold_label != "O"
-    }
-    train = Dataset(sentences=sentences, label_inventory=frozenset(types), role="train")
+    train = Dataset(sentences=sentences, label_inventory=frozenset(), role="train")
     tagger = ReferenceTagger(train, payload["alpha"])
     # the tables are recomputed from the stored training sentences; verify
     recomputed = json.loads(save_tagger(tagger))

@@ -4,11 +4,14 @@ These deliberately avoid the library's own decoding/matching code paths so
 they can serve as oracles.
 """
 
+import math
+
 import numpy as np
 
-from groupdecay.corpus import entity_type, shape_class
+from groupdecay.corpus import Dataset, Sentence, Token, entity_type, shape_class
 from groupdecay.partition import N_SHAPES, PartitionKind
 from groupdecay.scoring import Phrase
+from groupdecay.strategies import PredictionRecord
 
 
 def brute_force_phrases(tags, sentence_id=0):
@@ -124,3 +127,152 @@ def per_sentence_rates(partition, sentences, first, second, table, class_weights
     rates = np.zeros_like(err)
     np.divide(err, mass, out=rates, where=mass != 0)
     return rates, mass
+
+
+# -- per-sentence reference tagger -------------------------------------------
+#
+# The reference tagger as it ran before it was fitted and scored over one flat
+# token array: count tables and scores built one sentence at a time, bootstrap
+# ensemble members retrained on rebuilt datasets, and pseudo labels relabeled
+# through a rebuilt dataset every round.  The library must reproduce them bit
+# for bit.
+
+_PAD = "\x00pad"
+_OFFSETS = (-2, -1, 1, 2)
+
+
+class PerSentenceTagger:
+    """Count tables and scores of the reference tagger, sentence by sentence."""
+
+    def __init__(self, train, smoothing_alpha=1.0):
+        self.smoothing_alpha = float(smoothing_alpha)
+        self.train_sentences = train.sentences
+        labels = sorted({t.gold_label for s in train.sentences for t in s.tokens})
+        self.labels = tuple(labels)
+        self.label_index = {l: i for i, l in enumerate(labels)}
+        surfaces = sorted({t.surface for s in train.sentences for t in s.tokens})
+        self.surface_index = {w: i for i, w in enumerate(surfaces)}
+        self.surface_index[_PAD] = len(surfaces)
+        self.vocab_size = len(self.surface_index)
+        self._count(train)
+        a = self.smoothing_alpha
+        unseen = np.full((1, len(self.labels)), math.log(a))
+        self._log_token = np.vstack([np.log(self.token_counts + a), unseen])
+        self._log_ctx = [np.vstack([np.log(c + a), unseen]) for c in self.context_counts]
+        self._log_denom = np.log(self.label_totals + a * self.vocab_size)
+
+    def _count(self, train):
+        L = len(self.labels)
+        V = self.vocab_size
+        self.token_counts = np.zeros((V, L), dtype=np.float64)
+        self.context_counts = [np.zeros((V, L), dtype=np.float64) for _ in _OFFSETS]
+        pad = self.surface_index[_PAD]
+        tok_rows, lab_rows = [], []
+        ctx_rows = [[] for _ in _OFFSETS]
+        for s in train.sentences:
+            sidx = np.asarray([self.surface_index[t.surface] for t in s.tokens])
+            lidx = np.asarray([self.label_index[t.gold_label] for t in s.tokens])
+            n = len(sidx)
+            tok_rows.append(sidx)
+            lab_rows.append(lidx)
+            pos = np.arange(n)
+            for k, off in enumerate(_OFFSETS):
+                q = pos + off
+                ctx_rows[k].append(
+                    np.where((q >= 0) & (q < n), sidx[np.clip(q, 0, n - 1)], pad)
+                )
+        tok = np.concatenate(tok_rows)
+        lab = np.concatenate(lab_rows)
+        np.add.at(self.token_counts, (tok, lab), 1.0)
+        self.label_totals = np.bincount(lab, minlength=L).astype(np.float64)
+        for k in range(len(_OFFSETS)):
+            np.add.at(self.context_counts[k], (np.concatenate(ctx_rows[k]), lab), 1.0)
+
+    def scores(self, sentences):
+        unseen = self.vocab_size
+        pad = self.surface_index[_PAD]
+        out = []
+        for s in sentences:
+            rows = np.asarray(
+                [self.surface_index.get(t.surface, unseen) for t in s.tokens],
+                dtype=np.intp,
+            )
+            n = len(rows)
+            score = self._log_token[rows] - 4.0 * self._log_denom[None, :]
+            for k, off in enumerate(_OFFSETS):
+                q = np.arange(n) + off
+                ctx = np.where((q >= 0) & (q < n), rows[np.clip(q, 0, n - 1)], pad)
+                score = score + self._log_ctx[k][ctx]
+            z = score.max(axis=1, keepdims=True)
+            logz = z + np.log(np.exp(score - z).sum(axis=1, keepdims=True))
+            out.append(score - logz)
+        return out
+
+    def predict_labels(self, sentences):
+        return [
+            [self.labels[i] for i in np.argmax(m, axis=1)] for m in self.scores(sentences)
+        ]
+
+
+def per_sentence_predict(tagger, sentences, want_logprobs=False, ensemble_k=None, seed=0):
+    """Prediction records of ``tagger`` (a ``PerSentenceTagger``); each
+    ensemble member is retrained on a rebuilt bootstrap dataset."""
+    matrices = tagger.scores(sentences)
+    ensemble_labels = None
+    if ensemble_k is not None:
+        ensemble_labels = []
+        base = tagger.train_sentences
+        for k in range(ensemble_k):
+            rng = np.random.default_rng([seed, 71, k])
+            idx = rng.integers(0, len(base), size=len(base))
+            boot = Dataset(
+                sentences=tuple(
+                    Sentence(id=i, tokens=base[j].tokens) for i, j in enumerate(idx)
+                ),
+                label_inventory=frozenset(),
+                role="train",
+            )
+            member = PerSentenceTagger(boot, tagger.smoothing_alpha)
+            ensemble_labels.append(member.predict_labels(sentences))
+    records = {}
+    for i, (s, m) in enumerate(zip(sentences, matrices)):
+        labels = tuple(tagger.labels[j] for j in np.argmax(m, axis=1))
+        logprobs = None
+        if want_logprobs:
+            logprobs = tuple(
+                {tag: float(m[l, j]) for j, tag in enumerate(tagger.labels)}
+                for l in range(len(s))
+            )
+        ensemble = None
+        if ensemble_labels is not None:
+            ensemble = tuple(tuple(member[i]) for member in ensemble_labels)
+        records[s.id] = PredictionRecord(
+            sentence_id=s.id, labels=labels, logprobs=logprobs, ensemble=ensemble
+        )
+    return records
+
+
+def _relabeled(dataset, label_lists):
+    sentences = tuple(
+        Sentence(
+            id=s.id,
+            tokens=tuple(Token(t.surface, l) for t, l in zip(s.tokens, labels)),
+            doc_id=s.doc_id,
+        )
+        for s, labels in zip(dataset.sentences, label_lists)
+    )
+    return Dataset(sentences, dataset.label_inventory, dataset.role)
+
+
+def per_round_pseudo_labels(full_gold_train, pool_inputs, smoothing_alpha=1.0):
+    """Fixed-point pseudo labels of the pool, retraining on a rebuilt dataset
+    every round; ``None`` when 100 rounds reach no fixed point."""
+    sentences = pool_inputs.sentences
+    labels = PerSentenceTagger(full_gold_train, smoothing_alpha).predict_labels(sentences)
+    for _ in range(100):
+        oracle = PerSentenceTagger(_relabeled(pool_inputs, labels), smoothing_alpha)
+        relabeled = oracle.predict_labels(sentences)
+        if relabeled == labels:
+            return labels
+        labels = relabeled
+    return None

@@ -113,6 +113,22 @@ class TestSimulate:
         assert run_cli("simulate", "--config", cfg) == 2
         assert run_cli("simulate", "--config", cfg, "--force") == 0
 
+    def test_orphan_inside_tag_in_pool_warns(self, synth_dir, tmp_path, capsys):
+        pool = tmp_path / "pool.conll"
+        # a one-token sentence whose I- tag opens no phrase
+        pool.write_text("w000 I-E1\n\n" + (synth_dir / "train.conll").read_text())
+        out = tmp_path / "run_orphan"
+        config = _sim_config(synth_dir, out, strategy="rnd")
+        config["paths"]["pool"] = str(pool)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run_cli("simulate", "--config", cfg) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"warning: {pool}: 1 I- tags with no open phrase of their type (kept as written)"
+        ]
+
     def test_deterministic_outputs(self, synth_dir, tmp_path):
         outs = []
         for name in ("a", "b"):

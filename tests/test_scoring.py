@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -146,6 +151,32 @@ class TestMicroF1:
             assert report.n_gold == len(g)
             assert report.n_predicted == len(p)
             assert report.n_matched == len(g & p)
+
+    def test_weighted_score_independent_of_hash_seed(self):
+        # The weighted totals are float sums over phrases; they must be added
+        # in one fixed order, not in the order of a set of hashed strings.
+        script = (
+            "from groupdecay.scoring import micro_f1\n"
+            "from groupdecay.simlab import SynthSpec, ReferenceTagger, gen_synthetic, "
+            "tagger_predict\n"
+            "spec = SynthSpec(seed=0)\n"
+            "gold = gen_synthetic(spec, 20_000, role='validation', stream=1)\n"
+            "tagger = ReferenceTagger(gen_synthetic(spec, 2_000, role='train', stream=0))\n"
+            "preds = {i: r.labels for i, r in tagger_predict(tagger, gold).items()}\n"
+            "r = micro_f1(gold, preds, {'E1': 0.1, 'E2': 1 / 3, 'E3': 0.7, 'E4': 0.0029})\n"
+            "print(repr(r.f1), repr(r.n_gold), repr(r.n_predicted), repr(r.n_matched))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestExportCurves:

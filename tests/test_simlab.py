@@ -5,6 +5,8 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupdecay import simlab
 from groupdecay.corpus import Dataset, Sentence, Token
@@ -18,6 +20,7 @@ from groupdecay.simlab import (
     save_tagger,
     tagger_predict,
 )
+from oracles import PerSentenceTagger, per_round_pseudo_labels, per_sentence_predict
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +244,64 @@ class TestReferenceTagger:
         assert abs(wrong / seen - oracle) < 0.05
 
 
+_WORDS = ["a", "b", "c", "d", "e", "f"]
+_TAGS = ["O", "B-E1", "I-E1", "B-E2", "I-E2"]
+
+
+def _random_sentences(rng, n, words, labeled=True):
+    """``n`` sentences of 1-6 tokens, so windows cross sentence edges."""
+    return [
+        Sentence(
+            id=i,
+            tokens=tuple(
+                Token(
+                    words[int(rng.integers(len(words)))],
+                    _TAGS[int(rng.integers(len(_TAGS)))] if labeled else None,
+                )
+                for _ in range(int(rng.integers(1, 7)))
+            ),
+        )
+        for i in range(n)
+    ]
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestFlatTaggerMatchesPerSentence:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_train=st.integers(1, 8),
+        n_eval=st.integers(1, 8),
+        alpha=st.sampled_from([1.0, 0.3]),
+    )
+    def test_bit_identical_to_per_sentence_tagger(self, seed, n_train, n_eval, alpha):
+        # the evaluation sentences also use surfaces no training sentence has
+        rng = np.random.default_rng(seed)
+        train = Dataset(
+            tuple(_random_sentences(rng, n_train, _WORDS[:4])), frozenset({"E1", "E2"}), "train"
+        )
+        evaluation = _random_sentences(rng, n_eval, _WORDS, labeled=False)
+        tagger = ReferenceTagger(train, alpha)
+        reference = PerSentenceTagger(train, alpha)
+        assert tagger.labels == reference.labels
+        assert tagger.surface_index == reference.surface_index
+        assert tagger.vocab_size == reference.vocab_size
+        assert _same_bits(tagger.token_counts, reference.token_counts)
+        assert len(tagger.context_counts) == len(reference.context_counts)
+        for got, want in zip(tagger.context_counts, reference.context_counts):
+            assert _same_bits(got, want)
+        assert _same_bits(tagger.label_totals, reference.label_totals)
+        for got, want in zip(tagger.scores(evaluation), reference.scores(evaluation)):
+            assert _same_bits(got, want)
+        assert tagger.predict_labels(evaluation) == reference.predict_labels(evaluation)
+        for kwargs in ({}, {"want_logprobs": True}, {"ensemble_k": 4, "seed": seed % 7}):
+            got = tagger_predict(tagger, evaluation, **kwargs)
+            assert got == per_sentence_predict(reference, evaluation, **kwargs)
+
+
 class TestTaggerPredict:
     def test_no_ensemble_field_by_default(self, corpus):
         tagger = ReferenceTagger(
@@ -314,6 +375,12 @@ class TestMakePseudoPool:
         assert np.array_equal(student.token_counts, oracle.token_counts)
         for got, want in zip(student.context_counts, oracle.context_counts):
             assert np.array_equal(got, want)
+
+    def test_labels_match_per_round_reference(self, spec, corpus):
+        pool_inputs = gen_synthetic(spec, 5000, role="pool", stream=2)
+        pseudo, _ = make_pseudo_pool(corpus, pool_inputs, smoothing_alpha=0.3)
+        want = per_round_pseudo_labels(corpus, pool_inputs, smoothing_alpha=0.3)
+        assert [list(s.labels) for s in pseudo.sentences] == want
 
     def test_repeat_calls_give_identical_pools(self, spec, corpus):
         pool_inputs = gen_synthetic(spec, 5000, role="pool", stream=2)
