@@ -318,7 +318,6 @@ def _build_partitions(
 
 def _loop_config(config: dict) -> LoopConfig:
     lcfg = dict(config.get("loop", {}))
-    fit_cfg = FitConfig(**{k: v for k, v in config.get("fit", {}).items()})
     known = {
         k: v for k, v in lcfg.items() if k in LoopConfig.__dataclass_fields__
     }
@@ -331,8 +330,8 @@ def _loop_config(config: dict) -> LoopConfig:
         known["class_weights"] = dict(config["class_weights"])
     if config.get("epsilon") is not None:
         known["epsilon"] = float(config["epsilon"])
-    known["fit"] = fit_cfg
     try:
+        known["fit"] = FitConfig(**config.get("fit", {}))
         return LoopConfig(**known)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -16,11 +16,13 @@ redundant with the other shared coefficients, so the fit holds it at 1 and
 alternates two exact block minimizations: a non-negative least-squares
 refresh of (b_j, c_j), then the four shared basis coefficients solved by
 enumerating the active sets of their 4-variable non-negative least-squares
-problem.  It restarts from several deterministic initializations.
+problem, with stacked solves per active-set size.  It restarts from several
+deterministic initializations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -245,6 +247,15 @@ def _solve_bc(
     return b, c
 
 
+# the 15 non-empty active sets of the 4 shared coefficients, grouped by size:
+# one (rows, free) pair per size, where free[i] lists the free coefficients of
+# active-set mask rows[i] + 1, in increasing mask order
+_ACTIVE_SETS = tuple(
+    (np.array(masks) - 1, np.array([[i for i in range(4) if m >> i & 1] for m in masks]))
+    for masks in ([m for m in range(1, 16) if bin(m).count("1") == k] for k in range(1, 5))
+)
+
+
 def _solve_a(
     phi: np.ndarray, Y: np.ndarray, W: np.ndarray, b: np.ndarray, c: np.ndarray,
     current: np.ndarray,
@@ -253,8 +264,13 @@ def _solve_a(
     with amplitudes and floors fixed.
 
     The problem is a 4-variable non-negative least squares; the optimum is
-    found by enumerating active sets (16 candidate KKT systems) and taking
-    the best feasible solution, which can never be worse than ``current``.
+    found by enumerating active sets and taking the best feasible solution,
+    which can never be worse than ``current``.  The KKT systems of the 15
+    non-empty active sets are solved as stacked solves per active-set size
+    (4, 6, 4 and 1 systems); a size with a singular system falls back to
+    solving its systems one at a time, by least squares where singular.
+    Candidates are compared in active-set mask order, the empty set first,
+    so ties go to the smallest mask.
     """
     X = phi * b[None, None, :]  # (4, T, J)
     r = Y - c[None, :]
@@ -266,25 +282,33 @@ def _solve_a(
     def quad(a: np.ndarray) -> float:
         return base - 2.0 * float(a @ h) + float(a @ G @ a)
 
+    cand = np.zeros((15, 4))
+    for rows, free in _ACTIVE_SETS:
+        Gs = G[free[:, :, None], free[:, None, :]]
+        hs = h[free][:, :, None]
+        try:
+            sol = np.linalg.solve(Gs, hs)[:, :, 0]
+        except np.linalg.LinAlgError:
+            sol = np.empty(free.shape)
+            for i in range(len(free)):
+                try:
+                    sol[i] = np.linalg.solve(Gs[i], hs[i, :, 0])
+                except np.linalg.LinAlgError:
+                    sol[i], *_ = np.linalg.lstsq(Gs[i], hs[i, :, 0], rcond=None)
+        cand[rows[:, None], free] = sol
+    feasible = np.all((cand >= 0) & np.isfinite(cand), axis=1)
+
     best = current.copy()
     best_obj = quad(current)
-    for mask in range(16):
-        free = [i for i in range(4) if mask >> i & 1]
-        a = np.zeros(4)
-        if free:
-            Gs = G[np.ix_(free, free)]
-            hs = h[free]
-            try:
-                sol = np.linalg.solve(Gs, hs)
-            except np.linalg.LinAlgError:
-                sol, *_ = np.linalg.lstsq(Gs, hs, rcond=None)
-            if np.any(sol < 0) or not np.all(np.isfinite(sol)):
-                continue
-            a[free] = sol
+    for a in (np.zeros(4), *cand[feasible]):
         obj = quad(a)
         if obj < best_obj:
             best_obj, best = obj, a
     return best
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -293,6 +317,17 @@ class FitConfig:
     max_outer: int = 500
     rel_tol: float = 1e-12
     seed: int = 0
+
+    def __post_init__(self):
+        if not _is_int(self.restarts) or self.restarts < 1:
+            raise ValueError(f"fit restarts must be an integer >= 1, got {self.restarts!r}")
+        if not _is_int(self.max_outer) or self.max_outer < 0:
+            raise ValueError(f"fit max_outer must be an integer >= 0, got {self.max_outer!r}")
+        if not (
+            isinstance(self.rel_tol, (int, float)) and math.isfinite(self.rel_tol)
+            and self.rel_tol >= 0
+        ):
+            raise ValueError(f"fit rel_tol must be finite and >= 0, got {self.rel_tol!r}")
 
 
 @dataclass
@@ -361,8 +396,8 @@ def fit(
         )
         raise DecayNumericalError(int(np.flatnonzero(bad)[0]))
 
-    def reduced_objective(a_bar, b, c) -> float:
-        e = c[None, :] + b[None, :] * np.tensordot(a_bar, phi, axes=1)
+    def reduced_objective(psi, b, c) -> float:
+        e = c[None, :] + b[None, :] * psi
         per_group = np.sum(W * (e - Y) ** 2, axis=0)
         if not np.all(np.isfinite(per_group)):
             raise DecayNumericalError(int(np.flatnonzero(~np.isfinite(per_group))[0]))
@@ -383,15 +418,17 @@ def fit(
             a_bar *= np.exp(rng.normal(0.0, 1.0, size=4))
             b *= np.exp(rng.normal(0.0, 0.5, size=J))
             c *= np.exp(rng.normal(0.0, 0.5, size=J))
-        obj = reduced_objective(a_bar, b, c)
+        # psi always holds the basis of the current a_bar
+        psi = np.tensordot(a_bar, phi, axes=1)
+        obj = reduced_objective(psi, b, c)
         start_objs.append(obj)
         trace = [obj]
         converged = False
         for _ in range(cfg.max_outer):
-            psi = np.tensordot(a_bar, phi, axes=1)
             b, c = _solve_bc(psi, Y, W)
             a_bar = _solve_a(phi, Y, W, b, c, a_bar)
-            obj_new = reduced_objective(a_bar, b, c)
+            psi = np.tensordot(a_bar, phi, axes=1)
+            obj_new = reduced_objective(psi, b, c)
             trace.append(obj_new)
             if obj - obj_new <= cfg.rel_tol * max(obj, 1e-12):
                 converged = True
@@ -399,9 +436,8 @@ def fit(
                 break
             obj = obj_new
         # final amplitude/floor refresh so stored params are block-optimal
-        psi = np.tensordot(a_bar, phi, axes=1)
         b, c = _solve_bc(psi, Y, W)
-        obj = reduced_objective(a_bar, b, c)
+        obj = reduced_objective(psi, b, c)
         trace.append(obj)
         if obj < best_obj:
             best_obj = obj
@@ -449,13 +485,19 @@ def parse_fit(text: str) -> DecayParams:
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     if not lines or lines[0] != "a0,a_half,a1,a2,a3":
         raise FitError("not a decay-fit file")
+    if len(lines) < 2:
+        raise FitError("missing shared coefficient row")
     a = [float(v) for v in lines[1].split(",")]
-    if lines[2] != "group,b,c":
+    if len(a) != 5:
+        raise FitError(f"expected 5 shared coefficients, got {len(a)}")
+    if len(lines) < 3 or lines[2] != "group,b,c":
         raise FitError("missing group table header")
     b: list[float] = []
     c: list[float] = []
     for ln in lines[3:]:
         cols = ln.split(",")
+        if len(cols) != 3:
+            raise FitError(f"group row {ln!r} needs 3 columns, got {len(cols)}")
         b.append(float(cols[1]))
         c.append(float(cols[2]))
     return DecayParams(

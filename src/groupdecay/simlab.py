@@ -42,7 +42,7 @@ CAT_ALWAYS_NONE = 1
 CAT_NOISE = 2
 CAT_CONTEXT = 3
 
-_PAD = "\x00pad"
+_PAD = "\x00pad"  # name of the pad row in a saved tagger's surface list
 
 
 @dataclass(frozen=True)
@@ -281,14 +281,16 @@ class ReferenceTagger:
         self.labels: tuple[str, ...] = tuple(sorted(set(tags)))
         vocab = sorted(set(surfaces))
         self.surface_index = {w: i for i, w in enumerate(vocab)}
-        self.surface_index[_PAD] = len(vocab)
-        self.vocab_size = len(self.surface_index)
+        # the pad row follows the vocabulary and has no surface key, so a
+        # token spelled like the pad sentinel is an ordinary surface
+        self._pad = len(vocab)
+        self.vocab_size = len(vocab) + 1
         label_index = {l: i for i, l in enumerate(self.labels)}
         label_ids = np.fromiter(map(label_index.__getitem__, tags), np.intp, len(tags))
         L, V = len(self.labels), self.vocab_size
         self.token_counts, *self.context_counts = [
             np.bincount(w * L + label_ids, weights, minlength=V * L).reshape(V, L).astype(float)
-            for w in _windows(self._rows(surfaces), lengths, self.surface_index[_PAD])
+            for w in _windows(self._rows(surfaces), lengths, self._pad)
         ]
         self.label_totals = np.bincount(label_ids, weights, minlength=L).astype(float)
         a = self.smoothing_alpha
@@ -305,7 +307,7 @@ class ReferenceTagger:
 
     def _log_probs(self, surfaces: Sequence[str], lengths: np.ndarray) -> np.ndarray:
         """(tokens, L) log-probabilities of the flat tokens."""
-        windows = _windows(self._rows(surfaces), lengths, self.surface_index[_PAD])
+        windows = _windows(self._rows(surfaces), lengths, self._pad)
         score = self._log_token[next(windows)]
         score -= 4.0 * self._log_denom
         for table, ctx in zip(self._log_ctx, windows):
@@ -496,7 +498,7 @@ def save_tagger(tagger: ReferenceTagger) -> str:
         "format": _TAGGER_FORMAT,
         "alpha": tagger.smoothing_alpha,
         "labels": list(tagger.labels),
-        "surfaces": list(tagger.surface_index),  # in row order
+        "surfaces": [*tagger.surface_index, _PAD],  # in row order, pad row last
         "token_counts": tagger.token_counts.tolist(),
         "context_counts": [c.tolist() for c in tagger.context_counts],
         "label_totals": tagger.label_totals.tolist(),

@@ -276,3 +276,42 @@ def per_round_pseudo_labels(full_gold_train, pool_inputs, smoothing_alpha=1.0):
             return labels
         labels = relabeled
     return None
+
+
+# -- per-mask active-set solve ------------------------------------------------
+#
+# The shared-coefficient solve of the decay fit as it ran before the KKT
+# systems were stacked by active-set size: one solve per mask, in mask order.
+# The library must reproduce it bit for bit.
+
+
+def per_mask_solve_a(phi, Y, W, b, c, current):
+    X = phi * b[None, None, :]  # (4, T, J)
+    r = Y - c[None, :]
+    WX = W[None, :, :] * X
+    G = np.einsum("ptj,qtj->pq", WX, X)
+    h = np.einsum("ptj,tj->p", WX, r)
+    base = float(np.sum(W * r * r))
+
+    def quad(a):
+        return base - 2.0 * float(a @ h) + float(a @ G @ a)
+
+    best = current.copy()
+    best_obj = quad(current)
+    for mask in range(16):
+        free = [i for i in range(4) if mask >> i & 1]
+        a = np.zeros(4)
+        if free:
+            Gs = G[np.ix_(free, free)]
+            hs = h[free]
+            try:
+                sol = np.linalg.solve(Gs, hs)
+            except np.linalg.LinAlgError:
+                sol, *_ = np.linalg.lstsq(Gs, hs, rcond=None)
+            if np.any(sol < 0) or not np.all(np.isfinite(sol)):
+                continue
+            a[free] = sol
+        obj = quad(a)
+        if obj < best_obj:
+            best_obj, best = obj, a
+    return best

@@ -184,6 +184,14 @@ class TestSimulate:
         cfg.write_text(json.dumps(config))
         assert run_cli("simulate", "--config", cfg) == 2
 
+    @pytest.mark.parametrize("fit", [{"bogus": 1}, {"restarts": 0}], ids=["unknown", "invalid"])
+    def test_bad_fit_option_is_config_error(self, synth_dir, tmp_path, fit):
+        config = _sim_config(synth_dir, tmp_path / "run_fit")
+        config["fit"] = fit
+        cfg = tmp_path / "cfg_fit.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", cfg) == 2
+
     def test_capability_check_unlabeled_validation(self, synth_dir, tmp_path):
         # strip the tags off the validation file: edg must refuse, rnd must run
         unlabeled = tmp_path / "valid_unlabeled.conll"
@@ -312,6 +320,17 @@ class TestSelectCommand:
         payload = json.loads(out.read_text())
         assert payload["token_count"] >= 300
         assert len(payload["sentence_ids"]) > 0
+        # a truncated fit file is a data error
+        bad = tmp_path / "bad_fit.txt"
+        bad.write_text("a0,a_half,a1,a2,a3\n")
+        code = run_cli(
+            "select",
+            "--pool", synth_dir / "train.conll",
+            "--partitions", run / "partitions" / "p0.json",
+            "--fits", bad,
+            "--budget", 300,
+        )
+        assert code == 3
 
 
 class TestExportCurvesCommand:

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from groupdecay import decay
 from groupdecay.decay import (
     DecayParams,
+    FitConfig,
     FitError,
     curve_values,
     default_weights,
@@ -14,6 +18,7 @@ from groupdecay.decay import (
     serialize_fit,
 )
 from groupdecay.partition import GroupErrorRecord
+from oracles import per_mask_solve_a
 
 
 def _params(a0=1.0, a_half=0.0, a1=0.0, a2=0.0, a3=0.0, b=(1.0,), c=(0.0,)):
@@ -206,6 +211,93 @@ class TestFit:
         assert np.abs(pred[:, keep] - Y[:, keep]).max() < 1e-3
 
 
+class TestFitConfig:
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"restarts": 0},
+            {"restarts": 2.0},
+            {"restarts": True},
+            {"max_outer": -1},
+            {"max_outer": "30"},
+            {"rel_tol": -1e-9},
+            {"rel_tol": float("nan")},
+            {"rel_tol": float("inf")},
+            {"rel_tol": "tight"},
+        ],
+    )
+    def test_bad_options_rejected(self, options):
+        with pytest.raises(ValueError):
+            FitConfig(**options)
+
+    def test_edge_values_accepted(self):
+        rng = np.random.default_rng(10)
+        _, _, _, recs = _synth_records(rng, J=2)
+        f = fit(recs, config=FitConfig(restarts=1, max_outer=0, rel_tol=0))
+        assert len(f.start_objectives) == 1 and len(f.objective_trace) == 2
+        assert not f.converged
+
+
+def _solve_a_inputs(data, case):
+    """Random inputs of the shared-coefficient solve for one test case."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    T = data.draw(st.integers(2, 6), label="T")
+    J = 1 if case == "single_group" else data.draw(st.integers(1, 8), label="J")
+    # masses at most 1 make every basis column equal, so G has rank 1 and
+    # every system with more than one free coefficient is singular
+    high = 1.0 if case == "masses_below_one" else 500.0
+    N = rng.uniform(0.0, high, (T, J))
+    inv = 1.0 / np.maximum(N, 1.0)
+    phi = np.stack([np.sqrt(inv), inv, inv**2, inv**3])
+    Y = rng.uniform(0.0, 1.0, (T, J))
+    W = rng.uniform(0.0, 100.0, (T, J))
+    if case == "zero_weight_groups":
+        W[:, rng.random(J) < 0.5] = 0.0
+    b = np.zeros(J) if case == "zero_amplitudes" else rng.uniform(0.0, 1.0, J)
+    c = rng.uniform(0.0, 0.5, J)
+    current = rng.uniform(0.0, 2.0, 4) * (rng.random(4) < 0.7)
+    if case == "optimal_current":
+        current = per_mask_solve_a(phi, Y, W, b, c, current)
+    return phi, Y, W, b, c, current
+
+
+class TestStackedSolveA:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        case=st.sampled_from(
+            ["random", "zero_amplitudes", "single_group", "zero_weight_groups",
+             "optimal_current", "masses_below_one"]
+        ),
+    )
+    def test_bit_identical_to_per_mask_solve(self, data, case):
+        args = _solve_a_inputs(data, case)
+        got = decay._solve_a(*args)
+        want = per_mask_solve_a(*args)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    # one zero-weight group each; scale 0.01 puts most masses below 1
+    @pytest.mark.parametrize("seed, mass_scale", [(11, 1.0), (12, 1.0), (13, 0.01)])
+    def test_fit_identical_with_per_mask_solve(self, seed, mass_scale, monkeypatch):
+        rng = np.random.default_rng(seed)
+        _, _, _, recs = _synth_records(rng, J=6, noise=0.03)
+        val_mass = np.full(6, 50.0)
+        val_mass[seed % 6] = 0.0
+        recs = [
+            GroupErrorRecord(r.checkpoint_index, r.train_mass * mass_scale, r.val_error, val_mass)
+            for r in recs
+        ]
+        cfg = FitConfig(max_outer=60)
+        got = fit(recs, config=cfg)
+        monkeypatch.setattr(decay, "_solve_a", per_mask_solve_a)
+        want = fit(recs, config=cfg)
+        assert got.params.to_vector().tobytes() == want.params.to_vector().tobytes()
+        assert got.objective_value == want.objective_value
+        assert got.objective_trace == want.objective_trace
+        assert got.start_objectives == want.start_objectives
+        assert got.converged == want.converged
+
+
 class TestGradient:
     def test_matches_central_differences(self):
         rng = np.random.default_rng(9)
@@ -244,3 +336,17 @@ class TestSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(FitError):
             parse_fit("not,a,fit\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a0,a_half,a1,a2,a3\n",
+            "a0,a_half,a1,a2,a3\n1.0,0.5,0.0,0.0\ngroup,b,c\n0,0.4,0.1\n",
+            "a0,a_half,a1,a2,a3\n1.0,0.5,0.0,0.0,0.0\n",
+            "a0,a_half,a1,a2,a3\n1.0,0.5,0.0,0.0,0.0\ngroup,b,c\n0,0.4\n",
+        ],
+        ids=["no_coefficient_row", "short_coefficient_row", "no_group_header", "short_group_row"],
+    )
+    def test_malformed_file_is_fit_error(self, text):
+        with pytest.raises(FitError):
+            parse_fit(text)

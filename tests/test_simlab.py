@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupdecay import simlab
-from groupdecay.corpus import Dataset, Sentence, Token
+from groupdecay.corpus import Dataset, Sentence, Token, parse_conll
 from groupdecay.simlab import (
     ReferenceTagger,
     SynthSpec,
@@ -287,7 +287,8 @@ class TestFlatTaggerMatchesPerSentence:
         tagger = ReferenceTagger(train, alpha)
         reference = PerSentenceTagger(train, alpha)
         assert tagger.labels == reference.labels
-        assert tagger.surface_index == reference.surface_index
+        # the reference keeps its pad row under a surface key; the tagger does not
+        assert {**tagger.surface_index, "\x00pad": tagger.vocab_size - 1} == reference.surface_index
         assert tagger.vocab_size == reference.vocab_size
         assert _same_bits(tagger.token_counts, reference.token_counts)
         assert len(tagger.context_counts) == len(reference.context_counts)
@@ -396,6 +397,39 @@ class TestMakePseudoPool:
 
 
 class TestTaggerSerialization:
+    def test_ordinary_payload_unchanged(self):
+        train = parse_conll("a O\nb B-E1\n\nb B-E1\nc I-E1\n", role="train")
+        assert save_tagger(ReferenceTagger(train)) == (
+            '{"alpha": 1.0, "context_counts": [[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], '
+            '[0.0, 0.0, 0.0], [2.0, 1.0, 1.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], '
+            '[0.0, 0.0, 0.0], [1.0, 0.0, 1.0]], [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], '
+            '[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], '
+            '[0.0, 0.0, 0.0], [2.0, 1.0, 1.0]]], "format": "groupdecay-tagger/1", '
+            '"label_totals": [2.0, 1.0, 1.0], "labels": ["B-E1", "I-E1", "O"], '
+            '"surfaces": ["a", "b", "c", "\\u0000pad"], "token_counts": [[0.0, 0.0, 1.0], '
+            '[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], "train": [{"id": 0, '
+            '"tokens": [["a", "O"], ["b", "B-E1"]]}, {"id": 1, "tokens": [["b", "B-E1"], '
+            '["c", "I-E1"]]}]}'
+        )
+
+    def test_surface_spelled_like_pad_is_ordinary(self):
+        # "\x01pad" sorts to the same row, so both taggers must agree exactly
+        text = "a O\n{} B-E1\nb O\n\n{} B-E1\na O\n"
+        tagger = ReferenceTagger(parse_conll(text.format("\x00pad", "\x00pad"), role="train"))
+        renamed = ReferenceTagger(parse_conll(text.format("\x01pad", "\x01pad"), role="train"))
+        assert _same_bits(tagger.token_counts, renamed.token_counts)
+        for got, want in zip(tagger.context_counts, renamed.context_counts):
+            assert _same_bits(got, want)
+        probe = parse_conll(text.format("\x00pad", "c"), role="pool").sentences
+        renamed_probe = parse_conll(text.format("\x01pad", "c"), role="pool").sentences
+        for got, want in zip(tagger.scores(probe), renamed.scores(renamed_probe)):
+            assert _same_bits(got, want)
+        assert tagger.predict_labels(probe)[0][1] == "B-E1"
+        clone = load_tagger(save_tagger(tagger))
+        assert tagger_predict(clone, probe, want_logprobs=True) == tagger_predict(
+            tagger, probe, want_logprobs=True
+        )
+
     def test_round_trip(self, corpus):
         tagger = ReferenceTagger(
             Dataset(corpus.sentences[:20], corpus.label_inventory, "train")
