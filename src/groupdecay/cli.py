@@ -220,7 +220,9 @@ def external_trainer(command: str, workdir: Path):
 # -- capability matrix --------------------------------------------------------
 
 
-def check_capabilities(strategy_name: str, predictor_cfg: dict, validation: Dataset) -> None:
+def check_capabilities(
+    strategy_name: str, predictor_cfg: dict, validation: Dataset, has_embeddings: bool
+) -> None:
     strategy = make_strategy(strategy_name)
     builtin = predictor_cfg.get("type", "builtin") == "builtin"
     has_logprobs = builtin or bool(predictor_cfg.get("logprobs", False))
@@ -235,6 +237,8 @@ def check_capabilities(strategy_name: str, predictor_cfg: dict, validation: Data
         )
     if strategy.needs_ensemble and not has_ensemble:
         raise ConfigError(f"strategy {strategy_name!r} requires ensemble predictions")
+    if strategy.needs_embeddings and not has_embeddings:
+        raise ConfigError(f"strategy {strategy_name!r} needs an embeddings file or one_hot")
 
 
 # -- gen-synth ----------------------------------------------------------------
@@ -454,7 +458,8 @@ def cmd_simulate(args) -> int:
     )
 
     predictor_cfg = config.get("predictor", {"type": "builtin"})
-    check_capabilities(strategy_name, predictor_cfg, validation)
+    has_table = "embeddings" in paths or bool(config.get("partitions", {}).get("one_hot"))
+    check_capabilities(strategy_name, predictor_cfg, validation, has_table)
     if (
         strategy_name == "edg"
         and config.get("class_weights")

@@ -328,6 +328,8 @@ class FitConfig:
             and self.rel_tol >= 0
         ):
             raise ValueError(f"fit rel_tol must be finite and >= 0, got {self.rel_tol!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"fit seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass

@@ -25,7 +25,9 @@ from .partition import (  # noqa: F401
     group_error, group_mass, mismatch_rates, sentence_group_delta,
 )
 from .scoring import micro_f1
-from .selection import Batch, SelectionState, default_epsilon, select_batch
+from .selection import (
+    Batch, SelectionState, default_epsilon, document_ids, select_batch, take_units,
+)
 from .strategies import (
     AlternationChoice,
     CapabilityError,
@@ -227,9 +229,12 @@ class StrategyContext:
     config: LoopConfig
     batch_index: int
     rng: np.random.Generator
-    pool: list[Sentence]
+    pool: list[Sentence]           # the remaining pool, ascending id
+    ids: np.ndarray                # its rows of the run's pool arrays, also these three:
+    lengths: np.ndarray
+    doc_ids: np.ndarray | None     # DOCUMENT mode only
+    embeddings: np.ndarray | None  # strategies that need embeddings only
     token_budget: int
-    table: EmbeddingTable | None
     partitions: list[Partition]
     pool_index: list[GroupIndex]  # per partition, rows in the order of ``pool``
     val_index: list[GroupIndex]   # per partition, rows in the order of ``reference``
@@ -241,7 +246,6 @@ class StrategyContext:
     snapshots: list[UncertaintySnapshot]
     reference: Dataset | None
     reference_history: list[dict[int, tuple[str, ...]]]
-    embedding_cache: dict[int, np.ndarray]
     fits_out: dict
 
 
@@ -253,54 +257,25 @@ class Strategy:
     needs_snapshots = False           # pool uncertainty at selection checkpoints
     needs_snapshot_history = False    # pool uncertainty at every checkpoint (decay lag)
     needs_reference_predictions = False
+    needs_embeddings = False          # an embedding table for sentence vectors
 
     def base_score(self, record: PredictionRecord) -> float:
         raise NotImplementedError
 
-    def select(self, ctx: StrategyContext) -> Batch:
+    def scores_for_batch(self, ctx: StrategyContext) -> np.ndarray:
+        """One score per remaining pool row."""
         raise NotImplementedError
 
-
-def _take_by_score(
-    ctx: StrategyContext, scores: Mapping[int, float]
-) -> Batch:
-    """Take highest-scoring units (ties to the smallest id) until budget."""
-    pool = sorted(ctx.pool, key=lambda s: s.id)
-    picked: list[int] = []
-    tokens = 0
-    if ctx.config.mode == "SENTENCE":
-        order = sorted(pool, key=lambda s: (-scores[s.id], s.id))
-        for s in order:
-            if tokens >= ctx.token_budget:
-                return Batch(tuple(picked), tokens)
-            picked.append(s.id)
-            tokens += len(s)
-        return Batch(tuple(picked), tokens, exhausted=tokens < ctx.token_budget)
-    docs: dict[int, list[Sentence]] = {}
-    for s in pool:
-        if s.doc_id is None:
-            raise ValueError(f"sentence {s.id} has no document id (DOCUMENT mode)")
-        docs.setdefault(s.doc_id, []).append(s)
-    doc_scores = {
-        d: sum(scores[s.id] * len(s) for s in members) / sum(len(s) for s in members)
-        for d, members in docs.items()
-    }
-    for d in sorted(docs, key=lambda d: (-doc_scores[d], d)):
-        if tokens >= ctx.token_budget:
-            return Batch(tuple(picked), tokens)
-        for s in docs[d]:
-            picked.append(s.id)
-            tokens += len(s)
-    return Batch(tuple(picked), tokens, exhausted=tokens < ctx.token_budget)
+    def select(self, ctx: StrategyContext) -> Batch:
+        scores = self.scores_for_batch(ctx)
+        return take_units(ctx.ids, ctx.lengths, ctx.token_budget, scores.__getitem__, ctx.doc_ids)
 
 
 class RandomStrategy(Strategy):
     name = "rnd"
 
-    def select(self, ctx: StrategyContext) -> Batch:
-        ids = [s.id for s in sorted(ctx.pool, key=lambda s: s.id)]
-        draws = ctx.rng.random(len(ids))
-        return _take_by_score(ctx, dict(zip(ids, draws)))
+    def scores_for_batch(self, ctx: StrategyContext) -> np.ndarray:
+        return ctx.rng.random(len(ctx.ids))
 
 
 class UncertaintyStrategy(Strategy):
@@ -319,30 +294,28 @@ class UncertaintyStrategy(Strategy):
     def base_score(self, record: PredictionRecord) -> float:
         return score_us(record) if self.base == "us" else score_bald(record)
 
-    def scores_for_batch(self, ctx: StrategyContext) -> Mapping[int, float]:
+    def scores_for_batch(self, ctx: StrategyContext) -> np.ndarray:
         current = ctx.snapshots[-1]
-        if not self.use_decay:
-            return current.scores
-        if alternation_policy(ctx.batch_index) is AlternationChoice.RAW_UNCERTAINTY:
-            return current.scores
-        lagged = None
-        for snap in ctx.snapshots[:-1]:
-            if snap.checkpoint_tokens <= current.checkpoint_tokens - ctx.config.lag_tokens:
-                lagged = snap
-        if lagged is None:
-            log.warning("no lagged uncertainty snapshot yet; using raw uncertainty")
-            return current.scores
-        return score_uncertainty_decay(current, lagged)
-
-    def select(self, ctx: StrategyContext) -> Batch:
-        return _take_by_score(ctx, self.scores_for_batch(ctx))
+        scores = current.scores
+        if self.use_decay and alternation_policy(ctx.batch_index) is AlternationChoice.DECAY_SCORE:
+            lagged = None
+            for snap in ctx.snapshots[:-1]:
+                if snap.checkpoint_tokens <= current.checkpoint_tokens - ctx.config.lag_tokens:
+                    lagged = snap
+            if lagged is None:
+                log.warning("no lagged uncertainty snapshot yet; using raw uncertainty")
+            else:
+                scores = score_uncertainty_decay(current, lagged)
+        return np.asarray([scores[sid] for sid in ctx.ids.tolist()], dtype=np.float64)
 
 
 class FassStrategy(UncertaintyStrategy):
     """Uncertainty filter (or seeded random filter for pure diversification)
     followed by greedy facility-location coverage."""
 
-    def __init__(self, base: str | None, use_decay: bool = False, t_factor: int = 100):
+    needs_embeddings = True
+
+    def __init__(self, base: str | None, use_decay: bool = False):
         if base is None:
             self.base = None
             self.use_decay = False
@@ -353,28 +326,16 @@ class FassStrategy(UncertaintyStrategy):
             self.name = {"us": "us_div", "bald": "bald_div"}[base] + (
                 "_edg_ext2" if use_decay else ""
             )
-        self.t_factor = t_factor
 
     def select(self, ctx: StrategyContext) -> Batch:
-        scores = None if self.base is None else dict(self.scores_for_batch(ctx))
-        embeddings = {}
-        lengths = {}
-        doc_ids = {}
-        for s in ctx.pool:
-            if s.id not in ctx.embedding_cache:
-                ctx.embedding_cache[s.id] = sentence_embedding(s, ctx.table)
-            embeddings[s.id] = ctx.embedding_cache[s.id]
-            lengths[s.id] = len(s)
-            doc_ids[s.id] = s.doc_id
         return fass_select(
-            scores,
-            embeddings,
-            lengths,
+            None if self.base is None else self.scores_for_batch(ctx),
+            ctx.ids,
+            ctx.embeddings,
+            ctx.lengths,
             ctx.token_budget,
-            t_factor=self.t_factor,
             rng=ctx.rng,
-            mode=ctx.config.mode,
-            doc_ids=doc_ids if ctx.config.mode == "DOCUMENT" else None,
+            doc_ids=ctx.doc_ids,
         )
 
 
@@ -398,7 +359,6 @@ class DecayCurveStrategy(Strategy):
             da_mass=ctx.da_mass,
             token_budget=ctx.token_budget,
             epsilon=ctx.epsilon,
-            table=ctx.table,
         )
         return select_batch(state, ctx.pool, ctx.config.mode, ctx.pool_index)
 
@@ -495,6 +455,8 @@ def run_active_loop(
         raise CapabilityError(
             f"strategy {strategy.name!r} requires validation labels"
         )
+    if strategy.needs_embeddings and table is None:
+        raise CapabilityError(f"strategy {strategy.name!r} requires an embedding table")
 
     partitions = list(partitions)
     pool_by_id: dict[int, Sentence] = {s.id: s for s in pool.sentences}
@@ -509,6 +471,15 @@ def run_active_loop(
     index = [build_group_index(p, da_sentences, table) for p in partitions]
     da_mass = [ix.mass() for ix in index]
     pool_row = {s.id: row for row, s in enumerate(pool.sentences)}
+    # per-run pool arrays, one row per pool sentence in dataset order
+    pool_ids = np.asarray([s.id for s in pool.sentences], dtype=np.int64)
+    pool_lengths = np.asarray([len(s) for s in pool.sentences], dtype=np.float64)
+    pool_docs = document_ids(pool.sentences) if config.mode == "DOCUMENT" else None
+    pool_embeddings = None
+    if strategy.needs_embeddings:  # in float32, the precision fass_select computes in
+        pool_embeddings = np.empty((len(pool.sentences), table.dim), dtype=np.float32)
+        for row, s in enumerate(pool.sentences):
+            pool_embeddings[row] = sentence_embedding(s, table)
     val_index = [ix.take(slice(len(pool.sentences), None)) for ix in index]
     epsilon = (
         config.epsilon
@@ -527,15 +498,12 @@ def run_active_loop(
     mass_history: list[list[np.ndarray]] = []
     snapshots: list[UncertaintySnapshot] = list(resume_snapshots or [])
     reference_history: list[dict[int, tuple[str, ...]]] = list(resume_reference or [])
-    embedding_cache: dict[int, np.ndarray] = {}
 
     burn_rng = np.random.default_rng([config.seed, 11])
-    if config.mode == "DOCUMENT":
+    if pool_docs is not None:
         docs: dict[int, list[int]] = {}
-        for sid, s in remaining.items():
-            if s.doc_id is None:
-                raise ValueError(f"sentence {sid} has no document id (DOCUMENT mode)")
-            docs.setdefault(s.doc_id, []).append(sid)
+        for sid in remaining:
+            docs.setdefault(int(pool_docs[pool_row[sid]]), []).append(sid)
         doc_ids = sorted(docs)
         burn_units = [
             tuple(docs[doc_ids[int(i)]])
@@ -704,14 +672,17 @@ def run_active_loop(
             if not remaining:
                 log.warning("pool exhausted; stopping before batch %d", batch_index)
                 break
-            pool_rows = [pool_row[sid] for sid in remaining]
+            pool_rows = np.asarray([pool_row[sid] for sid in remaining], dtype=np.intp)
             ctx = StrategyContext(
                 config=config,
                 batch_index=batch_index,
                 rng=np.random.default_rng([config.seed, 13, batch_index]),
                 pool=list(remaining.values()),
+                ids=pool_ids[pool_rows],
+                lengths=pool_lengths[pool_rows],
+                doc_ids=None if pool_docs is None else pool_docs[pool_rows],
+                embeddings=None if pool_embeddings is None else pool_embeddings[pool_rows],
                 token_budget=config.selection_batch_tokens,
-                table=table,
                 partitions=partitions,
                 pool_index=[ix.take(pool_rows) for ix in index],
                 val_index=val_index,
@@ -723,7 +694,6 @@ def run_active_loop(
                 snapshots=snapshots,
                 reference=validation,
                 reference_history=reference_history,
-                embedding_cache=embedding_cache,
                 fits_out={},
             )
             batch = strategy.select(ctx)

@@ -710,8 +710,13 @@ def save_partition(partition: Partition) -> str:
 
 def load_partition(text: str) -> Partition:
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ParameterError("a partition file must hold a JSON object")
     if payload.get("format") != _FORMAT:
         raise ParameterError(f"unsupported partition format: {payload.get('format')!r}")
+    missing = [k for k in ("kind", "temperature", "seed", "groups") if k not in payload]
+    if missing:
+        raise ParameterError(f"partition file lacks {', '.join(missing)}")
 
     def arr(key):
         v = payload.get(key)
@@ -728,8 +733,11 @@ def load_partition(text: str) -> Partition:
         identity_vocab=payload.get("identity_vocab"),
         sub_slots=payload.get("sub_slots", 0),
     )
-    part.groups = [
-        Group(id=g["id"], descriptor=g["descriptor"], exemplar_surfaces=tuple(g["exemplars"]))
-        for g in payload["groups"]
-    ]
+    try:
+        part.groups = [
+            Group(id=g["id"], descriptor=g["descriptor"], exemplar_surfaces=tuple(g["exemplars"]))
+            for g in payload["groups"]
+        ]
+    except (KeyError, TypeError) as exc:
+        raise ParameterError(f"malformed partition group: {exc!r}") from exc
     return part

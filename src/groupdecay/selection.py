@@ -10,8 +10,8 @@ greedily until the token budget is met.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "objective",
     "edg_score",
     "select_batch",
+    "take_units",
 ]
 
 log = logging.getLogger(__name__)
@@ -67,7 +68,6 @@ class SelectionState:
     token_budget: int
     epsilon: float
     table: EmbeddingTable | None = None
-    selected: list[int] = field(default_factory=list)
     numeric_faults: int = 0
 
     @classmethod
@@ -99,7 +99,6 @@ class SelectionState:
         for idx, p in enumerate(self.partitions):
             gids, vals = sentence_group_delta(p, sentence, self.table)
             self.train_mass[idx][gids] += vals
-        self.selected.append(sentence.id)
 
 
 def objective(state: SelectionState, partition_index: int) -> float:
@@ -130,18 +129,13 @@ class _PoolScorer:
         self.pool = [pool[i] for i in order]
         self.index = [ix.take(order) for ix in index]
         self.lengths = np.asarray([len(s) for s in self.pool], dtype=np.float64)
-        self.active = np.ones(len(self.pool), dtype=bool)
         self.hard = [None if ix.soft else ix.deltas() for ix in self.index]
 
-    def take(self, row: int) -> Sentence:
+    def take(self, row: int) -> None:
         """Add the sentence at ``row`` to the training masses."""
-        self.active[row] = False
         for ix, masses in zip(self.index, self.state.train_mass):
             gids, vals = ix.delta(row)
             masses[gids] += vals
-        sentence = self.pool[row]
-        self.state.selected.append(sentence.id)
-        return sentence
 
     def gains(self, partition_index: int) -> np.ndarray:
         state = self.state
@@ -170,9 +164,7 @@ class _PoolScorer:
                 log.warning("%d non-positive selection factors clamped", int(bad.sum()))
                 factor[bad] = SCORE_FLOOR
             total *= factor
-        total = total ** (1.0 / len(state.partitions))
-        total[~self.active] = -np.inf
-        return total
+        return total ** (1.0 / len(state.partitions))
 
 
 def select_batch(
@@ -183,52 +175,79 @@ def select_batch(
 ) -> Batch:
     """Greedy batch construction under the token budget.
 
-    SENTENCE mode repeatedly takes the best-scoring sentence (earliest id on
-    ties) and updates masses incrementally.  DOCUMENT mode scores a document
-    by the length-weighted mean of its sentences' scores and takes whole
-    documents.  Selection stops once the selected token count reaches the
-    budget; the overshoot is bounded by the last added unit.  ``index``, a
-    :class:`GroupIndex` of ``pool`` per partition, is built when not given.
+    Units are taken by :func:`take_units`, and every pool sentence is
+    rescored after each unit, because taking one changes the masses.
+    ``index``, a :class:`GroupIndex` of ``pool`` per partition, is built
+    when not given.
     """
     if mode not in ("SENTENCE", "DOCUMENT"):
         raise ValueError(f"unknown selection mode {mode!r}")
+    scorer = _PoolScorer(state, pool, index)
+    return take_units(
+        [s.id for s in scorer.pool],
+        scorer.lengths,
+        state.token_budget,
+        lambda rows: scorer.scores()[rows],
+        document_ids(scorer.pool) if mode == "DOCUMENT" else None,
+        scorer.take,
+    )
+
+
+def document_ids(sentences: Sequence[Sentence]) -> np.ndarray:
+    """The sentences' document ids, which DOCUMENT mode needs for all."""
+    for s in sentences:
+        if s.doc_id is None:
+            raise ValueError(f"sentence {s.id} has no document id (DOCUMENT mode)")
+    return np.asarray([s.doc_id for s in sentences])
+
+
+def take_units(
+    ids: Sequence[int],
+    lengths: np.ndarray,
+    token_budget: int,
+    score: Callable[[np.ndarray], np.ndarray],
+    doc_ids: np.ndarray | None = None,
+    take: Callable[[int], None] | None = None,
+) -> Batch:
+    """The one rule by which every strategy turns scores into a batch.
+
+    Rows are sentences in ascending id order.  While the batch holds fewer
+    than ``token_budget`` tokens, ``score(rows)`` scores the rows not yet
+    taken and the best unit is taken, calling ``take(row)`` for each row:
+    the row with the largest score, or with ``doc_ids`` the remaining rows
+    of the document with the largest length-weighted mean score; ties go to
+    the smallest id.  The last unit may overshoot the budget.
+    """
+    active = np.ones(len(ids), dtype=bool)
+    docs = None if doc_ids is None else np.unique(doc_ids, return_inverse=True)[1]
     picked: list[int] = []
     tokens = 0
-    if state.token_budget <= 0:
-        return Batch(sentence_ids=(), token_count=0)
-    scorer = _PoolScorer(state, pool, index)
-    doc_ids = None
-    if mode == "DOCUMENT":
-        for s in scorer.pool:
-            if s.doc_id is None:
-                raise ValueError(f"sentence {s.id} has no document id (DOCUMENT mode)")
-        doc_ids = np.asarray([s.doc_id for s in scorer.pool])
-    while tokens < state.token_budget:
-        if not scorer.active.any():
+    while tokens < token_budget:
+        rows = np.flatnonzero(active)
+        if not len(rows):
             return Batch(tuple(picked), tokens, exhausted=True)
-        scores = scorer.scores()
-        if doc_ids is None:
-            rows = [int(np.argmax(scores))]
+        scores = score(rows)
+        if docs is None:
+            unit = rows[[np.argmax(scores)]]
         else:
-            rows = best_document_rows(scores, scorer.lengths, doc_ids, scorer.active)
-        for row in rows:
-            sentence = scorer.take(int(row))
-            picked.append(sentence.id)
-            tokens += len(sentence)
+            unit = rows[best_document_rows(scores, lengths[rows], docs[rows])]
+        for row in unit:
+            active[row] = False
+            if take is not None:
+                take(row)
+            picked.append(int(ids[row]))
+            tokens += int(lengths[row])
     return Batch(tuple(picked), tokens)
 
 
 def best_document_rows(
-    scores: np.ndarray, lengths: np.ndarray, doc_ids: np.ndarray, active: np.ndarray
+    scores: np.ndarray, lengths: np.ndarray, docs: np.ndarray
 ) -> np.ndarray:
-    """Active rows of the document with the largest length-weighted mean
-    score (the smallest document id on ties)."""
-    best_doc = None
-    best_score = -np.inf
-    for d in np.unique(doc_ids[active]):
-        sel = active & (doc_ids == d)
-        w = lengths[sel]
-        ds = float((scores[sel] * w).sum() / w.sum())
-        if ds > best_score:
-            best_doc, best_score = d, ds
-    return np.flatnonzero(active & (doc_ids == best_doc))
+    """Rows of the document with the largest length-weighted mean score, the
+    first on ties; ``docs`` is a dense document index.  ``bincount`` adds
+    in row order, as a Python ``sum`` over each document's rows would."""
+    sums = np.bincount(docs, weights=scores * lengths)
+    totals = np.bincount(docs, weights=lengths)
+    present = np.flatnonzero(totals)
+    best = present[np.argmax(sums[present] / totals[present])]
+    return np.flatnonzero(docs == best)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import Dataset, Sentence
 from .partition import GroupErrorRecord, GroupIndex, aligned_labels, mismatch_rates
-from .selection import Batch, best_document_rows
+from .selection import Batch, take_units
 
 __all__ = [
     "PredictionRecord",
@@ -188,45 +188,47 @@ def alternation_policy(batch_index: int) -> AlternationChoice:
 
 
 def fass_select(
-    pool_scores: Mapping[int, float] | None,
-    embeddings: Mapping[int, np.ndarray],
-    lengths: Mapping[int, int],
+    scores: np.ndarray | None,
+    ids: np.ndarray,
+    embeddings: np.ndarray,
+    lengths: np.ndarray,
     token_budget: int,
     t_factor: int = 100,
     rng: np.random.Generator | None = None,
-    mode: str = "SENTENCE",
-    doc_ids: Mapping[int, int] | None = None,
+    doc_ids: np.ndarray | None = None,
 ) -> Batch:
     """Filter the most uncertain sentences, then greedily cover them.
 
-    The filter keeps the top ``t_factor`` x (expected batch sentence count)
-    sentences by uncertainty; with ``pool_scores=None`` (pure
+    ``ids`` are the candidates' sentence ids in ascending order; row ``k``
+    of ``scores``, ``embeddings``, ``lengths`` and ``doc_ids`` belongs to
+    ``ids[k]``.  The filter keeps the top ``t_factor`` x (expected batch
+    sentence count) sentences by uncertainty; with ``scores=None`` (pure
     diversification) it keeps a seeded uniform random candidate set of the
     same size.  Selection greedily maximizes a facility-location coverage
     function over shifted cosine similarities (cos + 1, keeping the
     objective monotone submodular), with per-step gains normalized by
-    sentence length, until the token budget is met.
+    sentence length, until the token budget is met.  With ``doc_ids`` whole
+    documents are taken, by :func:`~groupdecay.selection.take_units`.
     """
     if t_factor < 1:
         raise ValueError("t_factor must be >= 1")
-    ids = sorted(embeddings)
-    if not ids:
-        raise ValueError("empty candidate pool")
     n = len(ids)
-    mean_len = sum(lengths[i] for i in ids) / n
+    if not n:
+        raise ValueError("empty candidate pool")
+    mean_len = float(np.sum(lengths)) / n
     expected = max(1, math.ceil(token_budget / max(mean_len, 1.0)))
     keep = min(n, t_factor * expected)
 
-    if pool_scores is None:
+    if scores is None:
         if rng is None:
             raise ValueError("pure diversification needs a seeded rng for the filter")
-        chosen = rng.choice(n, size=keep, replace=False)
-        cand_ids = sorted(ids[i] for i in chosen)
+        cand = np.sort(rng.choice(n, size=keep, replace=False))
     else:
-        order = sorted(ids, key=lambda i: (-pool_scores[i], i))
-        cand_ids = sorted(order[:keep])
+        # a stable sort keeps equal scores in ascending id order
+        cand = np.sort(np.argsort(-np.asarray(scores), kind="stable")[:keep])
+    cand_ids = np.asarray(ids)[cand].tolist()
 
-    X = np.stack([np.asarray(embeddings[i], dtype=np.float32) for i in cand_ids])
+    X = np.asarray(embeddings[cand], dtype=np.float32)
     norms = np.linalg.norm(X, axis=1)
     norms[norms == 0] = 1.0
     Xn = X / norms[:, None]
@@ -235,12 +237,7 @@ def fass_select(
     sim = Xn @ Xn.T
     sim += np.float32(1.0)
     np.maximum(sim, 0.0, out=sim)
-    lens = np.asarray([lengths[i] for i in cand_ids], dtype=np.float64)
-
-    if mode == "DOCUMENT":
-        if doc_ids is None:
-            raise ValueError("DOCUMENT mode needs doc_ids")
-        docs = np.asarray([doc_ids[i] for i in cand_ids])
+    lens = np.asarray(lengths, dtype=np.float64)[cand]
 
     cover = np.zeros(len(cand_ids), dtype=np.float32)
     active = np.ones(len(cand_ids), dtype=bool)
@@ -252,7 +249,7 @@ def fass_select(
             np.maximum(sim[row] - cover, 0.0).sum(dtype=np.float64) / lens[row]
         )
 
-    if mode == "SENTENCE":
+    if doc_ids is None:
         # lazy greedy: stale heap bounds only overestimate (submodularity),
         # so popping until the top bound falls below the best fresh gain
         # reproduces the exact argmax, including smallest-id tie-breaking
@@ -298,17 +295,14 @@ def fass_select(
             tokens += int(lens[best_row])
         return Batch(tuple(picked), tokens)
 
-    while tokens < token_budget:
-        if not active.any():
-            return Batch(tuple(picked), tokens, exhausted=True)
-        gains = np.asarray([row_gain(r) if active[r] else -np.inf
-                            for r in range(len(cand_ids))])
-        for row in best_document_rows(gains, lens, docs, active):
-            active[row] = False
-            cover = np.maximum(cover, sim[row])
-            picked.append(cand_ids[row])
-            tokens += int(lens[row])
-    return Batch(tuple(picked), tokens)
+    def take(row: int) -> None:
+        np.maximum(cover, sim[row], out=cover)
+
+    return take_units(
+        cand_ids, lens, token_budget,
+        lambda rows: np.asarray([row_gain(r) for r in rows]),
+        np.asarray(doc_ids)[cand], take,
+    )
 
 
 # -- prediction-difference decay (no validation labels) ---------------------

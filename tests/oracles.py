@@ -5,12 +5,14 @@ they can serve as oracles.
 """
 
 import math
+from typing import Mapping
 
 import numpy as np
 
 from groupdecay.corpus import Dataset, Sentence, Token, entity_type, shape_class
 from groupdecay.partition import N_SHAPES, PartitionKind
 from groupdecay.scoring import Phrase
+from groupdecay.selection import Batch
 from groupdecay.strategies import PredictionRecord
 
 
@@ -315,3 +317,200 @@ def per_mask_solve_a(phi, Y, W, b, c, current):
         if obj < best_obj:
             best_obj, best = obj, a
     return best
+
+
+# -- batch assembly before the one unit-taking loop ---------------------------
+
+
+def take_by_score(ctx, scores):
+    """Fixed-score batch assembly of rnd, us and bald: ``ctx`` needs
+    ``pool``, ``config.mode`` and ``token_budget``; ``scores`` maps ids."""
+    pool = sorted(ctx.pool, key=lambda s: s.id)
+    picked: list[int] = []
+    tokens = 0
+    if ctx.config.mode == "SENTENCE":
+        order = sorted(pool, key=lambda s: (-scores[s.id], s.id))
+        for s in order:
+            if tokens >= ctx.token_budget:
+                return Batch(tuple(picked), tokens)
+            picked.append(s.id)
+            tokens += len(s)
+        return Batch(tuple(picked), tokens, exhausted=tokens < ctx.token_budget)
+    docs: dict[int, list[Sentence]] = {}
+    for s in pool:
+        if s.doc_id is None:
+            raise ValueError(f"sentence {s.id} has no document id (DOCUMENT mode)")
+        docs.setdefault(s.doc_id, []).append(s)
+    doc_scores = {
+        d: sum(scores[s.id] * len(s) for s in members) / sum(len(s) for s in members)
+        for d, members in docs.items()
+    }
+    for d in sorted(docs, key=lambda d: (-doc_scores[d], d)):
+        if tokens >= ctx.token_budget:
+            return Batch(tuple(picked), tokens)
+        for s in docs[d]:
+            picked.append(s.id)
+            tokens += len(s)
+    return Batch(tuple(picked), tokens, exhausted=tokens < ctx.token_budget)
+
+
+def per_document_best_rows(scores, lengths, doc_ids, active):
+    """Active rows of the document with the largest length-weighted mean
+    score (the smallest document id on ties)."""
+    best_doc = None
+    best_score = -np.inf
+    for d in np.unique(doc_ids[active]):
+        sel = active & (doc_ids == d)
+        w = lengths[sel]
+        ds = float((scores[sel] * w).sum() / w.sum())
+        if ds > best_score:
+            best_doc, best_score = d, ds
+    return np.flatnonzero(active & (doc_ids == best_doc))
+
+
+def rescoring_pick_loop(ids, lengths, token_budget, scores, doc_ids=None, take=None):
+    """``select_batch``'s pick loop: ``scores(active)`` gives every row a
+    score, ``-inf`` where inactive, and is called again after each unit."""
+    active = np.ones(len(ids), dtype=bool)
+    picked: list[int] = []
+    tokens = 0
+    while tokens < token_budget:
+        if not active.any():
+            return Batch(tuple(picked), tokens, exhausted=True)
+        row_scores = scores(active)
+        if doc_ids is None:
+            rows = [int(np.argmax(row_scores))]
+        else:
+            rows = per_document_best_rows(row_scores, lengths, doc_ids, active)
+        for row in rows:
+            active[int(row)] = False
+            if take is not None:
+                take(int(row))
+            picked.append(ids[int(row)])
+            tokens += int(lengths[int(row)])
+    return Batch(tuple(picked), tokens)
+
+
+def dict_fass_select(
+    pool_scores: Mapping[int, float] | None,
+    embeddings: Mapping[int, np.ndarray],
+    lengths: Mapping[int, int],
+    token_budget: int,
+    t_factor: int = 100,
+    rng: np.random.Generator | None = None,
+    mode: str = "SENTENCE",
+    doc_ids: Mapping[int, int] | None = None,
+) -> Batch:
+    """``fass_select`` over per-id dicts, before the array API.
+
+    Filter the most uncertain sentences, then greedily cover them.
+    The filter keeps the top ``t_factor`` x (expected batch sentence count)
+    sentences by uncertainty; with ``pool_scores=None`` (pure
+    diversification) it keeps a seeded uniform random candidate set of the
+    same size.  Selection greedily maximizes a facility-location coverage
+    function over shifted cosine similarities (cos + 1, keeping the
+    objective monotone submodular), with per-step gains normalized by
+    sentence length, until the token budget is met.
+    """
+    if t_factor < 1:
+        raise ValueError("t_factor must be >= 1")
+    ids = sorted(embeddings)
+    if not ids:
+        raise ValueError("empty candidate pool")
+    n = len(ids)
+    mean_len = sum(lengths[i] for i in ids) / n
+    expected = max(1, math.ceil(token_budget / max(mean_len, 1.0)))
+    keep = min(n, t_factor * expected)
+
+    if pool_scores is None:
+        if rng is None:
+            raise ValueError("pure diversification needs a seeded rng for the filter")
+        chosen = rng.choice(n, size=keep, replace=False)
+        cand_ids = sorted(ids[i] for i in chosen)
+    else:
+        order = sorted(ids, key=lambda i: (-pool_scores[i], i))
+        cand_ids = sorted(order[:keep])
+
+    X = np.stack([np.asarray(embeddings[i], dtype=np.float32) for i in cand_ids])
+    norms = np.linalg.norm(X, axis=1)
+    norms[norms == 0] = 1.0
+    Xn = X / norms[:, None]
+    # shifted cosine in [0, 2], built in place; clamping at 0 changes no
+    # gain, because ``cover`` starts at 0 and only grows
+    sim = Xn @ Xn.T
+    sim += np.float32(1.0)
+    np.maximum(sim, 0.0, out=sim)
+    lens = np.asarray([lengths[i] for i in cand_ids], dtype=np.float64)
+
+    if mode == "DOCUMENT":
+        if doc_ids is None:
+            raise ValueError("DOCUMENT mode needs doc_ids")
+        docs = np.asarray([doc_ids[i] for i in cand_ids])
+
+    cover = np.zeros(len(cand_ids), dtype=np.float32)
+    active = np.ones(len(cand_ids), dtype=bool)
+    picked: list[int] = []
+    tokens = 0
+
+    def row_gain(row: int) -> float:
+        return float(
+            np.maximum(sim[row] - cover, 0.0).sum(dtype=np.float64) / lens[row]
+        )
+
+    if mode == "SENTENCE":
+        # lazy greedy: stale heap bounds only overestimate (submodularity),
+        # so popping until the top bound falls below the best fresh gain
+        # reproduces the exact argmax, including smallest-id tie-breaking
+        import heapq
+
+        init = sim.sum(axis=1, dtype=np.float64) / lens
+        heap = [(-g, row) for row, g in enumerate(init)]
+        heapq.heapify(heap)
+        fresh = np.zeros(len(cand_ids), dtype=bool)
+        while tokens < token_budget:
+            if not heap:
+                return Batch(tuple(picked), tokens, exhausted=True)
+            fresh[:] = False
+            best_row = -1
+            best_gain = -np.inf
+            while heap:
+                neg_bound, row = heap[0]
+                bound = -neg_bound
+                if bound < best_gain or (bound == best_gain and row > best_row):
+                    break
+                heapq.heappop(heap)
+                if not active[row]:
+                    continue
+                if fresh[row]:
+                    gain = bound
+                else:
+                    gain = row_gain(row)
+                    fresh[row] = True
+                    if gain < bound:
+                        heapq.heappush(heap, (-gain, row))
+                        continue
+                if gain > best_gain or (gain == best_gain and row < best_row):
+                    if best_row >= 0:
+                        heapq.heappush(heap, (-best_gain, best_row))
+                    best_gain, best_row = gain, row
+                else:
+                    heapq.heappush(heap, (-gain, row))
+            if best_row < 0:
+                return Batch(tuple(picked), tokens, exhausted=True)
+            active[best_row] = False
+            cover = np.maximum(cover, sim[best_row])
+            picked.append(cand_ids[best_row])
+            tokens += int(lens[best_row])
+        return Batch(tuple(picked), tokens)
+
+    while tokens < token_budget:
+        if not active.any():
+            return Batch(tuple(picked), tokens, exhausted=True)
+        gains = np.asarray([row_gain(r) if active[r] else -np.inf
+                            for r in range(len(cand_ids))])
+        for row in per_document_best_rows(gains, lens, docs, active):
+            active[row] = False
+            cover = np.maximum(cover, sim[row])
+            picked.append(cand_ids[row])
+            tokens += int(lens[row])
+    return Batch(tuple(picked), tokens)

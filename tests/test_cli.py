@@ -184,7 +184,9 @@ class TestSimulate:
         cfg.write_text(json.dumps(config))
         assert run_cli("simulate", "--config", cfg) == 2
 
-    @pytest.mark.parametrize("fit", [{"bogus": 1}, {"restarts": 0}], ids=["unknown", "invalid"])
+    @pytest.mark.parametrize(
+        "fit", [{"bogus": 1}, {"restarts": 0}, {"seed": -1}], ids=["unknown", "invalid", "seed"]
+    )
     def test_bad_fit_option_is_config_error(self, synth_dir, tmp_path, fit):
         config = _sim_config(synth_dir, tmp_path / "run_fit")
         config["fit"] = fit
@@ -210,6 +212,16 @@ class TestSimulate:
         config["strategy"] = "edg_ext1"
         cfg.write_text(json.dumps(config))
         assert run_cli("simulate", "--config", cfg, "--force") == 0
+
+    def test_div_without_embeddings_is_config_error(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "run_div"
+        config = _sim_config(synth_dir, out, strategy="div")
+        config["partitions"] = {"kinds": "identity"}
+        cfg = tmp_path / "cfg_div.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", cfg) == 2
+        assert "embeddings" in capsys.readouterr().err
+        assert not out.exists()  # refused before any checkpoint ran
 
     def test_bald_records_ensemble_size(self, synth_dir, tmp_path):
         out = tmp_path / "run_bald"
@@ -301,6 +313,33 @@ class TestScoreCommand:
 
 
 class TestSelectCommand:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            {"format": "groupdecay-partition/1"},
+            {"format": "groupdecay-partition/1", "kind": "identity", "temperature": 1.0,
+             "seed": 0},
+            {"format": "groupdecay-partition/1", "kind": "WORD", "temperature": 1.0,
+             "seed": 0, "groups": [{"descriptor": "x", "exemplars": []}]},
+        ],
+        ids=["array", "format-only", "no-groups", "group-without-id"],
+    )
+    def test_malformed_partition_is_data_error(self, synth_dir, tmp_path, payload, capsys):
+        part = tmp_path / "p0.json"
+        part.write_text(json.dumps(payload))
+        fit = tmp_path / "fit.txt"
+        fit.write_text("")
+        code = run_cli(
+            "select",
+            "--pool", synth_dir / "train.conll",
+            "--partitions", part,
+            "--fits", fit,
+            "--budget", 300,
+        )
+        assert code == 3
+        assert "partition" in capsys.readouterr().err
+
     def test_one_shot_selection(self, synth_dir, tmp_path):
         run = tmp_path / "run_sel"
         cfg = tmp_path / "cfg_sel.json"

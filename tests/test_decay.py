@@ -224,6 +224,9 @@ class TestFitConfig:
             {"rel_tol": float("nan")},
             {"rel_tol": float("inf")},
             {"rel_tol": "tight"},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": True},
         ],
     )
     def test_bad_options_rejected(self, options):

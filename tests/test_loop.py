@@ -174,7 +174,8 @@ class TestRunLoop:
         )
         assert [c.phase for c in history.checkpoints].count("select") == 2
 
-    def test_document_mode_selects_whole_documents(self, lab):
+    @pytest.mark.parametrize("strategy", ["edg", "rnd", "us", "div"])
+    def test_document_mode_selects_whole_documents(self, lab, strategy):
         spec, pool, val, test, partition, table = lab
         doc_pool = gen_synthetic(spec, 8000, role="pool", stream=5, sentences_per_doc=3)
         doc_partition = build_identity_partition(
@@ -183,7 +184,7 @@ class TestRunLoop:
         cfg = _config(mode="DOCUMENT")
         history = run_active_loop(
             cfg, [doc_partition], builtin_trainer(), doc_pool, val,
-            strategy="edg", table=table,
+            strategy=strategy, table=table,
         )
         docs = {s.doc_id: [t.id for t in doc_pool.sentences if t.doc_id == s.doc_id]
                 for s in doc_pool.sentences}
@@ -196,6 +197,14 @@ class TestRunLoop:
             by_doc.setdefault(doc_pool.sentences[sid].doc_id, set()).add(sid)
         for d, ids in by_doc.items():
             assert ids == set(docs[d])
+
+    def test_div_without_embedding_table_is_capability_error(self, lab):
+        spec, pool, val, test, partition, table = lab
+        for name in ("div", "us_div", "us_div_edg_ext2"):
+            with pytest.raises(CapabilityError, match="embedding"):
+                run_active_loop(
+                    _config(), [partition], builtin_trainer(), pool, val, strategy=name
+                )
 
     def test_strategy_names_buildable(self):
         for name in (

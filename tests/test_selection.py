@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupdecay.corpus import Sentence, Token
 from groupdecay.decay import DecayFit, DecayParams
@@ -10,7 +14,9 @@ from groupdecay.selection import (
     edg_score,
     objective,
     select_batch,
+    take_units,
 )
+from oracles import rescoring_pick_loop, take_by_score
 
 
 def _params(J, a0=1.0, a_half=0.0, a1=0.0, a2=0.0, a3=0.0, b=None, c=None):
@@ -397,3 +403,83 @@ class TestFourPartitionRun:
             batch_tokens = sum(len(pool.sentences[sid]) for sid in c.selected_ids)
             assert 500 <= batch_tokens < 500 + 51
         assert all(len(c.group_records) == 4 for c in history.checkpoints)
+
+
+@st.composite
+def unit_pools(draw):
+    """Rows in ascending id order with documents of 1-12 sentences, in any
+    row order, quantised scores (exact ties) and budgets from zero to past
+    the pool's size."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    n = sum(sizes)
+    ids = sorted(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True)))
+    doc_names = draw(st.lists(st.integers(0, 10**6), min_size=len(sizes),
+                              max_size=len(sizes), unique=True))
+    docs = draw(st.permutations([d for d, k in zip(doc_names, sizes) for _ in range(k)]))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    scores = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    groups = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    total = sum(lengths)
+    budget = draw(st.one_of(st.just(0), st.integers(1, total), st.just(total + 1)))
+    return dict(
+        ids=ids, docs=np.asarray(docs), lengths=np.asarray(lengths),
+        scores=np.asarray(scores) / 4.0, groups=np.asarray(groups),
+        budget=budget, small_docs=max(sizes) < 8,
+    )
+
+
+class _FallingScores:
+    """Scores that fall as rows of the same group are taken, as EDG's do."""
+
+    def __init__(self, fixed, groups):
+        self.fixed, self.groups, self.taken = fixed, groups, np.zeros(3)
+
+    def __call__(self):
+        return self.fixed - 0.25 * self.taken[self.groups]
+
+    def take(self, row):
+        self.taken[self.groups[row]] += 1
+
+
+class TestTakeUnits:
+    """``take_units`` against the batch assembly it replaced: the fixed-score
+    sort of rnd/us/bald, and ``select_batch``'s pick loop, whose per-document
+    numpy sums add the same way only below 8 sentences per document."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(unit_pools())
+    def test_matches_replaced_assembly(self, pool):
+        ids, lengths, budget = pool["ids"], pool["lengths"], pool["budget"]
+        fixed = pool["scores"]
+        for docs in (None, pool["docs"]):
+            exact = docs is None or pool["small_docs"]
+            got = take_units(ids, lengths, budget, fixed.__getitem__, docs)
+            ctx = SimpleNamespace(
+                pool=[
+                    _sent(i, ["w"] * int(k), None if docs is None else int(d))
+                    for i, k, d in zip(ids, lengths, pool["docs"])
+                ],
+                config=SimpleNamespace(mode="SENTENCE" if docs is None else "DOCUMENT"),
+                token_budget=budget,
+            )
+            assert got == take_by_score(ctx, dict(zip(ids, fixed.tolist())))
+            if exact:
+                assert got == rescoring_pick_loop(
+                    ids, lengths, budget, lambda active: np.where(active, fixed, -np.inf), docs
+                )
+
+            new, old = _FallingScores(fixed, pool["groups"]), _FallingScores(fixed, pool["groups"])
+            got = take_units(ids, lengths, budget, lambda rows: new()[rows], docs, new.take)
+            if exact:
+                assert got == rescoring_pick_loop(
+                    ids, lengths, budget, lambda active: np.where(active, old(), -np.inf),
+                    docs, old.take,
+                )
+            assert len(got.sentence_ids) == len(set(got.sentence_ids))
+
+    def test_zero_budget_and_exhausted_pool(self):
+        lengths = np.array([2, 3])
+        assert take_units([4, 7], lengths, 0, lambda rows: rows * 0.0).sentence_ids == ()
+        batch = take_units([4, 7], lengths, 9, lambda rows: rows * 0.0, np.array([1, 1]))
+        assert batch.sentence_ids == (4, 7) and batch.token_count == 5 and batch.exhausted
+        assert all(type(i) is int for i in batch.sentence_ids)

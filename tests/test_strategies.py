@@ -30,7 +30,7 @@ from groupdecay.strategies import (
     score_us,
     write_records,
 )
-from oracles import per_sentence_rates
+from oracles import dict_fass_select, per_sentence_rates
 
 
 def _lp(probs: dict[str, float]) -> dict[str, float]:
@@ -142,9 +142,10 @@ class TestAlternation:
 
 class TestFassSelect:
     def test_identical_embeddings_first_pick_covers_all(self):
-        emb = {i: np.array([1.0, 0.0]) for i in range(6)}
-        lengths = {i: 2 for i in range(6)}
-        batch = fass_select(None, emb, lengths, token_budget=4,
+        ids = np.arange(6)
+        emb = np.tile([1.0, 0.0], (6, 1))
+        lengths = np.full(6, 2)
+        batch = fass_select(None, ids, emb, lengths, token_budget=4,
                             rng=np.random.default_rng(0), t_factor=100)
         # full coverage after the first pick; later gains are 0 and ties
         # resolve to the smallest remaining id
@@ -154,66 +155,108 @@ class TestFassSelect:
     def test_orthogonal_clusters_get_one_each(self):
         # exhaustive check over 2-subsets: the max facility-location value
         # picks one sentence from each orthogonal cluster
-        emb = {
-            0: np.array([1.0, 0.0]),
-            1: np.array([1.0, 0.0]),
-            2: np.array([0.0, 1.0]),
-            3: np.array([0.0, 1.0]),
-        }
-        lengths = {i: 1 for i in emb}
-        scores = {i: 1.0 for i in emb}
+        ids = np.arange(4)
+        emb = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        lengths = np.ones(4, dtype=int)
+        scores = np.ones(4)
 
         def facility(sel):
-            X = np.stack([emb[i] / np.linalg.norm(emb[i]) for i in emb])
-            S = np.stack([emb[i] / np.linalg.norm(emb[i]) for i in sel])
+            X = emb / np.linalg.norm(emb, axis=1)[:, None]
+            S = X[list(sel)]
             return (np.maximum((X @ S.T) + 1.0, 0).max(axis=1)).sum()
 
         from itertools import combinations
 
-        best = max(combinations(emb, 2), key=facility)
+        best = max(combinations(ids.tolist(), 2), key=facility)
         assert {0, 1} - set(best) and {2, 3} - set(best)  # one from each
-        batch = fass_select(scores, emb, lengths, token_budget=2, t_factor=100)
+        batch = fass_select(scores, ids, emb, lengths, token_budget=2, t_factor=100)
         got = set(batch.sentence_ids)
         assert len(got & {0, 1}) == 1 and len(got & {2, 3}) == 1
 
     def test_uncertainty_filter_keeps_top(self):
         rng = np.random.default_rng(2)
-        emb = {i: rng.normal(size=3) for i in range(50)}
-        lengths = {i: 5 for i in range(50)}
-        scores = {i: float(i) for i in range(50)}  # 49 most uncertain
-        batch = fass_select(scores, emb, lengths, token_budget=5, t_factor=1)
+        ids = np.arange(50)
+        emb = rng.normal(size=(50, 3))
+        lengths = np.full(50, 5)
+        scores = ids.astype(float)  # 49 most uncertain
+        batch = fass_select(scores, ids, emb, lengths, token_budget=5, t_factor=1)
         assert set(batch.sentence_ids) <= set(range(49, 48, -1)) | set(range(45, 50))
 
     def test_diversification_ignores_scores_with_seeded_filter(self):
         rng1 = np.random.default_rng(7)
         rng2 = np.random.default_rng(7)
-        emb = {i: np.array([np.cos(i), np.sin(i)]) for i in range(30)}
-        lengths = {i: 1 for i in range(30)}
-        b1 = fass_select(None, emb, lengths, token_budget=3, t_factor=2, rng=rng1)
-        b2 = fass_select(None, emb, lengths, token_budget=3, t_factor=2, rng=rng2)
+        ids = np.arange(30)
+        emb = np.stack([np.cos(ids), np.sin(ids)], axis=1)
+        lengths = np.ones(30, dtype=int)
+        b1 = fass_select(None, ids, emb, lengths, token_budget=3, t_factor=2, rng=rng1)
+        b2 = fass_select(None, ids, emb, lengths, token_budget=3, t_factor=2, rng=rng2)
         assert b1.sentence_ids == b2.sentence_ids
 
     def test_marginal_gains_non_increasing(self):
         rng = np.random.default_rng(3)
-        emb = {i: rng.normal(size=4) for i in range(40)}
-        lengths = {i: 1 for i in range(40)}
-        scores = {i: float(rng.random()) for i in range(40)}
+        ids = np.arange(40)
+        emb = rng.normal(size=(40, 4))
+        lengths = np.ones(40, dtype=int)
+        scores = rng.random(40)
         # recompute the facility-location values of the greedy prefix
-        batch = fass_select(scores, emb, lengths, token_budget=8, t_factor=100)
-        X = np.stack([emb[i] / np.linalg.norm(emb[i]) for i in sorted(emb)])
+        batch = fass_select(scores, ids, emb, lengths, token_budget=8, t_factor=100)
+        X = emb / np.linalg.norm(emb, axis=1)[:, None]
         S = X @ X.T + 1.0
-        idx = {sid: k for k, sid in enumerate(sorted(emb))}
         cover = np.zeros(40)
         gains = []
         for sid in batch.sentence_ids:
-            new = np.maximum(S[idx[sid]], cover)
+            new = np.maximum(S[sid], cover)
             gains.append(new.sum() - cover.sum())
             cover = new
         assert all(g1 >= g2 - 1e-9 for g1, g2 in zip(gains, gains[1:]))
 
+    def test_document_mode_takes_best_document_whole(self):
+        # first gains: 2 + 2 + 1 + 1 + 1 = 7 for a doc-0 row and
+        # 2 + 2 + 2 + 1 + 1 = 8 for a doc-1 row, so document 1 comes first
+        ids = np.array([3, 5, 6, 8, 9])
+        emb = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+        lengths = np.ones(5, dtype=int)
+        docs = np.array([0, 0, 1, 1, 1])
+        one = fass_select(np.ones(5), ids, emb, lengths, token_budget=1, doc_ids=docs)
+        assert one.sentence_ids == (6, 8, 9) and one.token_count == 3
+        both = fass_select(np.ones(5), ids, emb, lengths, token_budget=4, doc_ids=docs)
+        assert both.sentence_ids == (6, 8, 9, 3, 5) and not both.exhausted
+        assert fass_select(np.ones(5), ids, emb, lengths, token_budget=9,
+                           doc_ids=docs).exhausted
+
+    def test_matches_dict_reference(self):
+        # the array API picks what the dict-based implementation picked, in
+        # both modes, with exact score ties and documents under 8 sentences
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            n = int(rng.integers(1, 40))
+            ids = np.sort(rng.choice(200, size=n, replace=False))
+            emb = rng.integers(-2, 3, size=(n, 3)).astype(float)
+            lengths = rng.integers(1, 6, size=n)
+            scores = rng.integers(0, 3, size=n) / 2.0
+            docs = np.repeat(np.arange(n), rng.integers(1, 8, size=n))[:n]
+            budget = int(rng.integers(0, lengths.sum() + 3))
+            for sc in (scores, None):
+                for dc in (None, docs):
+                    kw = dict(t_factor=int(rng.integers(1, 4)), seed=trial)
+                    got = fass_select(
+                        sc, ids, emb, lengths, budget, kw["t_factor"],
+                        np.random.default_rng(kw["seed"]), dc,
+                    )
+                    want = dict_fass_select(
+                        None if sc is None else dict(zip(ids.tolist(), sc)),
+                        dict(zip(ids.tolist(), emb)),
+                        dict(zip(ids.tolist(), lengths.tolist())),
+                        budget, kw["t_factor"], np.random.default_rng(kw["seed"]),
+                        "SENTENCE" if dc is None else "DOCUMENT",
+                        None if dc is None else dict(zip(ids.tolist(), dc.tolist())),
+                    )
+                    assert got == want
+
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            fass_select({}, {}, {}, token_budget=1)
+            fass_select(np.zeros(0), np.arange(0), np.zeros((0, 2)), np.arange(0),
+                        token_budget=1)
 
 
 class TestScoreRandom:
