@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Protocol, Sequence
 import numpy as np
 
 from .corpus import Dataset, EmbeddingTable, Sentence, sentence_embedding
-from .decay import DecayFit, FitConfig, fit
+from .decay import DecayFit, FitConfig, _is_int, fit
 # group_error, group_mass and sentence_group_delta stay bound for bench/tracing.py
 from .partition import (  # noqa: F401
     GroupErrorRecord, GroupIndex, Partition, aligned_labels, build_group_index,
@@ -89,8 +89,14 @@ class LoopConfig:
             raise ValueError("burn_in_batches must be >= 1")
         if self.total_batches < self.burn_in_batches:
             raise ValueError("total_batches must be >= burn_in_batches")
+        if not _is_int(self.history_batch_tokens) or self.history_batch_tokens < 1:
+            raise ValueError(
+                f"history_batch_tokens must be an integer >= 1, got {self.history_batch_tokens!r}"
+            )
         if self.history_batch_tokens > self.selection_batch_tokens:
             raise ValueError("history batches must not exceed selection batches")
+        if not _is_int(self.ensemble_k) or self.ensemble_k < 2:
+            raise ValueError(f"ensemble_k must be an integer >= 2, got {self.ensemble_k!r}")
         if self.mode not in ("SENTENCE", "DOCUMENT"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -444,6 +450,8 @@ def run_active_loop(
     data and returns an object that yields prediction records for any
     dataset.  With ``resume_history`` the recorded checkpoints are replayed
     without retraining and the run continues from the first missing step.
+    A pool with fewer tokens than burn-in takes raises ``ValueError``
+    before anything is trained.
     """
     if strategy is None:
         strategy = DecayCurveStrategy()
@@ -459,22 +467,24 @@ def run_active_loop(
         raise CapabilityError(f"strategy {strategy.name!r} requires an embedding table")
 
     partitions = list(partitions)
-    pool_by_id: dict[int, Sentence] = {s.id: s for s in pool.sentences}
-    if len(pool_by_id) != len(pool.sentences):
+    # per-run pool arrays, one row per pool sentence in dataset order
+    pool_ids = np.asarray([s.id for s in pool.sentences], dtype=np.int64)
+    pool_lengths = np.asarray([len(s) for s in pool.sentences], dtype=np.float64)
+    pool_docs = document_ids(pool.sentences) if config.mode == "DOCUMENT" else None
+    by_id = np.argsort(pool_ids, kind="stable")  # the rows in ascending id order
+    sorted_ids = pool_ids[by_id]
+    if (sorted_ids[1:] == sorted_ids[:-1]).any():
         raise ValueError("pool sentence ids must be unique")
-    remaining = dict(sorted(pool_by_id.items()))
-    train: list[Sentence] = []
+    grid = burn_in_checkpoints(config)
+    if grid[-1] > pool_lengths.sum():
+        raise ValueError(f"burn-in takes {grid[-1]} tokens; the pool has {int(pool_lengths.sum())}")
+    taken = np.zeros(len(pool_ids), dtype=bool)  # rows in the training set
     train_tokens = 0
     train_mass = [np.zeros(p.n_groups) for p in partitions]
     da_sentences = list(pool.sentences) + list(validation.sentences)
     # rows: the pool's sentences, then the validation set's
     index = [build_group_index(p, da_sentences, table) for p in partitions]
     da_mass = [ix.mass() for ix in index]
-    pool_row = {s.id: row for row, s in enumerate(pool.sentences)}
-    # per-run pool arrays, one row per pool sentence in dataset order
-    pool_ids = np.asarray([s.id for s in pool.sentences], dtype=np.int64)
-    pool_lengths = np.asarray([len(s) for s in pool.sentences], dtype=np.float64)
-    pool_docs = document_ids(pool.sentences) if config.mode == "DOCUMENT" else None
     pool_embeddings = None
     if strategy.needs_embeddings:  # in float32, the precision fass_select computes in
         pool_embeddings = np.empty((len(pool.sentences), table.dim), dtype=np.float32)
@@ -487,51 +497,55 @@ def run_active_loop(
         else default_epsilon(sum(len(s) for s in da_sentences))
     )
 
-    grid = burn_in_checkpoints(config)
     n_select = config.total_batches - config.burn_in_batches
     plan: list[tuple[str, int]] = [("burnin", t) for t in grid] + [
         ("select", i + 1) for i in range(n_select)
     ]
 
     history = RunHistory()
-    group_records: list[list[GroupErrorRecord]] = [[] for _ in partitions]
     mass_history: list[list[np.ndarray]] = []
     snapshots: list[UncertaintySnapshot] = list(resume_snapshots or [])
     reference_history: list[dict[int, tuple[str, ...]]] = list(resume_reference or [])
 
-    burn_rng = np.random.default_rng([config.seed, 11])
-    if pool_docs is not None:
-        docs: dict[int, list[int]] = {}
-        for sid in remaining:
-            docs.setdefault(int(pool_docs[pool_row[sid]]), []).append(sid)
-        doc_ids = sorted(docs)
-        burn_units = [
-            tuple(docs[doc_ids[int(i)]])
-            for i in burn_rng.permutation(len(doc_ids))
-        ]
-    else:
-        burn_units = [
-            (int(i),) for i in burn_rng.permutation(sorted(remaining))
-        ]
-    burn_order = [sid for unit in burn_units for sid in unit]
-    unit_at_flat: dict[int, tuple[int, ...]] = {}
-    flat = 0
-    for unit in burn_units:
-        unit_at_flat[flat] = unit
-        flat += len(unit)
-    burn_pointer = 0  # flat index; always sits on a unit boundary
+    # Burn-in takes units (sentences, or documents in DOCUMENT mode) in a seeded
+    # permutation of the units by ascending id; a unit scores minus its place.
+    units, unit_of_row = np.unique(
+        pool_ids if pool_docs is None else pool_docs, return_inverse=True
+    )
+    order = np.random.default_rng([config.seed, 11]).permutation(len(units))
+    burn_score = -np.argsort(order)[unit_of_row]
 
     inventory = pool.label_inventory | validation.label_inventory
 
-    def add_to_train(sid: int) -> Sentence:
+    def remaining_rows() -> np.ndarray:
+        return by_id[~taken[by_id]]
+
+    def burn_in_batch(target: int) -> Batch:
+        rows = remaining_rows()
+        return take_units(
+            pool_ids[rows],
+            pool_lengths[rows],
+            target - train_tokens,
+            burn_score[rows].__getitem__,
+            None if pool_docs is None else pool_docs[rows],
+        )
+
+    def add_to_train(sentence_ids: Sequence[int]) -> None:
         nonlocal train_tokens
-        sentence = remaining.pop(sid)
-        train.append(sentence)
-        train_tokens += len(sentence)
-        for ix, masses in zip(index, train_mass):
-            gids, vals = ix.delta(pool_row[sid])
-            masses[gids] += vals
-        return sentence
+        ids = np.asarray(sentence_ids, dtype=np.int64)
+        rows = by_id[np.searchsorted(sorted_ids, ids).clip(max=len(sorted_ids) - 1)]
+        if (
+            (pool_ids[rows] != ids).any()
+            or taken[rows].any()
+            or len(np.unique(rows)) < len(rows)
+        ):
+            raise ValueError("selected ids must be distinct sentences of the remaining pool")
+        taken[rows] = True
+        train_tokens += int(pool_lengths[rows].sum())
+        for row in rows:  # in pick order, so the float sums keep their order
+            for ix, masses in zip(index, train_mass):
+                gids, vals = ix.delta(row)
+                masses[gids] += vals
 
     # -- replay of completed checkpoints ------------------------------------
     done = 0
@@ -539,18 +553,12 @@ def run_active_loop(
         for rec in resume_history.checkpoints:
             if done >= len(plan):
                 raise ValueError("resume history longer than the configured plan")
-            phase, _ = plan[done]
+            phase, arg = plan[done]
             if rec.phase != phase:
                 raise ValueError("resume history inconsistent with configuration")
-            for sid in rec.selected_ids:
-                add_to_train(sid)
-                if phase == "burnin":
-                    if burn_order[burn_pointer] != sid:
-                        raise ValueError("resume history inconsistent with seed")
-                    burn_pointer += 1
-            if rec.group_records is not None:
-                for p, gr in enumerate(rec.group_records):
-                    group_records[p].append(gr)
+            if phase == "burnin" and burn_in_batch(arg).sentence_ids != tuple(rec.selected_ids):
+                raise ValueError("resume history inconsistent with seed")
+            add_to_train(rec.selected_ids)
             mass_history.append([m.copy() for m in train_mass])
             history.checkpoints.append(rec)
             done += 1
@@ -562,7 +570,7 @@ def run_active_loop(
                    selected: tuple[int, ...], exhausted: bool,
                    next_is_selection: bool) -> None:
         train_ds = Dataset(
-            sentences=tuple(sorted(train, key=lambda s: s.id)),
+            sentences=tuple(pool.sentences[r] for r in by_id[taken[by_id]]),
             label_inventory=inventory,
             role="train",
         )
@@ -599,7 +607,7 @@ def run_active_loop(
         if strategy.needs_snapshots and (
             strategy.needs_snapshot_history or next_is_selection
         ):
-            pool_sents = list(remaining.values())
+            pool_sents = [pool.sentences[r] for r in remaining_rows()]
             if pool_sents:
                 pool_records = predictor.predict(
                     pool_sents,
@@ -620,9 +628,6 @@ def run_active_loop(
             reference_labels = val_labels
             reference_history.append(reference_labels)
 
-        if recs is not None:
-            for p in range(len(partitions)):
-                group_records[p].append(recs[p])
         mass_history.append([m.copy() for m in train_mass])
 
         record = CheckpointRecord(
@@ -652,32 +657,23 @@ def run_active_loop(
     for step_idx in range(done, len(plan)):
         phase, arg = plan[step_idx]
         if phase == "burnin":
-            target = arg
-            selected: list[int] = []
-            while train_tokens < target and burn_pointer < len(burn_order):
-                unit = unit_at_flat[burn_pointer]
-                for sid in unit:
-                    burn_pointer += 1
-                    if sid in remaining:
-                        add_to_train(sid)
-                        selected.append(sid)
-            if train_tokens < target:
-                raise RuntimeError("pool exhausted during burn-in")
+            batch = burn_in_batch(arg)
+            add_to_train(batch.sentence_ids)
             next_is_selection = (
                 step_idx + 1 < len(plan) and plan[step_idx + 1][0] == "select"
             )
-            checkpoint(step_idx, "burnin", None, tuple(selected), False, next_is_selection)
+            checkpoint(step_idx, "burnin", None, batch.sentence_ids, False, next_is_selection)
         else:
             batch_index = arg
-            if not remaining:
+            pool_rows = remaining_rows()
+            if not len(pool_rows):
                 log.warning("pool exhausted; stopping before batch %d", batch_index)
                 break
-            pool_rows = np.asarray([pool_row[sid] for sid in remaining], dtype=np.intp)
             ctx = StrategyContext(
                 config=config,
                 batch_index=batch_index,
                 rng=np.random.default_rng([config.seed, 13, batch_index]),
-                pool=list(remaining.values()),
+                pool=[pool.sentences[r] for r in pool_rows],
                 ids=pool_ids[pool_rows],
                 lengths=pool_lengths[pool_rows],
                 doc_ids=None if pool_docs is None else pool_docs[pool_rows],
@@ -686,7 +682,7 @@ def run_active_loop(
                 partitions=partitions,
                 pool_index=[ix.take(pool_rows) for ix in index],
                 val_index=val_index,
-                group_records=group_records,
+                group_records=history.group_record_history(len(partitions)),
                 mass_history=mass_history,
                 train_mass=train_mass,
                 da_mass=da_mass,
@@ -697,8 +693,7 @@ def run_active_loop(
                 fits_out={},
             )
             batch = strategy.select(ctx)
-            for sid in batch.sentence_ids:
-                add_to_train(sid)
+            add_to_train(batch.sentence_ids)
             if observer is not None and ctx.fits_out:
                 observer("fits", {"batch_index": batch_index, **ctx.fits_out})
             if observer is not None:

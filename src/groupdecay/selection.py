@@ -153,11 +153,13 @@ class _PoolScorer:
         # segment sum per sentence; every sentence touches at least one group
         return np.add.reduceat((before - after) * da[gids], indptr[:-1])
 
-    def scores(self) -> np.ndarray:
+    def scores(self, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """Scores of ``rows``; only their clamped factors count as faults."""
         state = self.state
-        total = np.ones(len(self.pool), dtype=np.float64)
+        lengths = self.lengths[rows]
+        total = np.ones(len(lengths), dtype=np.float64)
         for idx in range(len(state.partitions)):
-            factor = self.gains(idx) / self.lengths + state.epsilon
+            factor = self.gains(idx)[rows] / lengths + state.epsilon
             bad = factor <= 0.0
             if bad.any():
                 state.numeric_faults += int(bad.sum())
@@ -187,7 +189,7 @@ def select_batch(
         [s.id for s in scorer.pool],
         scorer.lengths,
         state.token_budget,
-        lambda rows: scorer.scores()[rows],
+        scorer.scores,
         document_ids(scorer.pool) if mode == "DOCUMENT" else None,
         scorer.take,
     )

@@ -514,3 +514,52 @@ def dict_fass_select(
             picked.append(cand_ids[row])
             tokens += int(lens[row])
     return Batch(tuple(picked), tokens)
+
+
+# -- burn-in before it went through take_units --------------------------------
+
+
+def walk_burn_in(sentences, mode, seed, targets):
+    """Burn-in's own walk over a seeded unit order: the selected ids at each
+    burn-in target, one tuple per target."""
+    remaining = dict(sorted((s.id, s) for s in sentences))
+    pool_row = {s.id: row for row, s in enumerate(sentences)}
+    pool_docs = np.asarray([s.doc_id for s in sentences]) if mode == "DOCUMENT" else None
+    train_tokens = 0
+
+    burn_rng = np.random.default_rng([seed, 11])
+    if pool_docs is not None:
+        docs: dict[int, list[int]] = {}
+        for sid in remaining:
+            docs.setdefault(int(pool_docs[pool_row[sid]]), []).append(sid)
+        doc_ids = sorted(docs)
+        burn_units = [
+            tuple(docs[doc_ids[int(i)]])
+            for i in burn_rng.permutation(len(doc_ids))
+        ]
+    else:
+        burn_units = [
+            (int(i),) for i in burn_rng.permutation(sorted(remaining))
+        ]
+    burn_order = [sid for unit in burn_units for sid in unit]
+    unit_at_flat: dict[int, tuple[int, ...]] = {}
+    flat = 0
+    for unit in burn_units:
+        unit_at_flat[flat] = unit
+        flat += len(unit)
+    burn_pointer = 0  # flat index; always sits on a unit boundary
+
+    batches = []
+    for target in targets:
+        selected: list[int] = []
+        while train_tokens < target and burn_pointer < len(burn_order):
+            unit = unit_at_flat[burn_pointer]
+            for sid in unit:
+                burn_pointer += 1
+                if sid in remaining:
+                    train_tokens += len(remaining.pop(sid))
+                    selected.append(sid)
+        if train_tokens < target:
+            raise RuntimeError("pool exhausted during burn-in")
+        batches.append(tuple(selected))
+    return batches

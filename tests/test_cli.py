@@ -7,6 +7,7 @@ import pytest
 
 from groupdecay.cli import main
 from groupdecay.corpus import parse_conll
+from groupdecay.loop import LoopConfig, burn_in_checkpoints
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -28,6 +29,55 @@ def synth_dir(tmp_path_factory):
     )
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def doc_synth_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("synth_docs") / "corpus"
+    code = run_cli(
+        "gen-synth",
+        "--output", out,
+        "--set", "train_tokens=6000",
+        "--set", "val_tokens=1500",
+        "--set", "test_tokens=1500",
+        "--set", "sentences_per_doc=4",
+        "--set", "seed=22",
+    )
+    assert code == 0
+    return out
+
+
+def _interrupt(run_dir, cut):
+    """Leave ``run_dir`` as a run stopped after ``cut`` checkpoints."""
+    lines = (run_dir / "history.jsonl").read_text().splitlines(keepends=True)
+    (run_dir / "history.jsonl").write_text("".join(lines[:cut]))
+    for f in (run_dir / "batches").glob("*.json"):
+        f.unlink()
+    for sub in ("snapshots", "refpred"):
+        for f in (run_dir / sub).glob("checkpoint_*"):
+            if int(f.name.split("_")[1].split(".")[0]) >= cut:
+                f.unlink()
+    (run_dir / "curves.csv").unlink()
+
+
+def _assert_resume_reproduces(tmp_path, config_for, cut):
+    """A run resumed after ``cut`` checkpoints writes the uninterrupted run's
+    history, batches and curves."""
+    full = tmp_path / "run_full"
+    cfg_full = tmp_path / "cfg_full.json"
+    cfg_full.write_text(json.dumps(config_for(full)))
+    assert run_cli("simulate", "--config", cfg_full) == 0
+
+    broken = tmp_path / "run_broken"
+    shutil.copytree(full, broken)
+    _interrupt(broken, cut)
+    cfg_broken = tmp_path / "cfg_broken.json"
+    cfg_broken.write_text(json.dumps(config_for(broken)))
+    assert run_cli("simulate", "--config", cfg_broken, "--resume") == 0
+    assert (broken / "history.jsonl").read_bytes() == (full / "history.jsonl").read_bytes()
+    for batch in sorted((full / "batches").glob("*.json")):
+        assert batch.read_bytes() == (broken / "batches" / batch.name).read_bytes()
+    assert (broken / "curves.csv").read_bytes() == (full / "curves.csv").read_bytes()
 
 
 def _sim_config(synth_dir, out_dir, strategy="edg", **loop_overrides):
@@ -145,26 +195,41 @@ class TestSimulate:
         assert (a / "history.jsonl").read_bytes() == (b / "history.jsonl").read_bytes()
 
     def test_resume_completes_interrupted_run(self, synth_dir, tmp_path):
-        full = tmp_path / "run_full"
-        cfg_full = tmp_path / "cfg_full.json"
-        cfg_full.write_text(json.dumps(_sim_config(synth_dir, full)))
-        assert run_cli("simulate", "--config", cfg_full) == 0
+        _assert_resume_reproduces(tmp_path, lambda out: _sim_config(synth_dir, out), 3)
 
-        broken = tmp_path / "run_broken"
-        shutil.copytree(full, broken)
-        lines = (broken / "history.jsonl").read_text().splitlines(keepends=True)
-        (broken / "history.jsonl").write_text("".join(lines[:3]))
-        for f in (broken / "batches").glob("*.json"):
-            f.unlink()
-        (broken / "curves.csv").unlink()
-        cfg_broken = tmp_path / "cfg_broken.json"
-        config = _sim_config(synth_dir, broken)
-        cfg_broken.write_text(json.dumps(config))
-        assert run_cli("simulate", "--config", cfg_broken, "--resume") == 0
-        assert (broken / "history.jsonl").read_bytes() == (full / "history.jsonl").read_bytes()
-        for batch in sorted((full / "batches").glob("*.json")):
-            assert batch.read_bytes() == (broken / "batches" / batch.name).read_bytes()
-        assert (broken / "curves.csv").read_bytes() == (full / "curves.csv").read_bytes()
+    def test_resume_inside_document_burn_in(self, doc_synth_dir, tmp_path):
+        def config_for(out):
+            config = _sim_config(doc_synth_dir, out)
+            config["mode"] = "DOCUMENT"
+            return config
+
+        _assert_resume_reproduces(tmp_path, config_for, 2)
+
+    def test_resume_at_burn_in_end_with_uncertainty_decay(self, synth_dir, tmp_path):
+        burn_in = len(burn_in_checkpoints(LoopConfig(**_sim_config(synth_dir, tmp_path)["loop"])))
+        _assert_resume_reproduces(
+            tmp_path, lambda out: _sim_config(synth_dir, out, strategy="us_edg_ext2"), burn_in
+        )
+
+    @pytest.mark.parametrize("edit", ["unknown", "twice", "taken"])
+    def test_resume_with_foreign_ids_is_data_error(self, synth_dir, tmp_path, edit, capsys):
+        out = tmp_path / "run_ids"
+        cfg = tmp_path / "cfg_ids.json"
+        cfg.write_text(json.dumps(_sim_config(synth_dir, out, strategy="rnd")))
+        assert run_cli("simulate", "--config", cfg) == 0
+        lines = (out / "history.jsonl").read_text().splitlines(keepends=True)
+        first_select = next(i for i, line in enumerate(lines) if '"select"' in line)
+        record = json.loads(lines[first_select])
+        ids = record["selected_ids"]
+        record["selected_ids"] = {
+            "unknown": ids + [10**9],
+            "twice": ids + ids[:1],
+            "taken": ids + json.loads(lines[0])["selected_ids"][:1],
+        }[edit]
+        (out / "history.jsonl").write_text("".join(lines[:first_select]) + json.dumps(record) + "\n")
+        capsys.readouterr()
+        assert run_cli("simulate", "--config", cfg, "--resume") == 3
+        assert "data error" in capsys.readouterr().err
 
     def test_resume_rejects_changed_config(self, synth_dir, tmp_path):
         out = tmp_path / "run_chg"
@@ -222,6 +287,25 @@ class TestSimulate:
         assert run_cli("simulate", "--config", cfg) == 2
         assert "embeddings" in capsys.readouterr().err
         assert not out.exists()  # refused before any checkpoint ran
+
+    @pytest.mark.parametrize(
+        "loop", [{"ensemble_k": 1}, {"history_batch_tokens": 0}], ids=["ensemble_k", "history"]
+    )
+    def test_bad_loop_option_is_config_error(self, synth_dir, tmp_path, loop, capsys):
+        out = tmp_path / "run_loop"
+        cfg = tmp_path / "cfg_loop.json"
+        cfg.write_text(json.dumps(_sim_config(synth_dir, out, strategy="bald", **loop)))
+        assert run_cli("simulate", "--config", cfg) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()  # refused before any checkpoint ran
+
+    def test_pool_smaller_than_burn_in_is_data_error(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "run_small"
+        cfg = tmp_path / "cfg_small.json"
+        cfg.write_text(json.dumps(_sim_config(synth_dir, out, selection_batch_tokens=5000)))
+        assert run_cli("simulate", "--config", cfg) == 3
+        assert "burn-in" in capsys.readouterr().err
+        assert not (out / "history.jsonl").exists()
 
     def test_bald_records_ensemble_size(self, synth_dir, tmp_path):
         out = tmp_path / "run_bald"
@@ -394,6 +478,7 @@ EXTERNAL_TAGGER = '''\
 import sys
 sys.path.insert(0, {src!r})
 from groupdecay.corpus import parse_conll
+from groupdecay.loop import LoopConfig, burn_in_checkpoints
 from groupdecay.simlab import ReferenceTagger, tagger_predict
 from groupdecay.strategies import write_records
 

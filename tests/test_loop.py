@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupdecay.corpus import Dataset, Sentence, Token
 from groupdecay.loop import (
@@ -10,7 +12,8 @@ from groupdecay.loop import (
 )
 from groupdecay.partition import build_identity_partition
 from groupdecay.simlab import SynthSpec, builtin_trainer, gen_synthetic, one_hot_embeddings
-from groupdecay.strategies import CapabilityError
+from groupdecay.strategies import CapabilityError, PredictionRecord
+from oracles import walk_burn_in
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +69,84 @@ class TestBurnInGrid:
             LoopConfig(total_batches=1, burn_in_batches=2)
         with pytest.raises(ValueError):
             LoopConfig(history_batch_tokens=2000, selection_batch_tokens=1000)
+        for bad in (0, -5, 2.5, None):
+            with pytest.raises(ValueError, match="history_batch_tokens"):
+                LoopConfig(history_batch_tokens=bad)
+        for bad in (1, 0, 2.0, True, None):
+            with pytest.raises(ValueError, match="ensemble_k"):
+                LoopConfig(ensemble_k=bad)
+
+
+class _AllOutside:
+    """A predictor that tags every token O."""
+
+    def predict(self, sentences, want_logprobs=False, ensemble_k=None):
+        return {
+            s.id: PredictionRecord(sentence_id=s.id, labels=("O",) * len(s))
+            for s in sentences
+        }
+
+
+def _untrainable(train):
+    raise AssertionError("no checkpoint may train")
+
+
+@st.composite
+def burn_in_pools(draw):
+    """Pools with unsorted ids and documents whose rows are not contiguous,
+    plus a burn-in schedule whose last target is at most the pool's size."""
+    per_doc = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    n = sum(per_doc)
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n, unique=True))
+    doc_values = draw(
+        st.lists(st.integers(0, 1_000), min_size=len(per_doc), max_size=len(per_doc), unique=True)
+    )
+    docs = draw(st.permutations([d for d, k in zip(doc_values, per_doc) for _ in range(k)]))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    sentences = tuple(
+        Sentence(id=i, tokens=(Token("w"),) * k, doc_id=d)
+        for i, d, k in zip(ids, docs, lengths)
+    )
+    burn_in = draw(st.integers(1, 3))
+    selection = draw(st.integers(1, max(1, sum(lengths) // burn_in)))
+    config = LoopConfig(
+        burn_in_batches=burn_in,
+        total_batches=burn_in,
+        selection_batch_tokens=selection,
+        history_batch_tokens=draw(st.integers(1, selection)),
+        min_history_points=draw(st.integers(1, 6)),
+        mode=draw(st.sampled_from(["SENTENCE", "DOCUMENT"])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return sentences, config
+
+
+class TestBurnIn:
+    @settings(max_examples=200, deadline=None)
+    @given(burn_in_pools())
+    def test_batches_match_the_walk(self, drawn):
+        sentences, cfg = drawn
+        pool = Dataset(sentences=sentences, label_inventory=frozenset(), role="pool")
+        val = Dataset(sentences=(Sentence(id=0, tokens=(Token("w"),)),),
+                      label_inventory=frozenset(), role="validation")
+        targets = burn_in_checkpoints(cfg)
+        if targets[-1] > pool.token_count:
+            with pytest.raises(ValueError, match="burn-in"):
+                run_active_loop(cfg, [], _untrainable, pool, val, strategy="rnd")
+            return
+        history = run_active_loop(
+            cfg, [], lambda train: _AllOutside(), pool, val, strategy="rnd"
+        )
+        expected = walk_burn_in(sentences, cfg.mode, cfg.seed, targets)
+        assert [c.selected_ids for c in history.checkpoints] == expected
+
+    def test_pool_smaller_than_burn_in_fails_before_training(self, lab):
+        spec, pool, val, test, partition, table = lab
+        cfg = _config(selection_batch_tokens=pool.token_count)
+        with pytest.raises(ValueError, match="burn-in"):
+            run_active_loop(
+                cfg, [partition], _untrainable, pool, val, strategy="rnd", table=table
+            )
 
 
 class TestRunLoop:

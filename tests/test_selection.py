@@ -153,6 +153,19 @@ class TestSelectBatch:
         assert batch.exhausted
         assert set(batch.sentence_ids) == {0, 1}
 
+    def test_numeric_faults_count_only_compared_candidates(self):
+        # a curve that rises with mass makes every factor non-positive; two
+        # picks compare 3 and then 2 remaining candidates
+        words = ["a", "b", "c"]
+        pool = [_sent(i, [w]) for i, w in enumerate(words)]
+        params = _params(3, a1=-1.0, b=np.ones(3), c=np.full(3, 0.5))
+        part, state = _identity_setup(words, pool, [_fit(params)], budget=2)
+        state.train_mass = [np.ones(part.n_groups)]
+        state.da_mass = [np.ones(part.n_groups)]
+        batch = select_batch(state, pool)
+        assert batch.sentence_ids == (0, 1)
+        assert state.numeric_faults == 5
+
     def test_incremental_mass_matches_recompute(self):
         rng = np.random.default_rng(1)
         words = [f"w{i}" for i in range(8)]
