@@ -68,7 +68,6 @@ from .strategies import (
     alternation_policy,
     fass_select,
     score_bald,
-    score_random,
     score_uncertainty_decay,
     score_us,
 )

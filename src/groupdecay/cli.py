@@ -24,6 +24,7 @@ from .corpus import (
     CorpusFormatError,
     Dataset,
     EmbeddingTable,
+    entity_type,
     load_embeddings,
     parse_conll,
     serialize_conll,
@@ -460,8 +461,9 @@ def cmd_simulate(args) -> int:
     predictor_cfg = config.get("predictor", {"type": "builtin"})
     has_table = "embeddings" in paths or bool(config.get("partitions", {}).get("one_hot"))
     check_capabilities(strategy_name, predictor_cfg, validation, has_table)
+    strategy = make_strategy(strategy_name)
     if (
-        strategy_name == "edg"
+        strategy.needs_val_labels
         and config.get("class_weights")
         and "O" not in config["class_weights"]
     ):
@@ -489,7 +491,7 @@ def cmd_simulate(args) -> int:
         "strategy": strategy_name,
         "version": __version__,
         "n_partitions": len(partitions),
-        "ensemble_k": loop_cfg.ensemble_k if strategy_name.startswith("bald") else None,
+        "ensemble_k": loop_cfg.ensemble_k if strategy.needs_ensemble else None,
         "epsilon": loop_cfg.epsilon,
     }
     manifest_path = run_dir / "manifest.json"
@@ -658,9 +660,7 @@ def cmd_score(args) -> int:
         weights = json.loads(Path(args.weights).read_text(encoding="utf-8"))
         present = {ph for ph in gold.label_inventory}
         for pred_tags in predictions.values():
-            for t in pred_tags:
-                if t != "O":
-                    present.add(t.split("-", 1)[1])
+            present.update(entity_type(t) for t in pred_tags if t != "O")
         missing = sorted(present - set(weights))
         if missing:
             raise ConfigError(f"missing weight for types: {missing}")

@@ -341,9 +341,6 @@ class DecayFit:
     objective_trace: list[float] = field(default_factory=list)
     start_objectives: list[float] = field(default_factory=list)
 
-    def predicted(self, n: np.ndarray, clamp: bool = False) -> np.ndarray:
-        return curve_values(self.params, n, clamp=clamp)
-
 
 def _spec_init(N: np.ndarray, Y: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Default start: 1/sqrt(n) regime with per-group floor/amplitude guesses.

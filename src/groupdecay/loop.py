@@ -17,11 +17,11 @@ from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, EmbeddingTable, Sentence, sentence_embedding
+from .corpus import Dataset, EmbeddingTable, sentence_embedding
 from .decay import DecayFit, FitConfig, _is_int, fit
 # group_error, group_mass and sentence_group_delta stay bound for bench/tracing.py
 from .partition import (  # noqa: F401
-    GroupErrorRecord, GroupIndex, Partition, aligned_labels, build_group_index,
+    GroupErrorRecord, Partition, aligned_labels, build_group_index,
     group_error, group_mass, mismatch_rates, sentence_group_delta,
 )
 from .scoring import micro_f1
@@ -85,13 +85,23 @@ class LoopConfig:
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
-        if self.burn_in_batches < 1:
-            raise ValueError("burn_in_batches must be >= 1")
-        if self.total_batches < self.burn_in_batches:
-            raise ValueError("total_batches must be >= burn_in_batches")
-        if not _is_int(self.history_batch_tokens) or self.history_batch_tokens < 1:
+        for name, low, optional in (
+            ("burn_in_batches", 1, False),
+            ("history_batch_tokens", 1, False),
+            ("selection_batch_tokens", 1, False),
+            ("history_start_tokens", 1, True),
+            ("min_history_points", 1, False),
+            ("uncertainty_lag_tokens", 0, True),
+            ("seed", 0, False),
+        ):
+            value = getattr(self, name)
+            if optional and value is None:
+                continue
+            if not _is_int(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not _is_int(self.total_batches) or self.total_batches < self.burn_in_batches:
             raise ValueError(
-                f"history_batch_tokens must be an integer >= 1, got {self.history_batch_tokens!r}"
+                f"total_batches must be an integer >= burn_in_batches, got {self.total_batches!r}"
             )
         if self.history_batch_tokens > self.selection_batch_tokens:
             raise ValueError("history batches must not exceed selection batches")
@@ -230,196 +240,64 @@ class RunHistory:
 # -- strategies --------------------------------------------------------------
 
 
-@dataclass
-class StrategyContext:
-    config: LoopConfig
-    batch_index: int
-    rng: np.random.Generator
-    pool: list[Sentence]           # the remaining pool, ascending id
-    ids: np.ndarray                # its rows of the run's pool arrays, also these three:
-    lengths: np.ndarray
-    doc_ids: np.ndarray | None     # DOCUMENT mode only
-    embeddings: np.ndarray | None  # strategies that need embeddings only
-    token_budget: int
-    partitions: list[Partition]
-    pool_index: list[GroupIndex]  # per partition, rows in the order of ``pool``
-    val_index: list[GroupIndex]   # per partition, rows in the order of ``reference``
-    group_records: list[list[GroupErrorRecord]]
-    mass_history: list[list[np.ndarray]]
-    train_mass: list[np.ndarray]
-    da_mass: list[np.ndarray]
-    epsilon: float
-    snapshots: list[UncertaintySnapshot]
-    reference: Dataset | None
-    reference_history: list[dict[int, tuple[str, ...]]]
-    fits_out: dict
-
-
+@dataclass(frozen=True)
 class Strategy:
-    name: str = ""
-    needs_logprobs = False
-    needs_ensemble = False
-    needs_val_labels = False
-    needs_snapshots = False           # pool uncertainty at selection checkpoints
-    needs_snapshot_history = False    # pool uncertainty at every checkpoint (decay lag)
-    needs_reference_predictions = False
-    needs_embeddings = False          # an embedding table for sentence vectors
+    """One sampling strategy, built from three independent choices.
 
-    def base_score(self, record: PredictionRecord) -> float:
-        raise NotImplementedError
+    ``score`` is the uncertainty the loop records on the remaining pool:
+    least confidence (``"us"``), ensemble disagreement (``"bald"``) or none.
+    With ``decay``, odd selection batches rank by that score's predicted
+    drop instead (ext2).  ``select`` builds the batch: the top-scoring
+    units (``"take"``, a seeded random score without ``score``), FASS
+    facility-location coverage (``"fass"``), or greedy error-decay
+    selection over curves fitted on validation errors (``"edg"``) or on
+    prediction differences (``"edg_ext1"``).
+    """
 
-    def scores_for_batch(self, ctx: StrategyContext) -> np.ndarray:
-        """One score per remaining pool row."""
-        raise NotImplementedError
+    name: str
+    score: str | None
+    decay: bool
+    select: str
 
-    def select(self, ctx: StrategyContext) -> Batch:
-        scores = self.scores_for_batch(ctx)
-        return take_units(ctx.ids, ctx.lengths, ctx.token_budget, scores.__getitem__, ctx.doc_ids)
+    @property
+    def needs_logprobs(self) -> bool:
+        return self.score == "us"
 
+    @property
+    def needs_ensemble(self) -> bool:
+        return self.score == "bald"
 
-class RandomStrategy(Strategy):
-    name = "rnd"
+    @property
+    def needs_val_labels(self) -> bool:
+        return self.select == "edg"
 
-    def scores_for_batch(self, ctx: StrategyContext) -> np.ndarray:
-        return ctx.rng.random(len(ctx.ids))
-
-
-class UncertaintyStrategy(Strategy):
-    """Argmax selection on an uncertainty score, optionally replaced by the
-    uncertainty-decay score on alternating batches."""
-
-    def __init__(self, base: str, use_decay: bool):
-        self.base = base
-        self.use_decay = use_decay
-        self.name = {"us": "us", "bald": "bald"}[base] + ("_edg_ext2" if use_decay else "")
-        self.needs_logprobs = base == "us"
-        self.needs_ensemble = base == "bald"
-        self.needs_snapshots = True
-        self.needs_snapshot_history = use_decay
-
-    def base_score(self, record: PredictionRecord) -> float:
-        return score_us(record) if self.base == "us" else score_bald(record)
-
-    def scores_for_batch(self, ctx: StrategyContext) -> np.ndarray:
-        current = ctx.snapshots[-1]
-        scores = current.scores
-        if self.use_decay and alternation_policy(ctx.batch_index) is AlternationChoice.DECAY_SCORE:
-            lagged = None
-            for snap in ctx.snapshots[:-1]:
-                if snap.checkpoint_tokens <= current.checkpoint_tokens - ctx.config.lag_tokens:
-                    lagged = snap
-            if lagged is None:
-                log.warning("no lagged uncertainty snapshot yet; using raw uncertainty")
-            else:
-                scores = score_uncertainty_decay(current, lagged)
-        return np.asarray([scores[sid] for sid in ctx.ids.tolist()], dtype=np.float64)
+    @property
+    def needs_embeddings(self) -> bool:
+        return self.select == "fass"
 
 
-class FassStrategy(UncertaintyStrategy):
-    """Uncertainty filter (or seeded random filter for pure diversification)
-    followed by greedy facility-location coverage."""
-
-    needs_embeddings = True
-
-    def __init__(self, base: str | None, use_decay: bool = False):
-        if base is None:
-            self.base = None
-            self.use_decay = False
-            self.name = "div"
-            self.needs_snapshots = False
-        else:
-            super().__init__(base, use_decay)
-            self.name = {"us": "us_div", "bald": "bald_div"}[base] + (
-                "_edg_ext2" if use_decay else ""
-            )
-
-    def select(self, ctx: StrategyContext) -> Batch:
-        return fass_select(
-            None if self.base is None else self.scores_for_batch(ctx),
-            ctx.ids,
-            ctx.embeddings,
-            ctx.lengths,
-            ctx.token_budget,
-            rng=ctx.rng,
-            doc_ids=ctx.doc_ids,
-        )
-
-
-class DecayCurveStrategy(Strategy):
-    """Fit decay curves on validation group errors, then greedily maximize
-    the predicted error reduction."""
-
-    name = "edg"
-    needs_val_labels = True
-
-    def _fits(self, ctx: StrategyContext) -> list[DecayFit]:
-        return [fit(records, config=ctx.config.fit) for records in ctx.group_records]
-
-    def select(self, ctx: StrategyContext) -> Batch:
-        fits = self._fits(ctx)
-        ctx.fits_out["fits"] = fits
-        state = SelectionState(
-            partitions=ctx.partitions,
-            fits=fits,
-            train_mass=[m.copy() for m in ctx.train_mass],
-            da_mass=ctx.da_mass,
-            token_budget=ctx.token_budget,
-            epsilon=ctx.epsilon,
-        )
-        return select_batch(state, ctx.pool, ctx.config.mode, ctx.pool_index)
-
-
-class PredictionDifferenceStrategy(DecayCurveStrategy):
-    """Decay-curve selection without validation labels: the error signal is
-    each past checkpoint's disagreement with the current predictions."""
-
-    name = "edg_ext1"
-    needs_val_labels = False
-    needs_reference_predictions = True
-
-    def _fits(self, ctx: StrategyContext) -> list[DecayFit]:
-        fits = []
-        for p, index in enumerate(ctx.val_index):
-            records = prediction_difference_records(
-                ctx.reference,
-                ctx.reference_history,
-                [masses[p] for masses in ctx.mass_history],
-                index,
-            )
-            fits.append(fit(records, config=ctx.config.fit))
-        return fits
-
-
-STRATEGY_NAMES = (
-    "rnd",
-    "div",
-    "us",
-    "us_div",
-    "bald",
-    "edg",
-    "edg_ext1",
-    "us_edg_ext2",
-    "us_div_edg_ext2",
-    "bald_edg_ext2",
-)
+_STRATEGIES = {
+    s.name: s
+    for s in (
+        Strategy("rnd", None, False, "take"),
+        Strategy("div", None, False, "fass"),
+        Strategy("us", "us", False, "take"),
+        Strategy("us_div", "us", False, "fass"),
+        Strategy("bald", "bald", False, "take"),
+        Strategy("edg", None, False, "edg"),
+        Strategy("edg_ext1", None, False, "edg_ext1"),
+        Strategy("us_edg_ext2", "us", True, "take"),
+        Strategy("us_div_edg_ext2", "us", True, "fass"),
+        Strategy("bald_edg_ext2", "bald", True, "take"),
+    )
+}
+STRATEGY_NAMES = tuple(_STRATEGIES)
 
 
 def make_strategy(name: str) -> Strategy:
-    table: dict[str, Callable[[], Strategy]] = {
-        "rnd": RandomStrategy,
-        "div": lambda: FassStrategy(None),
-        "us": lambda: UncertaintyStrategy("us", use_decay=False),
-        "us_div": lambda: FassStrategy("us"),
-        "bald": lambda: UncertaintyStrategy("bald", use_decay=False),
-        "edg": DecayCurveStrategy,
-        "edg_ext1": PredictionDifferenceStrategy,
-        "us_edg_ext2": lambda: UncertaintyStrategy("us", use_decay=True),
-        "us_div_edg_ext2": lambda: FassStrategy("us", use_decay=True),
-        "bald_edg_ext2": lambda: UncertaintyStrategy("bald", use_decay=True),
-    }
-    if name not in table:
+    if name not in _STRATEGIES:
         raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
-    return table[name]()
+    return _STRATEGIES[name]
 
 
 # -- the loop ----------------------------------------------------------------
@@ -454,7 +332,7 @@ def run_active_loop(
     before anything is trained.
     """
     if strategy is None:
-        strategy = DecayCurveStrategy()
+        strategy = _STRATEGIES["edg"]
     elif isinstance(strategy, str):
         strategy = make_strategy(strategy)
 
@@ -604,9 +482,7 @@ def run_active_loop(
             ).f1
 
         snapshot = None
-        if strategy.needs_snapshots and (
-            strategy.needs_snapshot_history or next_is_selection
-        ):
+        if strategy.score is not None and (strategy.decay or next_is_selection):
             pool_sents = [pool.sentences[r] for r in remaining_rows()]
             if pool_sents:
                 pool_records = predictor.predict(
@@ -614,17 +490,15 @@ def run_active_loop(
                     want_logprobs=strategy.needs_logprobs,
                     ensemble_k=config.ensemble_k if strategy.needs_ensemble else None,
                 )
+                score = score_us if strategy.score == "us" else score_bald
                 snapshot = UncertaintySnapshot(
                     checkpoint_tokens=train_tokens,
-                    scores={
-                        sid: strategy.base_score(rec)
-                        for sid, rec in pool_records.items()
-                    },
+                    scores={sid: score(rec) for sid, rec in pool_records.items()},
                 )
                 snapshots.append(snapshot)
 
         reference_labels = None
-        if strategy.needs_reference_predictions:
+        if strategy.select == "edg_ext1":
             reference_labels = val_labels
             reference_history.append(reference_labels)
 
@@ -654,6 +528,60 @@ def run_active_loop(
                 },
             )
 
+    def uncertainty(batch_index: int, rows: np.ndarray) -> np.ndarray:
+        """The last snapshot's scores of ``rows``; on the odd batches of a
+        decay strategy, the predicted drop since the lagged snapshot."""
+        current = snapshots[-1]
+        scores = current.scores
+        if strategy.decay and alternation_policy(batch_index) is AlternationChoice.DECAY_SCORE:
+            cutoff = current.checkpoint_tokens - config.lag_tokens
+            lagged = next(
+                (snap for snap in reversed(snapshots[:-1]) if snap.checkpoint_tokens <= cutoff),
+                None,
+            )
+            if lagged is None:
+                log.warning("no lagged uncertainty snapshot yet; using raw uncertainty")
+            else:
+                scores = score_uncertainty_decay(current, lagged)
+        return np.asarray([scores[sid] for sid in pool_ids[rows].tolist()], dtype=np.float64)
+
+    def select(batch_index: int, rows: np.ndarray) -> tuple[Batch, list[DecayFit] | None]:
+        """The batch taken from the remaining ``rows`` (ascending id), and the
+        decay fits it was chosen by, if any."""
+        budget = config.selection_batch_tokens
+        if strategy.select in ("edg", "edg_ext1"):
+            if strategy.select == "edg":
+                records = history.group_record_history(len(partitions))
+            else:
+                records = [
+                    prediction_difference_records(
+                        validation, reference_history, [m[p] for m in mass_history], ix
+                    )
+                    for p, ix in enumerate(val_index)
+                ]
+            fits = [fit(r, config=config.fit) for r in records]
+            state = SelectionState(
+                partitions=partitions,
+                fits=fits,
+                train_mass=[m.copy() for m in train_mass],
+                da_mass=da_mass,
+                token_budget=budget,
+                epsilon=epsilon,
+            )
+            pool_sents = [pool.sentences[r] for r in rows]
+            batch = select_batch(state, pool_sents, config.mode, [ix.take(rows) for ix in index])
+            return batch, fits
+        ids, lengths = pool_ids[rows], pool_lengths[rows]
+        docs = None if pool_docs is None else pool_docs[rows]
+        rng = np.random.default_rng([config.seed, 13, batch_index])
+        scores = None if strategy.score is None else uncertainty(batch_index, rows)
+        if strategy.select == "fass":
+            embeddings = pool_embeddings[rows]
+            return fass_select(scores, ids, embeddings, lengths, budget, rng=rng, doc_ids=docs), None
+        if scores is None:
+            scores = rng.random(len(rows))
+        return take_units(ids, lengths, budget, scores.__getitem__, docs), None
+
     for step_idx in range(done, len(plan)):
         phase, arg = plan[step_idx]
         if phase == "burnin":
@@ -665,37 +593,14 @@ def run_active_loop(
             checkpoint(step_idx, "burnin", None, batch.sentence_ids, False, next_is_selection)
         else:
             batch_index = arg
-            pool_rows = remaining_rows()
-            if not len(pool_rows):
+            rows = remaining_rows()
+            if not len(rows):
                 log.warning("pool exhausted; stopping before batch %d", batch_index)
                 break
-            ctx = StrategyContext(
-                config=config,
-                batch_index=batch_index,
-                rng=np.random.default_rng([config.seed, 13, batch_index]),
-                pool=[pool.sentences[r] for r in pool_rows],
-                ids=pool_ids[pool_rows],
-                lengths=pool_lengths[pool_rows],
-                doc_ids=None if pool_docs is None else pool_docs[pool_rows],
-                embeddings=None if pool_embeddings is None else pool_embeddings[pool_rows],
-                token_budget=config.selection_batch_tokens,
-                partitions=partitions,
-                pool_index=[ix.take(pool_rows) for ix in index],
-                val_index=val_index,
-                group_records=history.group_record_history(len(partitions)),
-                mass_history=mass_history,
-                train_mass=train_mass,
-                da_mass=da_mass,
-                epsilon=epsilon,
-                snapshots=snapshots,
-                reference=validation,
-                reference_history=reference_history,
-                fits_out={},
-            )
-            batch = strategy.select(ctx)
+            batch, fits = select(batch_index, rows)
             add_to_train(batch.sentence_ids)
-            if observer is not None and ctx.fits_out:
-                observer("fits", {"batch_index": batch_index, **ctx.fits_out})
+            if observer is not None and fits is not None:
+                observer("fits", {"batch_index": batch_index, "fits": fits})
             if observer is not None:
                 observer("batch", {"batch_index": batch_index, "batch": batch})
             checkpoint(

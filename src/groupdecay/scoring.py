@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .corpus import Dataset
+from .corpus import _BIO_RE, Dataset
 from .decay import DecayFit, curve_values
 from .partition import Partition, aligned_labels
 
@@ -18,8 +17,6 @@ __all__ = [
     "export_decay_curves",
     "CURVE_EXPORT_COLUMNS",
 ]
-
-_TAG_RE = re.compile(r"^(O|[BI]-.+)$")
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,7 @@ def decode_phrases(tags: Sequence[str], sentence_id: int = 0) -> list[Phrase]:
         start, current = None, None
 
     for i, tag in enumerate(tags):
-        if not _TAG_RE.match(tag):
+        if not _BIO_RE.match(tag):
             raise ValueError(f"unknown tag {tag!r} at position {i}")
         if tag == "O":
             close(i - 1)
@@ -145,7 +142,6 @@ CURVE_EXPORT_COLUMNS = (
 def export_decay_curves(
     fits: Sequence[DecayFit],
     partitions: Sequence[Partition] | None = None,
-    partition_names: Sequence[str] | None = None,
 ) -> str:
     """Tabular CSV of empirical vs predicted per-group error at every
     recorded checkpoint; the data behind decay-curve plots.
@@ -155,7 +151,6 @@ def export_decay_curves(
     """
     rows = [CURVE_EXPORT_COLUMNS]
     for idx, f in enumerate(fits):
-        name = partition_names[idx] if partition_names else f"p{idx}"
         exemplars: dict[int, str] = {}
         if partitions is not None:
             for g in partitions[idx].groups:
@@ -165,7 +160,7 @@ def export_decay_curves(
             for j in range(len(rec.train_mass)):
                 ex = exemplars.get(j, "").replace('"', "'")
                 rows.append(
-                    f'{name},{j},{rec.checkpoint_index},{float(rec.train_mass[j])!r},'
+                    f'p{idx},{j},{rec.checkpoint_index},{float(rec.train_mass[j])!r},'
                     f'{float(rec.val_error[j])!r},{float(pred[j])!r},"{ex}"'
                 )
     return "\n".join(rows) + "\n"

@@ -19,9 +19,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, Sentence, Token
+from .corpus import Dataset, EmbeddingTable, Sentence, Token, entity_type
 from .strategies import PredictionRecord
-from .corpus import EmbeddingTable
 
 __all__ = [
     "SynthSpec",
@@ -406,9 +405,7 @@ def _with_labels(dataset: Dataset, label_lists: Sequence[Sequence[str]]) -> Data
         tokens = tuple(
             Token(surface=t.surface, gold_label=l) for t, l in zip(s.tokens, labels)
         )
-        for l in labels:
-            if l != "O":
-                types.add(l.split("-", 1)[1])
+        types.update(entity_type(l) for l in labels if l != "O")
         sentences.append(Sentence(id=s.id, tokens=tokens, doc_id=s.doc_id))
     return Dataset(
         sentences=tuple(sentences),

@@ -28,7 +28,6 @@ __all__ = [
     "AlternationChoice",
     "score_us",
     "score_bald",
-    "score_random",
     "score_uncertainty_decay",
     "alternation_policy",
     "fass_select",
@@ -137,13 +136,6 @@ def score_bald(record: PredictionRecord) -> float:
         mode = min(t for t, n in counts.items() if n == top)
         total += (K - counts[mode]) / K
     return total / len(record.labels)
-
-
-def score_random(sentence_ids: Sequence[int], seed: int) -> dict[int, float]:
-    """Seeded uniform scores; argmax-selection then draws uniformly."""
-    rng = np.random.default_rng(seed)
-    draws = rng.random(len(sentence_ids))
-    return {sid: float(u) for sid, u in zip(sentence_ids, draws)}
 
 
 @dataclass

@@ -289,7 +289,22 @@ class TestSimulate:
         assert not out.exists()  # refused before any checkpoint ran
 
     @pytest.mark.parametrize(
-        "loop", [{"ensemble_k": 1}, {"history_batch_tokens": 0}], ids=["ensemble_k", "history"]
+        "loop",
+        [
+            {"ensemble_k": 1},
+            {"history_batch_tokens": 0},
+            {"selection_batch_tokens": 1000.5},
+            {"total_batches": 6.5},
+            {"burn_in_batches": 2.5},
+            {"history_start_tokens": 100.5},
+            {"min_history_points": 2.5},
+            {"uncertainty_lag_tokens": 0.5},
+            {"seed": 1.5},
+        ],
+        ids=[
+            "ensemble_k", "history", "selection", "total", "burn_in", "start", "points",
+            "lag", "seed",
+        ],
     )
     def test_bad_loop_option_is_config_error(self, synth_dir, tmp_path, loop, capsys):
         out = tmp_path / "run_loop"

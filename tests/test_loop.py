@@ -1,9 +1,13 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupdecay import loop
 from groupdecay.corpus import Dataset, Sentence, Token
 from groupdecay.loop import (
+    STRATEGY_NAMES,
     LoopConfig,
     RunHistory,
     burn_in_checkpoints,
@@ -25,6 +29,14 @@ def lab():
     partition = build_identity_partition(list(pool.sentences) + list(val.sentences))
     table = one_hot_embeddings(spec)
     return spec, pool, val, test, partition, table
+
+
+@pytest.fixture(scope="module")
+def doc_lab(lab):
+    """A pool of three-sentence documents with its identity partition."""
+    spec, pool, val, test, partition, table = lab
+    doc_pool = gen_synthetic(spec, 8000, role="pool", stream=5, sentences_per_doc=3)
+    return doc_pool, build_identity_partition(list(doc_pool.sentences) + list(val.sentences))
 
 
 def _config(**kw):
@@ -75,6 +87,23 @@ class TestBurnInGrid:
         for bad in (1, 0, 2.0, True, None):
             with pytest.raises(ValueError, match="ensemble_k"):
                 LoopConfig(ensemble_k=bad)
+        for name, bads in (
+            ("burn_in_batches", (2.5, 0, True, None)),
+            ("selection_batch_tokens", (1000.5, 0, None)),
+            ("history_start_tokens", (100.5, 0)),
+            ("min_history_points", (2.5, 0, None)),
+            ("uncertainty_lag_tokens", (0.5, -1)),
+            ("seed", (1.5, -1, None)),
+        ):
+            for bad in bads:
+                with pytest.raises(ValueError, match=name):
+                    LoopConfig(**{name: bad})
+        for bad in (6.5, 2, None):
+            with pytest.raises(ValueError, match="total_batches"):
+                LoopConfig(total_batches=bad)
+        for name in ("history_start_tokens", "uncertainty_lag_tokens"):
+            assert getattr(LoopConfig(**{name: None}), name) is None
+        assert LoopConfig(uncertainty_lag_tokens=0).lag_tokens == 0
 
 
 class _AllOutside:
@@ -256,12 +285,9 @@ class TestRunLoop:
         assert [c.phase for c in history.checkpoints].count("select") == 2
 
     @pytest.mark.parametrize("strategy", ["edg", "rnd", "us", "div"])
-    def test_document_mode_selects_whole_documents(self, lab, strategy):
+    def test_document_mode_selects_whole_documents(self, lab, doc_lab, strategy):
         spec, pool, val, test, partition, table = lab
-        doc_pool = gen_synthetic(spec, 8000, role="pool", stream=5, sentences_per_doc=3)
-        doc_partition = build_identity_partition(
-            list(doc_pool.sentences) + list(val.sentences)
-        )
+        doc_pool, doc_partition = doc_lab
         cfg = _config(mode="DOCUMENT")
         history = run_active_loop(
             cfg, [doc_partition], builtin_trainer(), doc_pool, val,
@@ -295,3 +321,80 @@ class TestRunLoop:
             assert make_strategy(name).name == name
         with pytest.raises(ValueError):
             make_strategy("nope")
+
+
+# sha256 of ``history.to_jsonl()`` for every strategy in both modes, recorded
+# with numpy 2.4.6.  The FASS filter keeps the whole 8k-token pool, so div,
+# us_div and us_div_edg_ext2 share a digest.
+RECORDED_HISTORIES = {
+    ("rnd", "SENTENCE"): "ba547554f4744e940c8e09fd68d4d0c4a47fb2565f7d1529f1b0437fab397926",
+    ("div", "SENTENCE"): "c1a0259ada7a3f86502f0063a97a61476a7959dfe186b604943c603d3716c89e",
+    ("us", "SENTENCE"): "95543690c61813c9b2c7bc71c85da22b9c5953d695761050a586ef428a29e6f7",
+    ("us_div", "SENTENCE"): "c1a0259ada7a3f86502f0063a97a61476a7959dfe186b604943c603d3716c89e",
+    ("bald", "SENTENCE"): "e658931a069480b8728dcbe015df54556d405d07b9b73ab1cca91e292243535f",
+    ("edg", "SENTENCE"): "7d8eeb0deece738462bd1dfb1df05b9178e913498e09c42fe6874cc83abb8f9b",
+    ("edg_ext1", "SENTENCE"): "78e9be20a121033603ff598e9a2543fb115571bc8e50ce1ad6b4bdca8e8762e4",
+    ("us_edg_ext2", "SENTENCE"): "4610b50bb04cd8360b6120f231d815338ecc89f8c3be2da98e82b37a549cc961",
+    ("us_div_edg_ext2", "SENTENCE"): "c1a0259ada7a3f86502f0063a97a61476a7959dfe186b604943c603d3716c89e",
+    ("bald_edg_ext2", "SENTENCE"): "a96a24e2b10c0f38b9032da92c329a7637de6dd6aad7fdbd1a009f69191c6863",
+    ("rnd", "DOCUMENT"): "48fe54a91664655c0a6a2253f3356341665f9101867e46ab1416d047994a8c1c",
+    ("div", "DOCUMENT"): "16e180890fe060155b9de7ce93c27be987c087af791aae35399a07cd549723ba",
+    ("us", "DOCUMENT"): "b40b294cbf1a3202257603bbeca0dd85fc565d64b7278f3f94d3acebc1adb802",
+    ("us_div", "DOCUMENT"): "16e180890fe060155b9de7ce93c27be987c087af791aae35399a07cd549723ba",
+    ("bald", "DOCUMENT"): "43ba8196cea4f6277848725492a7761c602cb129868118c2e5d7994dd1a7b66c",
+    ("edg", "DOCUMENT"): "e84f25204e0d09acbb900727fbcf56389b8fa644c63bf73000444943460055af",
+    ("edg_ext1", "DOCUMENT"): "df756d7bdec2e2f9d6540a1ca25c0deb08863e245b7d4c31dd3c0f1ad2d7487f",
+    ("us_edg_ext2", "DOCUMENT"): "3a17e1fbe141df1c3662863d2efdf3003cdf5093c0f765c14f739741bd0d8ccd",
+    ("us_div_edg_ext2", "DOCUMENT"): "16e180890fe060155b9de7ce93c27be987c087af791aae35399a07cd549723ba",
+    ("bald_edg_ext2", "DOCUMENT"): "04267710e197e4b3723ed507a335180bff267ea771f2553843690e85c364c0c0",
+}
+
+
+@pytest.mark.parametrize("mode", ["SENTENCE", "DOCUMENT"])
+@pytest.mark.parametrize("name", STRATEGY_NAMES)
+def test_every_strategy_reproduces_its_recorded_history(lab, doc_lab, name, mode):
+    """Each strategy's five-batch run reproduces its recorded history byte
+    for byte (digests recorded with numpy 2.4.6).  A 500-token lag lets the
+    ext2 strategies rank their odd batches by the uncertainty drop."""
+    spec, pool, val, test, partition, table = lab
+    if mode == "DOCUMENT":
+        pool, partition = doc_lab
+    cfg = _config(total_batches=5, uncertainty_lag_tokens=500, mode=mode)
+    history = run_active_loop(
+        cfg, [partition], builtin_trainer(), pool, val, strategy=name, table=table
+    )
+    digest = hashlib.sha256(history.to_jsonl().encode()).hexdigest()
+    assert digest == RECORDED_HISTORIES[name, mode]
+
+
+def test_traced_names_are_called_through_the_loop_module(lab, monkeypatch):
+    """The benchmark's tracer times these layers by replacing the names on
+    ``groupdecay.loop``; a strategy that bound one of them early would
+    bypass the replacement and read 0."""
+    spec, pool, val, test, partition, table = lab
+    traced = (
+        "fit", "select_batch", "fass_select", "score_us", "score_bald",
+        "score_uncertainty_decay", "micro_f1",
+    )
+    calls = dict.fromkeys(traced, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in traced:
+        monkeypatch.setattr(loop, name, counting(name, getattr(loop, name)))
+    for strategy, cfg in (
+        ("edg", _config()),
+        ("div", _config()),
+        ("us_edg_ext2", _config(total_batches=5, uncertainty_lag_tokens=500)),
+        ("bald", _config()),
+    ):
+        run_active_loop(
+            cfg, [partition], builtin_trainer(), pool, val, strategy=strategy, table=table
+        )
+    assert all(calls.values()), calls
+    for name in ("group_error", "group_mass", "sentence_group_delta"):
+        assert callable(getattr(loop, name))

@@ -25,7 +25,6 @@ from groupdecay.strategies import (
     prediction_difference_records,
     read_records,
     score_bald,
-    score_random,
     score_uncertainty_decay,
     score_us,
     write_records,
@@ -257,28 +256,6 @@ class TestFassSelect:
         with pytest.raises(ValueError):
             fass_select(np.zeros(0), np.arange(0), np.zeros((0, 2)), np.arange(0),
                         token_budget=1)
-
-
-class TestScoreRandom:
-    def test_same_seed_same_ordering(self):
-        ids = list(range(100))
-        assert score_random(ids, 5) == score_random(ids, 5)
-
-    def test_argmax_frequency_uniform(self):
-        # chi-square against uniform over 10 sentences, 10000 draws
-        ids = list(range(10))
-        counts = np.zeros(10)
-        for seed in range(10_000):
-            scores = score_random(ids, seed)
-            counts[max(ids, key=lambda i: scores[i])] += 1
-        expected = 1000.0
-        chi2 = float(((counts - expected) ** 2 / expected).sum())
-        # 9 dof: mean 9, sd sqrt(18); 3 sigma above the mean
-        assert chi2 < 9 + 3 * math.sqrt(18)
-
-    def test_singleton(self):
-        scores = score_random([42], 0)
-        assert list(scores) == [42]
 
 
 def _sent(i, words, labels=None):
