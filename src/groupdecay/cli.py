@@ -24,7 +24,6 @@ from .corpus import (
     CorpusFormatError,
     Dataset,
     EmbeddingTable,
-    entity_type,
     load_embeddings,
     parse_conll,
     serialize_conll,
@@ -49,7 +48,7 @@ from .partition import (
     load_partition,
     save_partition,
 )
-from .scoring import export_decay_curves, micro_f1
+from .scoring import export_decay_curves, gold_phrases, micro_f1
 from .selection import SelectionState, select_batch
 from .simlab import SynthSpec, builtin_trainer, gen_synthetic, one_hot_embeddings
 from .strategies import (
@@ -653,18 +652,17 @@ def _load_predictions(path: str, fmt: str) -> dict[int, tuple[str, ...]]:
 
 
 def cmd_score(args) -> int:
-    gold = _read_dataset(args.gold, "gold")
+    gold = gold_phrases(_read_dataset(args.gold, "gold"))
     predictions = _load_predictions(args.predictions, args.pred_format)
+    # scoring first checks every tag, so a bad one is a data error even
+    # when the weights are checked against the types it found
+    report = micro_f1(gold, predictions)
     weights = None
     if args.weights:
         weights = json.loads(Path(args.weights).read_text(encoding="utf-8"))
-        present = {ph for ph in gold.label_inventory}
-        for pred_tags in predictions.values():
-            present.update(entity_type(t) for t in pred_tags if t != "O")
-        missing = sorted(present - set(weights))
+        missing = sorted(set(report.per_type) - set(weights))
         if missing:
             raise ConfigError(f"missing weight for types: {missing}")
-    report = micro_f1(gold, predictions)
     sys.stdout.write(report.format())
     if weights is not None:
         weighted = micro_f1(gold, predictions, weights)

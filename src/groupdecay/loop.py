@@ -24,7 +24,8 @@ from .partition import (  # noqa: F401
     GroupErrorRecord, Partition, aligned_labels, build_group_index,
     group_error, group_mass, mismatch_rates, sentence_group_delta,
 )
-from .scoring import micro_f1
+# micro_f1 is called through this module's global for bench/tracing.py
+from .scoring import gold_phrases, micro_f1
 from .selection import (
     Batch, SelectionState, default_epsilon, document_ids, select_batch, take_units,
 )
@@ -443,6 +444,11 @@ def run_active_loop(
 
     val_sentences = list(validation.sentences)
     val_gold = [s.labels for s in val_sentences]
+    # gold phrases decoded once per run; an unlabelled dataset gets no F1
+    val_phrases = gold_phrases(validation) if have_val_labels else None
+    test_phrases, pseudo_phrases = (
+        gold_phrases(d) if d is not None and d.has_labels else None for d in (test, pseudo_test)
+    )
 
     def checkpoint(step_idx: int, phase: str, batch_index: int | None,
                    selected: tuple[int, ...], exhausted: bool,
@@ -459,9 +465,9 @@ def run_active_loop(
         val_f1 = test_f1 = pseudo_f1 = weighted = None
         recs = None
         if have_val_labels:
-            val_f1 = micro_f1(validation, val_labels).f1
+            val_f1 = micro_f1(val_phrases, val_labels).f1
             if config.class_weights:
-                weighted = micro_f1(validation, val_labels, config.class_weights).f1
+                weighted = micro_f1(val_phrases, val_labels, config.class_weights).f1
             val_tags = aligned_labels(val_labels, val_sentences)
             recs = []
             for pi, ix in enumerate(val_index):
@@ -474,11 +480,11 @@ def run_active_loop(
                         val_mass=ge.mass,
                     )
                 )
-        if test is not None and test.has_labels:
-            test_f1 = micro_f1(test, _labels_map(predictor.predict(test.sentences))).f1
-        if pseudo_test is not None and pseudo_test.has_labels:
+        if test_phrases is not None:
+            test_f1 = micro_f1(test_phrases, _labels_map(predictor.predict(test.sentences))).f1
+        if pseudo_phrases is not None:
             pseudo_f1 = micro_f1(
-                pseudo_test, _labels_map(predictor.predict(pseudo_test.sentences))
+                pseudo_phrases, _labels_map(predictor.predict(pseudo_test.sentences))
             ).f1
 
         snapshot = None

@@ -114,7 +114,11 @@ def edg_score(state: SelectionState, sentence: Sentence) -> float:
 
 
 class _PoolScorer:
-    """Vectorized per-step scoring of all remaining pool sentences."""
+    """Vectorized per-step scoring of all remaining pool sentences.
+
+    The training masses must change only through :meth:`take`, which tells
+    the cached gain terms which groups to recompute.
+    """
 
     def __init__(
         self,
@@ -130,12 +134,56 @@ class _PoolScorer:
         self.index = [ix.take(order) for ix in index]
         self.lengths = np.asarray([len(s) for s in self.pool], dtype=np.float64)
         self.hard = [None if ix.soft else ix.deltas() for ix in self.index]
+        # Hard partitions keep every (sentence, group) pair's gain term, and
+        # each group's pairs in a stable order: a take changes the masses of
+        # the groups its row touches only, so only their pairs are recomputed,
+        # once before the next scoring (a document is taken row by row).
+        self.terms = [
+            None if h is None else self._terms(p, slice(None)) for p, h in enumerate(self.hard)
+        ]
+        self.group_pairs = [
+            None if h is None else _pairs_by_group(h[1], ix.n_groups)
+            for h, ix in zip(self.hard, self.index)
+        ]
+        self.stale = [
+            None if h is None else np.zeros(ix.n_groups, dtype=bool)
+            for h, ix in zip(self.hard, self.index)
+        ]
+
+    def _terms(self, partition_index: int, pairs) -> np.ndarray:
+        """Gain terms ``(c(m[g]) - c(m[g] + v)) * da[g]`` of the CSR ``pairs``."""
+        state = self.state
+        params = state.fits[partition_index].params
+        m = state.train_mass[partition_index]
+        _, gids, vals = self.hard[partition_index]
+        gids, vals = gids[pairs], vals[pairs]
+        before = curve_values(params, m[gids], groups=gids)
+        after = curve_values(params, m[gids] + vals, groups=gids)
+        return (before - after) * state.da_mass[partition_index][gids]
 
     def take(self, row: int) -> None:
         """Add the sentence at ``row`` to the training masses."""
-        for ix, masses in zip(self.index, self.state.train_mass):
+        for p, (ix, masses) in enumerate(zip(self.index, self.state.train_mass)):
             gids, vals = ix.delta(row)
             masses[gids] += vals
+            if self.stale[p] is not None:
+                self.stale[p][gids] = True
+
+    def _refresh(self, partition_index: int) -> None:
+        """Recompute the terms of the groups taken since the last refresh;
+        all of them, without the gather, when those groups hold most pairs."""
+        stale = self.stale[partition_index]
+        groups = np.flatnonzero(stale)
+        if not len(groups):
+            return
+        order, bounds = self.group_pairs[partition_index]
+        starts, stops = bounds[groups], bounds[groups + 1]
+        if 2 * (stops - starts).sum() > len(order):
+            self.terms[partition_index] = self._terms(partition_index, slice(None))
+        else:
+            pairs = order[_ranges(starts, stops)]
+            self.terms[partition_index][pairs] = self._terms(partition_index, pairs)
+        stale[groups] = False
 
     def gains(self, partition_index: int) -> np.ndarray:
         state = self.state
@@ -147,11 +195,10 @@ class _PoolScorer:
             before = curve_values(params, m)[None, :]
             after = curve_values(params, m[None, :] + P * self.lengths[:, None])
             return ((before - after) * da[None, :]).sum(axis=1)
-        indptr, gids, vals = self.hard[partition_index]
-        before = curve_values(params, m[gids], groups=gids)
-        after = curve_values(params, m[gids] + vals, groups=gids)
+        self._refresh(partition_index)
+        indptr = self.hard[partition_index][0]
         # segment sum per sentence; every sentence touches at least one group
-        return np.add.reduceat((before - after) * da[gids], indptr[:-1])
+        return np.add.reduceat(self.terms[partition_index], indptr[:-1])
 
     def scores(self, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
         """Scores of ``rows``; only their clamped factors count as faults."""
@@ -167,6 +214,19 @@ class _PoolScorer:
                 factor[bad] = SCORE_FLOOR
             total *= factor
         return total ** (1.0 / len(state.partitions))
+
+
+def _pairs_by_group(gids: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair positions sorted by group (stably), and each group's bounds in them."""
+    order = np.argsort(gids, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(gids, minlength=n_groups))))
+    return order, bounds
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The concatenated ranges ``starts[k]:stops[k]``."""
+    sizes = stops - starts
+    return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
 
 
 def select_batch(

@@ -5,13 +5,14 @@ they can serve as oracles.
 """
 
 import math
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from groupdecay.corpus import Dataset, Sentence, Token, entity_type, shape_class
-from groupdecay.partition import N_SHAPES, PartitionKind
-from groupdecay.scoring import Phrase
+from groupdecay.corpus import _BIO_RE, Dataset, Sentence, Token, entity_type, shape_class
+from groupdecay.decay import curve_values
+from groupdecay.partition import N_SHAPES, PartitionKind, aligned_labels
+from groupdecay.scoring import Phrase, ScoreReport
 from groupdecay.selection import Batch
 from groupdecay.strategies import PredictionRecord
 
@@ -47,6 +48,79 @@ def brute_force_match_counts(gold_tags_by_sentence, pred_tags_by_sentence):
         for p in brute_force_phrases(tags, i)
     }
     return len(gold), len(pred), len(gold & pred)
+
+
+# -- phrase F1 one tag at a time ----------------------------------------------
+#
+# The decoder and scorer as they ran before gold phrases were decoded once per
+# run: one regex match and one ``Phrase`` per tag, and the gold phrases decoded
+# again at every call.  The library must reproduce them exactly, weighted
+# totals bit for bit.
+
+
+def per_tag_decode_phrases(tags: Sequence[str], sentence_id: int = 0) -> list[Phrase]:
+    phrases: list[Phrase] = []
+    start: int | None = None
+    current: str | None = None
+
+    def close(last_index: int):
+        nonlocal start, current
+        if current is not None:
+            phrases.append(Phrase(sentence_id, start, last_index, current))
+        start, current = None, None
+
+    for i, tag in enumerate(tags):
+        if not _BIO_RE.match(tag):
+            raise ValueError(f"unknown tag {tag!r} at position {i}")
+        if tag == "O":
+            close(i - 1)
+            continue
+        prefix, etype = tag.split("-", 1)
+        if prefix == "B" or current != etype:
+            close(i - 1)
+            start, current = i, etype
+    close(len(tags) - 1)
+    return phrases
+
+
+def per_tag_micro_f1(gold, predictions, weights=None) -> ScoreReport:
+    n_gold = 0.0
+    n_pred = 0.0
+    n_match = 0.0
+    per_type: dict[str, list[int]] = {}
+
+    for s, pred_tags in zip(gold.sentences, aligned_labels(predictions, gold.sentences)):
+        gold_phrases = per_tag_decode_phrases([t.gold_label for t in s.tokens], s.id)
+        pred_phrases = per_tag_decode_phrases(list(pred_tags), s.id)
+        gold_set = set(gold_phrases)
+        matched = [ph for ph in pred_phrases if ph in gold_set]
+        for ph in gold_phrases:
+            per_type.setdefault(ph.type, [0, 0, 0])[0] += 1
+        for ph in pred_phrases:
+            per_type.setdefault(ph.type, [0, 0, 0])[1] += 1
+        for ph in matched:
+            per_type.setdefault(ph.type, [0, 0, 0])[2] += 1
+
+        def wt(ph: Phrase) -> float:
+            return 1.0 if weights is None else float(weights[ph.type])
+
+        n_gold += sum(wt(ph) for ph in gold_phrases)
+        n_pred += sum(wt(ph) for ph in pred_phrases)
+        n_match += sum(wt(ph) for ph in matched)
+
+    precision = n_match / n_pred if n_pred > 0 else 0.0
+    recall = n_match / n_gold if n_gold > 0 else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return ScoreReport(
+        precision=precision,
+        recall=recall,
+        f1=f1,
+        n_gold=n_gold,
+        n_predicted=n_pred,
+        n_matched=n_match,
+        per_type={t: tuple(v) for t, v in sorted(per_type.items())},
+        weights=dict(weights) if weights is not None else None,
+    )
 
 
 # -- per-sentence group contributions ---------------------------------------
@@ -317,6 +391,28 @@ def per_mask_solve_a(phi, Y, W, b, c, current):
         if obj < best_obj:
             best_obj, best = obj, a
     return best
+
+
+# -- eager EDG gains -----------------------------------------------------------
+#
+# ``_PoolScorer.gains`` as it ran before the per-pair gain terms were cached:
+# the curve evaluated twice at every (sentence, group) pair at every pick.
+
+
+def eager_gains(scorer, partition_index):
+    state = scorer.state
+    params = state.fits[partition_index].params
+    m = state.train_mass[partition_index]
+    da = state.da_mass[partition_index]
+    if scorer.hard[partition_index] is None:
+        P = scorer.index[partition_index].membership
+        before = curve_values(params, m)[None, :]
+        after = curve_values(params, m[None, :] + P * scorer.lengths[:, None])
+        return ((before - after) * da[None, :]).sum(axis=1)
+    indptr, gids, vals = scorer.hard[partition_index]
+    before = curve_values(params, m[gids], groups=gids)
+    after = curve_values(params, m[gids] + vals, groups=gids)
+    return np.add.reduceat((before - after) * da[gids], indptr[:-1])
 
 
 # -- batch assembly before the one unit-taking loop ---------------------------

@@ -410,6 +410,33 @@ class TestScoreCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("with_weights", [False, True])
+    def test_tag_without_prefix_is_data_error(self, tmp_path, capsys, with_weights):
+        gold = tmp_path / "gold.conll"
+        gold.write_text("Ann B-PER\nran O\n")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"sentence_id": 0, "labels": ["PER", "O"]}) + "\n")
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps({"PER": 1.0}))
+        extra = ("--weights", weights) if with_weights else ()
+        code = run_cli(
+            "score", "--gold", gold, "--predictions", preds, "--pred-format", "records",
+            *extra,
+        )
+        assert code == 3
+        assert "data error: unknown tag 'PER' at position 0" in capsys.readouterr().err
+
+    def test_unlabelled_gold_is_data_error(self, tmp_path, capsys):
+        gold = tmp_path / "gold.conll"
+        gold.write_text("Ann B-PER\nran\n")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"sentence_id": 0, "labels": ["B-PER", "O"]}) + "\n")
+        code = run_cli(
+            "score", "--gold", gold, "--predictions", preds, "--pred-format", "records"
+        )
+        assert code == 3
+        assert "token 1 has no gold tag" in capsys.readouterr().err
+
 
 class TestSelectCommand:
     @pytest.mark.parametrize(

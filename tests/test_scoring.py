@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupdecay.corpus import Dataset, Sentence, Token
 from groupdecay.decay import DecayFit, DecayParams
@@ -14,8 +16,10 @@ from groupdecay.scoring import (
     Phrase,
     decode_phrases,
     export_decay_curves,
+    gold_phrases,
     micro_f1,
 )
+from oracles import per_tag_decode_phrases, per_tag_micro_f1
 
 TAGS = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC"]
 
@@ -177,6 +181,102 @@ class TestMicroF1:
             assert result.returncode == 0, result.stderr
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1]
+
+
+# Gold tags use PER and LOC; predictions add ORG, a type no gold tag has.
+GOLD_TAGS = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC"]
+PRED_TAGS = GOLD_TAGS + ["B-ORG", "I-ORG"]
+WEIGHTS = {"PER": 1 / 3, "LOC": 0.0029, "ORG": 0.7}
+
+
+@st.composite
+def scored_corpora(draw):
+    """Gold sentences of 1-9 tokens (one-token ones included) and a
+    prediction per sentence.  Tags are drawn freely, so orphan I- tags,
+    type switches inside a run and B- after B- all occur."""
+    lengths = draw(st.lists(st.integers(1, 9), min_size=0, max_size=6))
+    ids = draw(st.lists(st.integers(0, 50), min_size=len(lengths),
+                        max_size=len(lengths), unique=True))
+    gold = [draw(st.lists(st.sampled_from(GOLD_TAGS), min_size=n, max_size=n))
+            for n in lengths]
+    preds = {i: draw(st.lists(st.sampled_from(PRED_TAGS), min_size=n, max_size=n))
+             for i, n in zip(ids, lengths)}
+    sentences = tuple(
+        Sentence(i, tuple(Token(f"w{k}", t) for k, t in enumerate(tags)))
+        for i, tags in zip(ids, gold)
+    )
+    return Dataset(sentences, frozenset()), preds
+
+
+def _report_fields(r):
+    return (r.precision, r.recall, r.f1, r.n_gold, r.n_predicted, r.n_matched, r.per_type,
+            r.weights)
+
+
+class TestAgainstPerTagOracle:
+    """Phrase F1 over arrays against the per-tag decoder and scorer it
+    replaced, for a Dataset and for a GoldPhrases table alike; weighted
+    totals bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scored_corpora())
+    def test_reports_equal(self, corpus):
+        gold, preds = corpus
+        table = gold_phrases(gold)
+        for weights in (None, WEIGHTS):
+            expected = per_tag_micro_f1(gold, preds, weights)
+            for g in (gold, table):
+                got = micro_f1(g, preds, weights)
+                assert _report_fields(got) == _report_fields(expected)
+                for name in ("precision", "recall", "f1", "n_gold", "n_predicted",
+                             "n_matched"):
+                    assert repr(getattr(got, name)) == repr(getattr(expected, name))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(PRED_TAGS), max_size=12), st.integers(0, 9))
+    def test_decode_equal(self, tags, sentence_id):
+        assert decode_phrases(tags, sentence_id) == per_tag_decode_phrases(tags, sentence_id)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scored_corpora(), st.data())
+    def test_invalid_tag_same_error(self, corpus, data):
+        gold, preds = corpus
+        if not preds:
+            return
+        bad = data.draw(st.sampled_from(["PER", "X-PER", "B-", "b-PER", ""]))
+        for sid in data.draw(st.lists(st.sampled_from(sorted(preds)), min_size=1,
+                                      unique=True)):
+            k = data.draw(st.integers(0, len(preds[sid]) - 1))
+            preds[sid] = preds[sid][:k] + [bad] + preds[sid][k + 1:]
+        with pytest.raises(ValueError) as expected:
+            per_tag_micro_f1(gold, preds)
+        for g in (gold, gold_phrases(gold)):
+            with pytest.raises(ValueError) as got:
+                micro_f1(g, preds, WEIGHTS)
+            assert str(got.value) == str(expected.value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scored_corpora(), st.data())
+    def test_misaligned_same_error(self, corpus, data):
+        gold, preds = corpus
+        if not preds:
+            return
+        sid = data.draw(st.sampled_from(sorted(preds)))
+        if data.draw(st.booleans()):
+            del preds[sid]
+        else:
+            preds[sid] = preds[sid] + ["O"]
+        with pytest.raises(AlignmentError) as expected:
+            per_tag_micro_f1(gold, preds)
+        for g in (gold, gold_phrases(gold)):
+            with pytest.raises(AlignmentError) as got:
+                micro_f1(g, preds)
+            assert str(got.value) == str(expected.value)
+
+    def test_unlabelled_gold_has_no_table(self):
+        gold = Dataset((Sentence(4, (Token("a", "O"), Token("b"))),), frozenset())
+        with pytest.raises(ValueError, match="sentence 4: token 1 has no gold tag"):
+            gold_phrases(gold)
 
 
 class TestExportCurves:

@@ -16,7 +16,7 @@ from groupdecay.selection import (
     select_batch,
     take_units,
 )
-from oracles import rescoring_pick_loop, take_by_score
+from oracles import eager_gains, rescoring_pick_loop, take_by_score
 
 
 def _params(J, a0=1.0, a_half=0.0, a1=0.0, a2=0.0, a3=0.0, b=None, c=None):
@@ -496,3 +496,112 @@ class TestTakeUnits:
         batch = take_units([4, 7], lengths, 9, lambda rows: rows * 0.0, np.array([1, 1]))
         assert batch.sentence_ids == (4, 7) and batch.token_count == 5 and batch.exhausted
         assert all(type(i) is int for i in batch.sentence_ids)
+
+
+# -- incremental gain terms ---------------------------------------------------
+
+_VOCAB = [f"v{i}" for i in range(12)]
+
+
+def _scorer_partitions():
+    """An identity partition over the whole vocabulary (so groups no pool
+    sentence touches have zero corpus mass), WORD and WORD_SENTENCE
+    clusterings, and the soft SENTENCE partition, whose path is eager."""
+    from groupdecay.corpus import load_embeddings
+    from groupdecay.partition import PartitionConfig, PartitionKind, build_partition
+
+    rng = np.random.default_rng(3)
+    table = load_embeddings(
+        "\n".join(f"{w} " + " ".join(repr(float(v)) for v in rng.normal(size=4))
+                  for w in _VOCAB),
+        normalize=True,
+    )
+    corpus = [_sent(i, _VOCAB[i:] + _VOCAB[:i]) for i in range(len(_VOCAB))]
+    cfg = PartitionConfig(sentence_groups=3, word_groups=4, word_subgroups=2, seed=1,
+                          kmeans_iters=10)
+    kinds = (PartitionKind.WORD, PartitionKind.WORD_SENTENCE, PartitionKind.SENTENCE)
+    return table, [build_identity_partition(corpus)] + [
+        build_partition(corpus, table, kind, cfg) for kind in kinds
+    ]
+
+
+_TABLE, _SCORER_PARTITIONS = _scorer_partitions()
+
+
+@st.composite
+def scorer_cases(draw):
+    """A pool of 1-14 sentences in 1-4 documents, one to three partitions,
+    starting masses on both sides of 1 (the curve clamps masses below 1),
+    corpus masses with zero groups, and curves that fall or rise."""
+    n = draw(st.integers(1, 14))
+    pool = [
+        _sent(i, draw(st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=5)),
+              draw(st.integers(0, 3)))
+        for i in draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
+    ]
+    parts = draw(st.lists(st.sampled_from(range(len(_SCORER_PARTITIONS))), min_size=1,
+                          max_size=3))
+    coef = st.floats(-0.5, 2.0, allow_nan=False)
+    cases = []
+    for k in parts:
+        J = _SCORER_PARTITIONS[k].n_groups
+        fit = _fit(_params(
+            J, a0=draw(st.floats(0.05, 3.0)), a_half=draw(coef), a1=draw(coef),
+            a2=draw(coef), a3=draw(coef),
+            b=draw(st.lists(st.floats(0.0, 1.0), min_size=J, max_size=J)),
+            c=draw(st.lists(st.floats(0.0, 0.3), min_size=J, max_size=J)),
+        ))
+        masses = st.sampled_from([0.0, 0.25, 0.5, 0.999, 1.0, 1.5, 3.0])
+        train = np.asarray(draw(st.lists(masses, min_size=J, max_size=J)))
+        da = np.asarray(draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.5, 40.0]),
+                                      min_size=J, max_size=J)))
+        cases.append((_SCORER_PARTITIONS[k], fit, train, da))
+    budget = draw(st.integers(1, sum(len(s) for s in pool) + 1))
+    mode = draw(st.sampled_from(["SENTENCE", "DOCUMENT"]))
+    return pool, cases, budget, mode
+
+
+def _state(cases, budget):
+    return SelectionState(
+        partitions=[c[0] for c in cases], fits=[c[1] for c in cases],
+        train_mass=[c[2].copy() for c in cases], da_mass=[c[3] for c in cases],
+        token_budget=budget, epsilon=1e-3, table=_TABLE,
+    )
+
+
+class TestIncrementalGainTerms:
+    """``_PoolScorer`` keeps each hard partition's per-pair gain terms and
+    refreshes only the taken groups' pairs before it scores again.  The
+    terms must stay byte-equal to a full recompute, and batches must equal
+    those of the eager gains they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scorer_cases())
+    def test_cached_terms_and_batches_match_eager(self, case):
+        from groupdecay.selection import _PoolScorer, document_ids
+
+        pool, cases, budget, mode = case
+        state = _state(cases, budget)
+        scorer = _PoolScorer(state, pool)
+
+        def checked_take(row):
+            scorer.take(row)
+            for p, terms in enumerate(scorer.terms):
+                assert scorer.gains(p).tobytes() == eager_gains(scorer, p).tobytes()
+                if terms is not None:  # refreshed by gains
+                    full = scorer._terms(p, slice(None))
+                    assert scorer.terms[p].tobytes() == full.tobytes()
+
+        docs = document_ids(scorer.pool) if mode == "DOCUMENT" else None
+        ids = [s.id for s in scorer.pool]
+        got = take_units(ids, scorer.lengths, budget, scorer.scores, docs, checked_take)
+
+        eager_state = _state(cases, budget)
+        eager = _PoolScorer(eager_state, pool)
+        eager.gains = lambda p: eager_gains(eager, p)
+        expected = take_units(ids, eager.lengths, budget, eager.scores, docs, eager.take)
+        assert got == expected
+        assert select_batch(_state(cases, budget), pool, mode) == expected
+        assert state.numeric_faults == eager_state.numeric_faults
+        for a, b in zip(state.train_mass, eager_state.train_mass):
+            assert a.tobytes() == b.tobytes()
