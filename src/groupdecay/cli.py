@@ -34,6 +34,7 @@ from .loop import (
     LoopConfig,
     RunHistory,
     STRATEGY_NAMES,
+    check_epsilon,
     make_strategy,
     run_active_loop,
 )
@@ -94,9 +95,7 @@ def load_config(path: str | None, overrides: Sequence[str]) -> dict:
     config: dict = {}
     if path is not None:
         try:
-            config = json.loads(Path(path).read_text())
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
+            config = _read_input(path, "config", json.load)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path}: {exc}") from exc
     for item in overrides:
@@ -126,19 +125,25 @@ def _warn(path: str, count: int, what: str) -> None:
         print(f"warning: {path}: {count} {what}", file=sys.stderr)
 
 
-def _read_dataset(path: str, role: str) -> Dataset:
+def _read_input(path: str, what: str, parse=None):
+    """The text of the input file at ``path``, or ``parse(fh)`` of it open; a
+    missing file is a config error."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            dataset = parse_conll(fh, role=role)
+        fh = open(path, "r", encoding="utf-8", newline="")
     except FileNotFoundError as exc:
-        raise ConfigError(f"{role} file not found: {path}") from exc
+        raise ConfigError(f"{what} file not found: {path}") from exc
+    with fh:
+        return fh.read() if parse is None else parse(fh)
+
+
+def _read_dataset(path: str, role: str) -> Dataset:
+    dataset = _read_input(path, role, lambda fh: parse_conll(fh, role=role))
     _warn(path, dataset.bio_warnings, _ORPHAN_TAGS)
     return dataset
 
 
 def _read_embeddings(path: str) -> EmbeddingTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        table = load_embeddings(fh, normalize=True)
+    table = _read_input(path, "embeddings", lambda fh: load_embeddings(fh, normalize=True))
     _warn(path, table.duplicate_warnings, "duplicate surfaces (the last entry kept)")
     return table
 
@@ -330,10 +335,9 @@ def _loop_config(config: dict) -> LoopConfig:
         raise ConfigError(f"unknown loop options: {sorted(unknown)}")
     known.setdefault("seed", int(config.get("seed", 0)))
     known["mode"] = config.get("mode", known.get("mode", "SENTENCE"))
-    if config.get("class_weights") is not None:
-        known["class_weights"] = dict(config["class_weights"])
-    if config.get("epsilon") is not None:
-        known["epsilon"] = float(config["epsilon"])
+    for name in ("class_weights", "epsilon"):
+        if config.get(name) is not None:
+            known[name] = config[name]
     try:
         known["fit"] = FitConfig(**config.get("fit", {}))
         return LoopConfig(**known)
@@ -461,12 +465,6 @@ def cmd_simulate(args) -> int:
     has_table = "embeddings" in paths or bool(config.get("partitions", {}).get("one_hot"))
     check_capabilities(strategy_name, predictor_cfg, validation, has_table)
     strategy = make_strategy(strategy_name)
-    if (
-        strategy.needs_val_labels
-        and config.get("class_weights")
-        and "O" not in config["class_weights"]
-    ):
-        raise ConfigError("class_weights must include an 'O' entry for fitting")
 
     table = None
     if "embeddings" in paths:
@@ -480,6 +478,10 @@ def cmd_simulate(args) -> int:
         table = one_hot_embeddings(SynthSpec(**spec_cfg))
 
     loop_cfg = _loop_config(config)
+    if loop_cfg.class_weights is not None:
+        missing = (pool.label_inventory | validation.label_inventory) - set(loop_cfg.class_weights)
+        if missing:
+            raise ConfigError(f"class_weights has no weight for entity types {sorted(missing)}")
     partitions = _build_partitions(config, pool, validation, table)
 
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -566,7 +568,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit_decay(args) -> int:
-    history = RunHistory.from_jsonl(Path(args.history).read_text(encoding="utf-8"))
+    history = RunHistory.from_jsonl(_read_input(args.history, "history"))
     with_records = [c for c in history.checkpoints if c.group_records is not None]
     if len(with_records) < 2:
         raise FitError("history must contain at least 2 checkpoints with group errors")
@@ -576,11 +578,7 @@ def cmd_fit_decay(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     fit_cfg = FitConfig(seed=args.fit_seed)
     fits = [fit(records, config=fit_cfg) for records in record_history]
-    partitions = None
-    if args.partitions:
-        partitions = [
-            load_partition(Path(p).read_text(encoding="utf-8")) for p in args.partitions
-        ]
+    partitions = [load_partition(_read_input(p, "partition")) for p in args.partitions or ()]
     for i, f in enumerate(fits):
         (out_dir / f"fit_p{i}.txt").write_text(
             serialize_fit(f.params, f.objective_value), encoding="utf-8"
@@ -596,13 +594,15 @@ def cmd_fit_decay(args) -> int:
 
 
 def cmd_select(args) -> int:
+    try:
+        check_epsilon(args.epsilon)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     pool = _read_dataset(args.pool, "pool")
     train = _read_dataset(args.train, "train") if args.train else None
     validation = _read_dataset(args.validation, "validation") if args.validation else None
-    partitions = [
-        load_partition(Path(p).read_text(encoding="utf-8")) for p in args.partitions
-    ]
-    params = [parse_fit(Path(p).read_text(encoding="utf-8")) for p in args.fits]
+    partitions = [load_partition(_read_input(p, "partition")) for p in args.partitions]
+    params = [parse_fit(_read_input(p, "fit")) for p in args.fits]
     if len(params) != len(partitions):
         raise ConfigError("need one fit file per partition file")
     table = None
@@ -643,7 +643,7 @@ def cmd_select(args) -> int:
 
 
 def _load_predictions(path: str, fmt: str) -> dict[int, tuple[str, ...]]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_input(path, "predictions")
     if fmt == "records":
         return {sid: rec.labels for sid, rec in read_records(text, validate=False).items()}
     ds = parse_conll(text, role="predictions")
@@ -659,7 +659,7 @@ def cmd_score(args) -> int:
     report = micro_f1(gold, predictions)
     weights = None
     if args.weights:
-        weights = json.loads(Path(args.weights).read_text(encoding="utf-8"))
+        weights = _read_input(args.weights, "weights", json.load)
         missing = sorted(set(report.per_type) - set(weights))
         if missing:
             raise ConfigError(f"missing weight for types: {missing}")
@@ -675,13 +675,13 @@ def cmd_score(args) -> int:
 
 
 def cmd_export_curves(args) -> int:
-    history = RunHistory.from_jsonl(Path(args.history).read_text(encoding="utf-8"))
+    history = RunHistory.from_jsonl(_read_input(args.history, "history"))
     with_records = [c for c in history.checkpoints if c.group_records is not None]
     if not with_records:
         raise FitError("history contains no group error records")
     n_partitions = len(with_records[0].group_records)
     record_history = history.group_record_history(n_partitions)
-    params = [parse_fit(Path(p).read_text(encoding="utf-8")) for p in args.fits]
+    params = [parse_fit(_read_input(p, "fit")) for p in args.fits]
     if len(params) != n_partitions:
         raise ConfigError(
             f"history has {n_partitions} partitions but {len(params)} fit files given"
@@ -690,11 +690,7 @@ def cmd_export_curves(args) -> int:
         DecayFit(params=p, history=record_history[i], objective_value=0.0, converged=True)
         for i, p in enumerate(params)
     ]
-    partitions = None
-    if args.partitions:
-        partitions = [
-            load_partition(Path(p).read_text(encoding="utf-8")) for p in args.partitions
-        ]
+    partitions = [load_partition(_read_input(p, "partition")) for p in args.partitions or ()]
     text = export_decay_curves(fits, partitions)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

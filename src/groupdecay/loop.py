@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Protocol, Sequence
 
@@ -110,12 +111,31 @@ class LoopConfig:
             raise ValueError(f"ensemble_k must be an integer >= 2, got {self.ensemble_k!r}")
         if self.mode not in ("SENTENCE", "DOCUMENT"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        check_epsilon(self.epsilon)
+        weights = self.class_weights
+        if weights is not None and not (
+            isinstance(weights, Mapping) and "O" in weights
+            and all(_is_finite(w) and w >= 0 for w in weights.values())
+        ):
+            raise ValueError(
+                f"class_weights must map types to finite numbers >= 0, with 'O': {weights!r}"
+            )
 
     @property
     def lag_tokens(self) -> int:
         if self.uncertainty_lag_tokens is not None:
             return self.uncertainty_lag_tokens
         return 2 * self.selection_batch_tokens
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def check_epsilon(epsilon) -> None:
+    """Selection's smoothing constant is left out (None) or a finite number > 0."""
+    if epsilon is not None and not (_is_finite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be a finite number > 0, got {epsilon!r}")
 
 
 def burn_in_checkpoints(config: LoopConfig) -> list[int]:

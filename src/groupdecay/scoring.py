@@ -222,7 +222,10 @@ def micro_f1(
             float(len(gold.phrase_types)), float(len(starts)), float(hit.sum())
         )
     else:
-        w = np.asarray([float(weights[t]) for t in names], dtype=np.float64)
+        try:
+            w = np.asarray([float(weights[t]) for t in names], dtype=np.float64)
+        except KeyError as exc:
+            raise ValueError(f"no weight for entity type {exc.args[0]!r}") from None
         pred_rows = gold.rows(starts)
         n_gold = _ordered_total(gold.phrase_rows, w[gold.phrase_types])
         n_pred = _ordered_total(pred_rows, w[pred_types])
@@ -261,7 +264,7 @@ def export_decay_curves(
     rows = [CURVE_EXPORT_COLUMNS]
     for idx, f in enumerate(fits):
         exemplars: dict[int, str] = {}
-        if partitions is not None:
+        if partitions:
             for g in partitions[idx].groups:
                 exemplars[g.id] = " ".join(g.exemplar_surfaces)
         for rec in f.history:

@@ -292,7 +292,8 @@ def take_units(
         if docs is None:
             unit = rows[[np.argmax(scores)]]
         else:
-            unit = rows[best_document_rows(scores, lengths[rows], docs[rows])]
+            present, means = document_means(scores, lengths[rows], docs[rows])
+            unit = rows[docs[rows] == present[np.argmax(means)]]
         for row in unit:
             active[row] = False
             if take is not None:
@@ -302,14 +303,13 @@ def take_units(
     return Batch(tuple(picked), tokens)
 
 
-def best_document_rows(
+def document_means(
     scores: np.ndarray, lengths: np.ndarray, docs: np.ndarray
-) -> np.ndarray:
-    """Rows of the document with the largest length-weighted mean score, the
-    first on ties; ``docs`` is a dense document index.  ``bincount`` adds
-    in row order, as a Python ``sum`` over each document's rows would."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The dense document ids that have rows, ascending, and each one's
+    length-weighted mean score: DOCUMENT mode's unit value.  ``bincount``
+    adds in row order, as a Python ``sum`` over each document's rows would."""
     sums = np.bincount(docs, weights=scores * lengths)
     totals = np.bincount(docs, weights=lengths)
     present = np.flatnonzero(totals)
-    best = present[np.argmax(sums[present] / totals[present])]
-    return np.flatnonzero(docs == best)
+    return present, sums[present] / totals[present]

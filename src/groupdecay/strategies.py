@@ -10,6 +10,7 @@ score and every strategy is argmax-select.
 from __future__ import annotations
 
 import enum
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 
 from .corpus import Dataset, Sentence
 from .partition import GroupErrorRecord, GroupIndex, aligned_labels, mismatch_rates
-from .selection import Batch, take_units
+from .selection import Batch, document_means
 
 __all__ = [
     "PredictionRecord",
@@ -198,9 +199,10 @@ def fass_select(
     diversification) it keeps a seeded uniform random candidate set of the
     same size.  Selection greedily maximizes a facility-location coverage
     function over shifted cosine similarities (cos + 1, keeping the
-    objective monotone submodular), with per-step gains normalized by
-    sentence length, until the token budget is met.  With ``doc_ids`` whole
-    documents are taken, by :func:`~groupdecay.selection.take_units`.
+    objective monotone submodular), until the token budget is met.  Each
+    step takes the unit of largest gain, the smallest on ties: a candidate,
+    by its gain over its length, or with ``doc_ids`` all of a document's
+    candidates, by the length-weighted mean of theirs.
     """
     if t_factor < 1:
         raise ValueError("t_factor must be >= 1")
@@ -230,71 +232,48 @@ def fass_select(
     sim += np.float32(1.0)
     np.maximum(sim, 0.0, out=sim)
     lens = np.asarray(lengths, dtype=np.float64)[cand]
-
     cover = np.zeros(len(cand_ids), dtype=np.float32)
-    active = np.ones(len(cand_ids), dtype=bool)
-    picked: list[int] = []
-    tokens = 0
 
     def row_gain(row: int) -> float:
         return float(
             np.maximum(sim[row] - cover, 0.0).sum(dtype=np.float64) / lens[row]
         )
 
+    def gain(rows) -> float:
+        if doc_ids is None:
+            return row_gain(rows[0])
+        row_gains = np.asarray([row_gain(row) for row in rows])
+        return float(document_means(row_gains, lens[rows], np.zeros_like(rows))[1][0])
+
+    # each row's gain at zero cover, equal to ``row_gain`` byte for byte
+    bounds = sim.sum(axis=1, dtype=np.float64) / lens
     if doc_ids is None:
-        # lazy greedy: stale heap bounds only overestimate (submodularity),
-        # so popping until the top bound falls below the best fresh gain
-        # reproduces the exact argmax, including smallest-id tie-breaking
-        import heapq
+        units = [[row] for row in range(len(cand_ids))]
+    else:
+        docs = np.unique(np.asarray(doc_ids)[cand], return_inverse=True)[1]
+        units = np.split(np.argsort(docs, kind="stable"), np.cumsum(np.bincount(docs))[:-1])
+        bounds = document_means(bounds, lens, docs)[1]
 
-        init = sim.sum(axis=1, dtype=np.float64) / lens
-        heap = [(-g, row) for row, g in enumerate(init)]
-        heapq.heapify(heap)
-        fresh = np.zeros(len(cand_ids), dtype=bool)
-        while tokens < token_budget:
-            if not heap:
-                return Batch(tuple(picked), tokens, exhausted=True)
-            fresh[:] = False
-            best_row = -1
-            best_gain = -np.inf
-            while heap:
-                neg_bound, row = heap[0]
-                bound = -neg_bound
-                if bound < best_gain or (bound == best_gain and row > best_row):
-                    break
-                heapq.heappop(heap)
-                if not active[row]:
-                    continue
-                if fresh[row]:
-                    gain = bound
-                else:
-                    gain = row_gain(row)
-                    fresh[row] = True
-                    if gain < bound:
-                        heapq.heappush(heap, (-gain, row))
-                        continue
-                if gain > best_gain or (gain == best_gain and row < best_row):
-                    if best_row >= 0:
-                        heapq.heappush(heap, (-best_gain, best_row))
-                    best_gain, best_row = gain, row
-                else:
-                    heapq.heappush(heap, (-gain, row))
-            if best_row < 0:
-                return Batch(tuple(picked), tokens, exhausted=True)
-            active[best_row] = False
-            cover = np.maximum(cover, sim[best_row])
-            picked.append(cand_ids[best_row])
-            tokens += int(lens[best_row])
-        return Batch(tuple(picked), tokens)
-
-    def take(row: int) -> None:
-        np.maximum(cover, sim[row], out=cover)
-
-    return take_units(
-        cand_ids, lens, token_budget,
-        lambda rows: np.asarray([row_gain(r) for r in rows]),
-        np.asarray(doc_ids)[cand], take,
-    )
+    # lazy greedy (Minoux 1978): a unit's gain only falls as ``cover`` grows,
+    # so a heap top computed after the latest take (its last field counts
+    # takes) is the exact argmax; heap order breaks ties to the smallest unit
+    heap = [(-bound, unit, -1) for unit, bound in enumerate(bounds.tolist())]
+    heapq.heapify(heap)
+    takes = 0
+    picked: list[int] = []
+    tokens = 0
+    while heap and tokens < token_budget:
+        _, unit, computed_at = heap[0]
+        if computed_at < takes:
+            heapq.heapreplace(heap, (-gain(units[unit]), unit, takes))
+            continue
+        heapq.heappop(heap)
+        takes += 1
+        for row in units[unit]:
+            np.maximum(cover, sim[row], out=cover)
+            picked.append(cand_ids[row])
+            tokens += int(lens[row])
+    return Batch(tuple(picked), tokens, exhausted=tokens < token_budget)
 
 
 # -- prediction-difference decay (no validation labels) ---------------------

@@ -13,7 +13,7 @@ from groupdecay.corpus import _BIO_RE, Dataset, Sentence, Token, entity_type, sh
 from groupdecay.decay import curve_values
 from groupdecay.partition import N_SHAPES, PartitionKind, aligned_labels
 from groupdecay.scoring import Phrase, ScoreReport
-from groupdecay.selection import Batch
+from groupdecay.selection import Batch, take_units
 from groupdecay.strategies import PredictionRecord
 
 
@@ -610,6 +610,114 @@ def dict_fass_select(
             picked.append(cand_ids[row])
             tokens += int(lens[row])
     return Batch(tuple(picked), tokens)
+
+
+def heap_fass_select(
+    scores: np.ndarray | None,
+    ids: np.ndarray,
+    embeddings: np.ndarray,
+    lengths: np.ndarray,
+    token_budget: int,
+    t_factor: int = 100,
+    rng: np.random.Generator | None = None,
+    doc_ids: np.ndarray | None = None,
+) -> Batch:
+    """``fass_select`` before its one lazy-greedy loop: a lazy heap with a
+    per-step best-row scan in SENTENCE mode, and in DOCUMENT mode every
+    candidate's gain recomputed at each step by ``take_units``."""
+    if t_factor < 1:
+        raise ValueError("t_factor must be >= 1")
+    n = len(ids)
+    if not n:
+        raise ValueError("empty candidate pool")
+    mean_len = float(np.sum(lengths)) / n
+    expected = max(1, math.ceil(token_budget / max(mean_len, 1.0)))
+    keep = min(n, t_factor * expected)
+
+    if scores is None:
+        if rng is None:
+            raise ValueError("pure diversification needs a seeded rng for the filter")
+        cand = np.sort(rng.choice(n, size=keep, replace=False))
+    else:
+        # a stable sort keeps equal scores in ascending id order
+        cand = np.sort(np.argsort(-np.asarray(scores), kind="stable")[:keep])
+    cand_ids = np.asarray(ids)[cand].tolist()
+
+    X = np.asarray(embeddings[cand], dtype=np.float32)
+    norms = np.linalg.norm(X, axis=1)
+    norms[norms == 0] = 1.0
+    Xn = X / norms[:, None]
+    # shifted cosine in [0, 2], built in place; clamping at 0 changes no
+    # gain, because ``cover`` starts at 0 and only grows
+    sim = Xn @ Xn.T
+    sim += np.float32(1.0)
+    np.maximum(sim, 0.0, out=sim)
+    lens = np.asarray(lengths, dtype=np.float64)[cand]
+
+    cover = np.zeros(len(cand_ids), dtype=np.float32)
+    active = np.ones(len(cand_ids), dtype=bool)
+    picked: list[int] = []
+    tokens = 0
+
+    def row_gain(row: int) -> float:
+        return float(
+            np.maximum(sim[row] - cover, 0.0).sum(dtype=np.float64) / lens[row]
+        )
+
+    if doc_ids is None:
+        # lazy greedy: stale heap bounds only overestimate (submodularity),
+        # so popping until the top bound falls below the best fresh gain
+        # reproduces the exact argmax, including smallest-id tie-breaking
+        import heapq
+
+        init = sim.sum(axis=1, dtype=np.float64) / lens
+        heap = [(-g, row) for row, g in enumerate(init)]
+        heapq.heapify(heap)
+        fresh = np.zeros(len(cand_ids), dtype=bool)
+        while tokens < token_budget:
+            if not heap:
+                return Batch(tuple(picked), tokens, exhausted=True)
+            fresh[:] = False
+            best_row = -1
+            best_gain = -np.inf
+            while heap:
+                neg_bound, row = heap[0]
+                bound = -neg_bound
+                if bound < best_gain or (bound == best_gain and row > best_row):
+                    break
+                heapq.heappop(heap)
+                if not active[row]:
+                    continue
+                if fresh[row]:
+                    gain = bound
+                else:
+                    gain = row_gain(row)
+                    fresh[row] = True
+                    if gain < bound:
+                        heapq.heappush(heap, (-gain, row))
+                        continue
+                if gain > best_gain or (gain == best_gain and row < best_row):
+                    if best_row >= 0:
+                        heapq.heappush(heap, (-best_gain, best_row))
+                    best_gain, best_row = gain, row
+                else:
+                    heapq.heappush(heap, (-gain, row))
+            if best_row < 0:
+                return Batch(tuple(picked), tokens, exhausted=True)
+            active[best_row] = False
+            cover = np.maximum(cover, sim[best_row])
+            picked.append(cand_ids[best_row])
+            tokens += int(lens[best_row])
+        return Batch(tuple(picked), tokens)
+
+    def take(row: int) -> None:
+        np.maximum(cover, sim[row], out=cover)
+
+    return take_units(
+        cand_ids, lens, token_budget,
+        lambda rows: np.asarray([row_gain(r) for r in rows]),
+        np.asarray(doc_ids)[cand], take,
+    )
 
 
 # -- burn-in before it went through take_units --------------------------------

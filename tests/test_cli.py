@@ -314,6 +314,41 @@ class TestSimulate:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()  # refused before any checkpoint ran
 
+    @pytest.mark.parametrize(
+        "strategy, edit",
+        [
+            ("rnd", {"class_weights": {"E1": 1.0, "E2": 1.0, "E3": 1.0, "E4": 1.0}}),
+            ("rnd", {"class_weights": {"O": 1.0, "E1": 1.0, "E2": 1.0, "E3": 1.0}}),
+            ("edg", {"class_weights": {"O": 1.0, "E1": 1.0, "E2": 1.0, "E3": 1.0}}),
+            ("rnd", {"class_weights": {"O": 1.0, "E1": -1.0, "E2": 1.0, "E3": 1.0, "E4": 1.0}}),
+            ("rnd", {"class_weights": {"O": "1", "E1": 1.0, "E2": 1.0, "E3": 1.0, "E4": 1.0}}),
+            ("rnd", {"loop": {"class_weights": [1, 2]}}),
+            ("rnd", {"loop": {"epsilon": "abc"}}),
+            ("edg", {"epsilon": "abc"}),
+            ("edg", {"epsilon": float("nan")}),
+            ("edg", {"epsilon": float("inf")}),
+            ("edg", {"epsilon": 0}),
+            ("edg", {"epsilon": -0.001}),
+        ],
+        ids=[
+            "no-O", "no-type-rnd", "no-type-edg", "negative-weight", "string-weight",
+            "weights-list", "loop-epsilon-string", "epsilon-string", "epsilon-nan",
+            "epsilon-inf", "epsilon-zero", "epsilon-negative",
+        ],
+    )
+    def test_bad_weights_or_epsilon_is_config_error(
+        self, synth_dir, tmp_path, capsys, strategy, edit
+    ):
+        out = tmp_path / "run_weights"
+        config = _sim_config(synth_dir, out, strategy=strategy)
+        config["loop"].update(edit.pop("loop", {}))
+        config.update(edit)
+        cfg = tmp_path / "cfg_weights.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", cfg) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()  # refused before any partition was built
+
     def test_pool_smaller_than_burn_in_is_data_error(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "run_small"
         cfg = tmp_path / "cfg_small.json"
@@ -466,6 +501,19 @@ class TestSelectCommand:
         assert code == 3
         assert "partition" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1e-3"])
+    def test_bad_epsilon_is_config_error(self, synth_dir, finished_run, epsilon, capsys):
+        code = run_cli(
+            "select",
+            "--pool", synth_dir / "train.conll",
+            "--partitions", finished_run / "partitions" / "p0.json",
+            "--fits", finished_run / "fits" / "final_p0.txt",
+            "--budget", 300,
+            f"--epsilon={epsilon}",
+        )
+        assert code == 2
+        assert "epsilon must be a finite number > 0" in capsys.readouterr().err
+
     def test_one_shot_selection(self, synth_dir, tmp_path):
         run = tmp_path / "run_sel"
         cfg = tmp_path / "cfg_sel.json"
@@ -516,6 +564,67 @@ class TestExportCurvesCommand:
         assert out.read_text().startswith("partition,group,checkpoint")
 
 
+@pytest.fixture(scope="module")
+def finished_run(synth_dir, tmp_path_factory):
+    """A completed edg run: its history, partition and fit files."""
+    tmp = tmp_path_factory.mktemp("finished")
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps(_sim_config(synth_dir, tmp / "run")))
+    assert run_cli("simulate", "--config", cfg) == 0
+    return tmp / "run"
+
+
+def _missing_file_command(case, synth_dir, run, missing, tmp_path):
+    pool, test = synth_dir / "train.conll", synth_dir / "test.conll"
+    part, fit = run / "partitions" / "p0.json", run / "fits" / "final_p0.txt"
+    history = run / "history.jsonl"
+    select = ["select", "--pool", pool, "--budget", 300]
+    if case == "simulate-embeddings":
+        config = _sim_config(synth_dir, tmp_path / "run")
+        config["paths"]["embeddings"] = str(missing)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        return ["simulate", "--config", tmp_path / "cfg.json"]
+    return {
+        "select-partitions": select + ["--partitions", missing, "--fits", fit],
+        "select-fits": select + ["--partitions", part, "--fits", missing],
+        "select-embeddings": select + [
+            "--partitions", part, "--fits", fit, "--embeddings", missing,
+        ],
+        "fit-decay-history": ["fit-decay", "--history", missing, "--out-dir", tmp_path / "f"],
+        "fit-decay-partitions": [
+            "fit-decay", "--history", history, "--out-dir", tmp_path / "f", "--partitions", missing,
+        ],
+        "export-curves-history": ["export-curves", "--history", missing, "--fits", fit],
+        "export-curves-fits": ["export-curves", "--history", history, "--fits", missing],
+        "export-curves-partitions": [
+            "export-curves", "--history", history, "--fits", fit, "--partitions", missing,
+        ],
+        "score-predictions": ["score", "--gold", test, "--predictions", missing],
+        "score-weights": [
+            "score", "--gold", test, "--predictions", test, "--pred-format", "conll",
+            "--weights", missing,
+        ],
+    }[case]
+
+
+class TestMissingInputFile:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "select-partitions", "select-fits", "select-embeddings", "fit-decay-history",
+            "fit-decay-partitions", "export-curves-history", "export-curves-fits",
+            "export-curves-partitions", "score-predictions", "score-weights",
+            "simulate-embeddings",
+        ],
+    )
+    def test_is_config_error(self, synth_dir, finished_run, tmp_path, capsys, case):
+        missing = tmp_path / "absent.txt"
+        code = run_cli(*_missing_file_command(case, synth_dir, finished_run, missing, tmp_path))
+        assert code == 2
+        assert f"file not found: {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()  # simulate refused before any output
+
+
 EXTERNAL_TAGGER = '''\
 import sys
 sys.path.insert(0, {src!r})
@@ -531,6 +640,21 @@ tagger = ReferenceTagger(train)
 records = tagger_predict(tagger, data, want_logprobs=bool(int(want_logprobs)))
 with open(output_path, "w", encoding="utf-8") as fh:
     write_records(records.values(), fh)
+'''
+
+
+# tags every token B-ZZZ, a type no training sentence has
+ZZZ_TAGGER = '''\
+import sys
+sys.path.insert(0, {src!r})
+from groupdecay.corpus import parse_conll
+from groupdecay.strategies import PredictionRecord, write_records
+
+data = parse_conll(open(sys.argv[2], encoding="utf-8"), role="input")
+with open(sys.argv[3], "w", encoding="utf-8") as fh:
+    write_records(
+        (PredictionRecord(pos, ("B-ZZZ",) * len(s)) for pos, s in enumerate(data.sentences)), fh
+    )
 '''
 
 
@@ -568,6 +692,21 @@ class TestExternalPredictor:
         cfg.write_text(json.dumps(config))
         assert run_cli("simulate", "--config", cfg) == 2
 
+    def test_predicted_type_without_weight_is_data_error(self, synth_dir, tmp_path, capsys):
+        script = tmp_path / "zzz_tagger.py"
+        script.write_text(ZZZ_TAGGER.format(src=str(Path(__file__).resolve().parents[1] / "src")))
+        out = tmp_path / "run_zzz"
+        config = _sim_config(synth_dir, out, strategy="rnd", total_batches=3)
+        config["class_weights"] = {"O": 1.0, "E1": 1.0, "E2": 1.0, "E3": 1.0, "E4": 1.0}
+        config["predictor"] = {
+            "type": "external",
+            "command": f"{sys.executable} {script} {{train}} {{input}} {{output}}",
+        }
+        cfg = tmp_path / "cfg_zzz.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", cfg) == 3
+        assert "no weight for entity type 'ZZZ'" in capsys.readouterr().err
+
     def test_failing_external_command_exit_code(self, synth_dir, tmp_path):
         out = tmp_path / "run_fail"
         config = _sim_config(synth_dir, out, strategy="rnd", total_batches=3)
@@ -580,3 +719,39 @@ class TestExternalPredictor:
         assert run_cli("simulate", "--config", cfg) == 4
         # partial results preserved for resumption
         assert (out / "manifest.json").exists()
+
+
+class TestBenchmarkTracer:
+    def test_traced_names_exist_and_cli_readers_go_through_them(self, synth_dir, tmp_path):
+        """bench/tracing.py replaces names on the package's modules; a renamed
+        or removed one fails ``instrument``, and a reader bound early would
+        bypass its replacement and read 0."""
+        import importlib.util
+
+        from groupdecay import cli
+
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        original = cli.parse_conll
+        records = tmp_path / "preds.jsonl"
+        records.write_text(json.dumps({"sentence_id": 0, "labels": ["O"]}) + "\n")
+        gold = tmp_path / "gold.conll"
+        gold.write_text("Ann O\n")
+        embeddings = tmp_path / "emb.txt"
+        embeddings.write_text("Ann 1.0 0.0\n")
+        tracer = tracing.Tracer()
+        tracing.instrument(tracer)
+        try:
+            assert run_cli("score", "--gold", gold, "--predictions", gold,
+                           "--pred-format", "conll") == 0
+            assert run_cli("score", "--gold", gold, "--predictions", records) == 0
+            cli._read_embeddings(str(embeddings))
+        finally:
+            tracer.unpatch()
+        assert cli.parse_conll is original
+        names = [span[0] for span in tracer.spans]
+        assert names.count("corpus.parse") == 3
+        assert names.count("strategies.records_parse") == 1
+        assert names.count("corpus.embeddings") == 1

@@ -111,6 +111,11 @@ class TestMicroF1:
         assert w.f1 == pytest.approx(plain.f1)
         assert w.precision == pytest.approx(plain.precision)
 
+    def test_predicted_type_without_weight_names_it(self):
+        gold = _dataset(["B-PER", "O"])
+        with pytest.raises(ValueError, match="no weight for entity type 'LOC'"):
+            micro_f1(gold, {0: ["B-PER", "B-LOC"]}, {"PER": 1.0, "O": 1.0})
+
     def test_swapping_swaps_precision_recall(self):
         gold = _dataset(["B-PER", "O", "B-LOC", "O"])
         pred_tags = ["B-PER", "I-PER", "O", "B-LOC"]

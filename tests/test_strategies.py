@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupdecay.corpus import Dataset, Sentence, Token, load_embeddings
 from groupdecay.partition import (
@@ -29,7 +31,7 @@ from groupdecay.strategies import (
     score_us,
     write_records,
 )
-from oracles import dict_fass_select, per_sentence_rates
+from oracles import dict_fass_select, heap_fass_select, per_sentence_rates
 
 
 def _lp(probs: dict[str, float]) -> dict[str, float]:
@@ -137,6 +139,36 @@ class TestAlternation:
     )
     def test_policy(self, batch, expected):
         assert alternation_policy(batch) is expected
+
+
+@st.composite
+def fass_cases(draw):
+    """``fass_select`` arguments: up to 60 candidates, exact ties, documents
+    of up to 12 rows (interleaved or not), and budgets from 0 to past the
+    pool."""
+    n = draw(st.integers(1, 60))
+    ids = np.asarray(sorted(draw(st.sets(st.integers(0, 300), min_size=n, max_size=n))))
+    dim = draw(st.integers(1, 4))
+    emb = np.asarray(
+        draw(st.lists(st.integers(-2, 2), min_size=n * dim, max_size=n * dim)), dtype=float
+    ).reshape(n, dim)
+    lengths = np.asarray(draw(st.lists(st.integers(1, 6), min_size=n, max_size=n)))
+    scores = draw(
+        st.none() | st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+            lambda v: np.asarray(v) / 2.0
+        )
+    )
+    docs = None
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+        docs = np.repeat(np.arange(n) * 3, sizes)[:n]
+        if draw(st.booleans()):
+            docs = np.asarray(draw(st.permutations(docs.tolist())))
+    total = int(lengths.sum())
+    budget = draw(st.sampled_from([0, total, total + 5]) | st.integers(0, total * 3 // 2))
+    t_factor = draw(st.sampled_from([1, 2, 3, 100]))
+    seed = draw(st.integers(0, 2**16))
+    return scores, ids, emb, lengths, budget, t_factor, seed, docs
 
 
 class TestFassSelect:
@@ -251,6 +283,53 @@ class TestFassSelect:
                         None if dc is None else dict(zip(ids.tolist(), dc.tolist())),
                     )
                     assert got == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(fass_cases())
+    def test_matches_heap_reference(self, case):
+        # integer embeddings make exact gain ties common; small t_factor
+        # values filter candidates out, splitting documents
+        scores, ids, emb, lengths, budget, t_factor, seed, docs = case
+        got = fass_select(
+            scores, ids, emb, lengths, budget, t_factor, np.random.default_rng(seed), docs
+        )
+        want = heap_fass_select(
+            scores, ids, emb, lengths, budget, t_factor, np.random.default_rng(seed), docs
+        )
+        assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 600), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_initial_bounds_equal_first_gains(self, n, dim, seed):
+        # the lazy loop starts from each row's similarity sum over its
+        # length, which must equal its gain at zero cover to bound it;
+        # rows past 128 columns are summed pairwise
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, dim)).astype(np.float32)
+        X[rng.random(n) < 0.1] = 0.0
+        lens = rng.integers(1, 30, size=n).astype(np.float64)
+        norms = np.linalg.norm(X, axis=1)
+        norms[norms == 0] = 1.0
+        Xn = X / norms[:, None]
+        sim = Xn @ Xn.T
+        sim += np.float32(1.0)
+        np.maximum(sim, 0.0, out=sim)
+        cover = np.zeros(n, dtype=np.float32)
+        bounds = sim.sum(axis=1, dtype=np.float64) / lens
+        gains = [
+            float(np.maximum(sim[row] - cover, 0.0).sum(dtype=np.float64) / lens[row])
+            for row in range(n)
+        ]
+        assert bounds.tolist() == gains
+
+    @pytest.mark.parametrize("width", [8191, 8193, 20000])
+    def test_wide_row_sums_equal_one_row_sums(self, width):
+        # past 8192 columns the float32-to-float64 sum runs in buffered
+        # chunks; the 2-D row sums must still equal the 1-D ones
+        rows = (np.random.default_rng(width).random((3, width)) * 2).astype(np.float32)
+        cover = np.zeros(width, dtype=np.float32)
+        one_by_one = [np.maximum(r - cover, 0.0).sum(dtype=np.float64) for r in rows]
+        assert rows.sum(axis=1, dtype=np.float64).tolist() == one_by_one
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
