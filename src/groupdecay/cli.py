@@ -24,6 +24,8 @@ from .corpus import (
     CorpusFormatError,
     Dataset,
     EmbeddingTable,
+    _is_finite,
+    _is_int,
     load_embeddings,
     parse_conll,
     serialize_conll,
@@ -116,6 +118,33 @@ def config_hash(config: dict) -> str:
     ).hexdigest()
 
 
+def _options(table, what: str, keys) -> dict:
+    """``table``, checked to be a table of no keys but ``keys``."""
+    if not isinstance(table, dict):
+        raise ConfigError(f"{what} must be a table, got {table!r}")
+    unknown = set(table) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {what} options: {sorted(unknown)}")
+    return table
+
+
+def _count(table: dict, name: str, default, low: int):
+    """``table[name]`` (``default`` when left out), an integer >= ``low``."""
+    value = table.get(name, default)
+    if not _is_int(value) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _synth_spec(table: dict, what: str) -> SynthSpec:
+    """The synthetic-corpus spec of the ``SynthSpec`` fields of ``table``."""
+    spec = {k: v for k, v in table.items() if k in SynthSpec.__dataclass_fields__}
+    try:
+        return SynthSpec(**spec)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 _ORPHAN_TAGS = "I- tags with no open phrase of their type (kept as written)"
 
 
@@ -127,11 +156,13 @@ def _warn(path: str, count: int, what: str) -> None:
 
 def _read_input(path: str, what: str, parse=None):
     """The text of the input file at ``path``, or ``parse(fh)`` of it open; a
-    missing file is a config error."""
+    missing file, or a directory, is a config error."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except FileNotFoundError as exc:
         raise ConfigError(f"{what} file not found: {path}") from exc
+    except IsADirectoryError as exc:
+        raise ConfigError(f"{what} file is a directory: {path}") from exc
     with fh:
         return fh.read() if parse is None else parse(fh)
 
@@ -225,6 +256,24 @@ def external_trainer(command: str, workdir: Path):
 # -- capability matrix --------------------------------------------------------
 
 
+_PREDICTOR_KEYS = ("type", "command", "logprobs", "ensemble", "smoothing_alpha")
+
+
+def _predictor_config(config: dict) -> dict:
+    """The ``predictor`` table, checked: a known type, an external command,
+    a smoothing constant that is a finite number > 0."""
+    predictor_cfg = _options(config.get("predictor", {}), "predictor", _PREDICTOR_KEYS)
+    kind = predictor_cfg.get("type", "builtin")
+    if kind not in ("builtin", "external"):
+        raise ConfigError(f"predictor type must be 'builtin' or 'external', got {kind!r}")
+    if kind == "external" and not predictor_cfg.get("command"):
+        raise ConfigError("external predictor needs a 'command' template")
+    alpha = predictor_cfg.get("smoothing_alpha", 1.0)
+    if not (_is_finite(alpha) and alpha > 0):
+        raise ConfigError(f"predictor smoothing_alpha must be a finite number > 0, got {alpha!r}")
+    return predictor_cfg
+
+
 def check_capabilities(
     strategy_name: str, predictor_cfg: dict, validation: Dataset, has_embeddings: bool
 ) -> None:
@@ -249,24 +298,27 @@ def check_capabilities(
 # -- gen-synth ----------------------------------------------------------------
 
 
+_GEN_SYNTH_KEYS = (
+    "output", "train_tokens", "val_tokens", "test_tokens", "pool_tokens", "sentences_per_doc",
+    *SynthSpec.__dataclass_fields__,
+)
+
+
 def cmd_gen_synth(args) -> int:
-    config = load_config(args.config, args.set or [])
+    config = _options(load_config(args.config, args.set or []), "gen-synth", _GEN_SYNTH_KEYS)
     out_dir = Path(args.output or config.get("output", "synth"))
     if out_dir.exists() and not args.force:
         raise ConfigError(f"output directory {out_dir} exists (use --force)")
-    spec_cfg = {
-        k: v
-        for k, v in config.items()
-        if k in SynthSpec.__dataclass_fields__
-    }
-    spec = SynthSpec(**spec_cfg)
+    spec = _synth_spec(config, "gen-synth")
     sizes = {
-        "train": int(config.get("train_tokens", 100_000)),
-        "valid": int(config.get("val_tokens", 10_000)),
-        "test": int(config.get("test_tokens", 10_000)),
+        "train": _count(config, "train_tokens", 100_000, 1),
+        "valid": _count(config, "val_tokens", 10_000, 1),
+        "test": _count(config, "test_tokens", 10_000, 1),
     }
-    pool_tokens = int(config.get("pool_tokens", 0))
+    pool_tokens = _count(config, "pool_tokens", 0, 0)
     sentences_per_doc = config.get("sentences_per_doc")
+    if sentences_per_doc is not None:
+        _count(config, "sentences_per_doc", None, 1)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "spec": {f: getattr(spec, f) for f in SynthSpec.__dataclass_fields__},
@@ -303,37 +355,47 @@ def cmd_gen_synth(args) -> int:
 # -- simulate ------------------------------------------------------------------
 
 
-def _build_partitions(
-    config: dict, pool: Dataset, validation: Dataset, table: EmbeddingTable | None
-) -> list[Partition]:
-    pcfg = config.get("partitions", {})
-    union = list(pool.sentences) + list(validation.sentences)
+_KINDS = [k.value for k in PartitionKind]
+_PARTITION_KEYS = ("kinds", "identity", "one_hot", *PartitionConfig.__dataclass_fields__)
+
+
+def _partition_config(config: dict) -> tuple[list[str] | None, PartitionConfig]:
+    """The ``partitions`` table, checked: the kinds to build (None for one
+    identity partition) and the clustering settings."""
+    pcfg = _options(config.get("partitions", {}), "partitions", _PARTITION_KEYS)
+    settings = {k: v for k, v in pcfg.items() if k in PartitionConfig.__dataclass_fields__}
+    settings.setdefault("seed", config.get("seed", 0))
+    try:
+        cfg = PartitionConfig(**settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if pcfg.get("kinds") == "identity" or pcfg.get("identity", False):
+        return None, cfg
+    kinds = pcfg.get("kinds", _KINDS)
+    if not (isinstance(kinds, list) and kinds and all(k in _KINDS for k in kinds)):
+        raise ConfigError(f'partitions kinds must be "identity" or a list of {_KINDS}, '
+                          f"got {kinds!r}")
+    return kinds, cfg
+
+
+def _build_partitions(
+    kinds: list[str] | None,
+    cfg: PartitionConfig,
+    pool: Dataset,
+    validation: Dataset,
+    table: EmbeddingTable | None,
+) -> list[Partition]:
+    union = list(pool.sentences) + list(validation.sentences)
+    if kinds is None:
         return [build_identity_partition(union)]
-    kinds = pcfg.get("kinds", ["SENTENCE", "WORD", "WORD_SHAPE", "WORD_SENTENCE"])
     if table is None:
         raise ConfigError("embedding-based partitions need an embeddings file")
-    cfg = PartitionConfig(
-        sentence_groups=int(pcfg.get("sentence_groups", 10)),
-        word_groups=int(pcfg.get("word_groups", 10)),
-        word_subgroups=int(pcfg.get("word_subgroups", 10)),
-        temperature=float(pcfg.get("temperature", 0.1)),
-        kmeans_batch=int(pcfg.get("kmeans_batch", 1024)),
-        kmeans_iters=int(pcfg.get("kmeans_iters", 100)),
-        seed=int(pcfg.get("seed", config.get("seed", 0))),
-    )
     return [build_partition(union, table, PartitionKind(k), cfg) for k in kinds]
 
 
 def _loop_config(config: dict) -> LoopConfig:
-    lcfg = dict(config.get("loop", {}))
-    known = {
-        k: v for k, v in lcfg.items() if k in LoopConfig.__dataclass_fields__
-    }
-    unknown = set(lcfg) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown loop options: {sorted(unknown)}")
-    known.setdefault("seed", int(config.get("seed", 0)))
+    known = dict(_options(config.get("loop", {}), "loop", LoopConfig.__dataclass_fields__))
+    known.setdefault("seed", _count(config, "seed", 0, 0))
     known["mode"] = config.get("mode", known.get("mode", "SENTENCE"))
     for name in ("class_weights", "epsilon"):
         if config.get(name) is not None:
@@ -447,6 +509,14 @@ def cmd_simulate(args) -> int:
         if required not in paths:
             raise ConfigError(f"paths.{required} is required")
 
+    loop_cfg = _loop_config(config)
+    kinds, partition_cfg = _partition_config(config)
+    predictor_cfg = _predictor_config(config)
+    spec = _synth_spec(
+        _options(config.get("synth_spec", {}), "synth_spec", SynthSpec.__dataclass_fields__),
+        "synth_spec",
+    )
+
     run_dir = Path(paths["output"])
     resume = bool(args.resume)
     if run_dir.exists() and any(run_dir.iterdir()) and not resume and not args.force:
@@ -461,28 +531,22 @@ def cmd_simulate(args) -> int:
         else None
     )
 
-    predictor_cfg = config.get("predictor", {"type": "builtin"})
-    has_table = "embeddings" in paths or bool(config.get("partitions", {}).get("one_hot"))
+    one_hot = bool(config.get("partitions", {}).get("one_hot", False))
+    has_table = "embeddings" in paths or one_hot
     check_capabilities(strategy_name, predictor_cfg, validation, has_table)
     strategy = make_strategy(strategy_name)
 
     table = None
     if "embeddings" in paths:
         table = _read_embeddings(paths["embeddings"])
-    elif config.get("partitions", {}).get("one_hot", False):
-        spec_cfg = {
-            k: v
-            for k, v in config.get("synth_spec", {}).items()
-            if k in SynthSpec.__dataclass_fields__
-        }
-        table = one_hot_embeddings(SynthSpec(**spec_cfg))
+    elif one_hot:
+        table = one_hot_embeddings(spec)
 
-    loop_cfg = _loop_config(config)
     if loop_cfg.class_weights is not None:
         missing = (pool.label_inventory | validation.label_inventory) - set(loop_cfg.class_weights)
         if missing:
             raise ConfigError(f"class_weights has no weight for entity types {sorted(missing)}")
-    partitions = _build_partitions(config, pool, validation, table)
+    partitions = _build_partitions(kinds, partition_cfg, pool, validation, table)
 
     run_dir.mkdir(parents=True, exist_ok=True)
     norm_config = copy.deepcopy(config)
@@ -510,14 +574,11 @@ def cmd_simulate(args) -> int:
 
     if predictor_cfg.get("type", "builtin") == "builtin":
         trainer = builtin_trainer(
-            smoothing_alpha=float(predictor_cfg.get("smoothing_alpha", 1.0)),
-            seed=int(config.get("seed", 0)),
+            smoothing_alpha=predictor_cfg.get("smoothing_alpha", 1.0),
+            seed=config.get("seed", 0),
         )
     else:
-        command = predictor_cfg.get("command")
-        if not command:
-            raise ConfigError("external predictor needs a 'command' template")
-        trainer = external_trainer(command, run_dir / "external")
+        trainer = external_trainer(predictor_cfg["command"], run_dir / "external")
 
     resume_history = resume_snaps = resume_refs = None
     if resume:

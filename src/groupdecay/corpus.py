@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Union
@@ -36,6 +37,16 @@ class CorpusFormatError(ValueError):
             message = f"line {line_number}: {message}"
         super().__init__(message)
         self.line_number = line_number
+
+
+def _is_int(value) -> bool:
+    """A config value that is an integer (``True`` is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A config value that is a finite number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def entity_type(tag: str) -> str:
@@ -245,15 +256,15 @@ def load_embeddings(source: Union[str, IO], normalize: bool = True) -> Embedding
     if dim is None:
         raise CorpusFormatError("empty embedding file", None)
 
-    zero_keys = []
+    zero_keys = set()
     for key, vec in raw.items():
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
-            zero_keys.append(key)
+            zero_keys.add(key)
         elif normalize:
             raw[key] = vec / norm
 
-    kept = [v for k, v in raw.items() if k not in set(zero_keys)]
+    kept = [v for k, v in raw.items() if k not in zero_keys]
     if kept:
         oov = np.mean(kept, axis=0)
         if normalize:

@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import _is_int
 from .partition import GroupErrorRecord
 
 __all__ = [
@@ -305,10 +306,6 @@ def _solve_a(
         if obj < best_obj:
             best_obj, best = obj, a
     return best
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, EmbeddingTable, sentence_embedding
-from .decay import DecayFit, FitConfig, _is_int, fit
+from .corpus import Dataset, EmbeddingTable, _is_finite, _is_int, sentence_embedding
+from .decay import DecayFit, FitConfig, fit
 # group_error, group_mass and sentence_group_delta stay bound for bench/tracing.py
 from .partition import (  # noqa: F401
     GroupErrorRecord, Partition, aligned_labels, build_group_index,
@@ -126,10 +125,6 @@ class LoopConfig:
         if self.uncertainty_lag_tokens is not None:
             return self.uncertainty_lag_tokens
         return 2 * self.selection_batch_tokens
-
-
-def _is_finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def check_epsilon(epsilon) -> None:

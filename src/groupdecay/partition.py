@@ -23,6 +23,8 @@ from .corpus import (
     EmbeddingTable,
     Sentence,
     ShapeClass,
+    _is_finite,
+    _is_int,
     entity_type,
     sentence_embedding,
     shape_class,
@@ -78,6 +80,19 @@ class PartitionConfig:
     kmeans_batch: int = 1024
     kmeans_iters: int = 100
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("sentence_groups", "word_groups", "word_subgroups", "kmeans_batch",
+                     "kmeans_iters"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ParameterError(f"partition {name} must be an integer >= 1, got {value!r}")
+        if not (_is_finite(self.temperature) and self.temperature > 0):
+            raise ParameterError(
+                f"partition temperature must be a finite number > 0, got {self.temperature!r}"
+            )
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ParameterError(f"partition seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -243,12 +258,6 @@ class Partition:
             raise ParameterError("sentence_membership requires the sentence partition")
         return _softmax(self.sentence_group_scores(sentence, table) / self.temperature)
 
-    def token_group_ids(self, sentence: Sentence, table: EmbeddingTable | None) -> np.ndarray:
-        """Hard group id of every token in the sentence (word-unit kinds)."""
-        if self.kind == PartitionKind.SENTENCE:
-            raise ParameterError("token_group_ids requires a word-unit partition")
-        return build_group_index(self, [sentence], table).gids
-
     def _surface_groups(self, surfaces: list[str], table: EmbeddingTable | None) -> np.ndarray:
         """Group id of each distinct surface; the word cluster alone for
         WORD_SENTENCE, whose second level comes from the sentence."""
@@ -271,21 +280,6 @@ class Partition:
             shapes = np.asarray([int(shape_class(w)) for w in surfaces], dtype=np.intp)
             return top * N_SHAPES + shapes
         return top
-
-    def membership(self, unit, table: EmbeddingTable | None = None) -> np.ndarray:
-        """Probability vector over groups for one unit.
-
-        For the soft sentence partition the unit is a Sentence; for hard
-        word-unit partitions the unit is a (sentence, token_index) pair and
-        the result is one-hot.
-        """
-        if self.kind == PartitionKind.SENTENCE:
-            return self.sentence_membership(unit, table)
-        sentence, index = unit
-        gids = self.token_group_ids(sentence, table)
-        vec = np.zeros(self.n_groups, dtype=np.float64)
-        vec[gids[index]] = 1.0
-        return vec
 
 
 def _unique_word_vectors(
@@ -459,20 +453,36 @@ def _weighted_bincount(gids: np.ndarray, weights: np.ndarray, n: int) -> np.ndar
     return np.bincount(gids, weights=weights, minlength=n).astype(np.float64, copy=False)
 
 
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """Where each of the consecutive runs of ``sizes`` starts, and the end."""
+    return np.concatenate(([0], np.cumsum(sizes))).astype(np.intp)
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The concatenated ranges ``starts[k]:stops[k]``."""
+    sizes = stops - starts
+    return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+
+
 class GroupIndex:
     """What each sentence of a fixed sequence adds to one partition's groups.
 
     Rows are positions in the sequence, never ``Sentence.id`` (pool and
-    validation ids both count from 0).  Hard partitions keep every token's
-    group id, row ``r`` owning ``gids[offsets[r]:offsets[r + 1]]``; the soft
-    partition keeps one membership row per sentence.  Per-group sums add
-    the rows in order, equal bit for bit to a running sum over sentences.
+    validation ids both count from 0).  ``pairs`` is a CSR table
+    ``(indptr, group ids, masses)``: row ``r`` adds ``masses[k]`` to group
+    ``ids[k]`` for ``k`` in ``indptr[r]:indptr[r + 1]``.  A hard partition's
+    row lists the groups its tokens fall in, ascending, with their token
+    counts; a soft row lists all J groups with membership x length.  Per-token
+    sums also need each token's group id (hard) or each row's membership
+    (soft).  Per-group sums add the rows in order, equal bit for bit to a
+    running sum over sentences.
     """
 
-    def __init__(self, n_groups: int, lengths: np.ndarray, gids=None, membership=None):
+    def __init__(self, n_groups: int, lengths: np.ndarray, pairs, gids=None, membership=None):
         self.n_groups = n_groups
         self.lengths = lengths  # tokens per row
-        self.offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.intp)
+        self.offsets = _offsets(lengths)
+        self.pairs = pairs
         self.gids = gids  # hard: group id per token
         self.membership = membership  # soft: rows x groups
         self.soft = membership is not None
@@ -483,24 +493,20 @@ class GroupIndex:
     def take(self, rows) -> "GroupIndex":
         """The index of the rows at ``rows`` (positions or a slice), in order."""
         rows = np.arange(len(self))[rows]
+        indptr, ids, masses = self.pairs
+        starts, stops = indptr[rows], indptr[rows + 1]
+        at = _ranges(starts, stops)
+        pairs = (_offsets(stops - starts), ids[at], masses[at])
         lengths = self.lengths[rows]
         if self.soft:
-            return GroupIndex(self.n_groups, lengths, membership=self.membership[rows])
-        starts = np.cumsum(lengths) - lengths
-        tokens = np.arange(lengths.sum()) + np.repeat(self.offsets[rows] - starts, lengths)
-        return GroupIndex(self.n_groups, lengths, gids=self.gids[tokens])
-
-    def _row_sums(self, row_weights: np.ndarray) -> np.ndarray:
-        """Soft: per group, the sum over rows of membership x row weight."""
-        contrib = self.membership * row_weights[:, None]
-        groups = np.tile(np.arange(self.n_groups), len(self))
-        return _weighted_bincount(groups, contrib.ravel(), self.n_groups)
+            return GroupIndex(self.n_groups, lengths, pairs, membership=self.membership[rows])
+        tokens = _ranges(self.offsets[rows], self.offsets[rows + 1])
+        return GroupIndex(self.n_groups, lengths, pairs, gids=self.gids[tokens])
 
     def mass(self) -> np.ndarray:
         """Expected token count per group over all rows."""
-        if self.soft:
-            return self._row_sums(self.lengths)
-        return np.bincount(self.gids, minlength=self.n_groups).astype(np.float64)
+        _, ids, masses = self.pairs
+        return _weighted_bincount(ids, masses, self.n_groups)
 
     def token_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-group sum of a per-token quantity (soft: sentence totals
@@ -511,24 +517,15 @@ class GroupIndex:
                 [values[a:b].sum() for a, b in zip(self.offsets[:-1], self.offsets[1:])],
                 dtype=np.float64,
             )
-            return self._row_sums(totals)
+            spread = self.membership * totals[:, None]
+            return _weighted_bincount(self.pairs[1], spread.ravel(), self.n_groups)
         return _weighted_bincount(self.gids, values, self.n_groups)
 
     def delta(self, row: int) -> tuple[np.ndarray, np.ndarray]:
         """Sparse (group ids, mass increments) contributed by one row."""
-        if self.soft:
-            return np.arange(self.n_groups, dtype=np.intp), self.membership[row] * self.lengths[row]
-        gids = self.gids[self.offsets[row] : self.offsets[row + 1]]
-        uniq, counts = np.unique(gids, return_counts=True)
-        return uniq, counts.astype(np.float64)
-
-    def deltas(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Hard partitions: every row's :meth:`delta` as CSR (indptr, ids, values)."""
-        rows = np.repeat(np.arange(len(self)), self.lengths)
-        keys, counts = np.unique(rows * self.n_groups + self.gids, return_counts=True)
-        per_row = np.bincount(keys // self.n_groups, minlength=len(self))
-        indptr = np.concatenate(([0], np.cumsum(per_row))).astype(np.intp)
-        return indptr, keys % self.n_groups, counts.astype(np.float64)
+        indptr, ids, masses = self.pairs
+        at = slice(indptr[row], indptr[row + 1])
+        return ids[at], masses[at]
 
 
 def build_group_index(
@@ -545,7 +542,12 @@ def build_group_index(
     if partition.soft:
         rows = [partition.sentence_membership(s, table) for s in sentences]
         membership = np.stack(rows) if rows else np.zeros((0, J))
-        return GroupIndex(J, lengths, membership=membership)
+        pairs = (
+            _offsets(np.full(len(sentences), J)),
+            np.tile(np.arange(J), len(sentences)),
+            (membership * lengths[:, None]).ravel(),
+        )
+        return GroupIndex(J, lengths, pairs, membership=membership)
     slot: dict[str, int] = {}
     tokens = np.asarray(
         [slot.setdefault(t.surface, len(slot)) for s in sentences for t in s.tokens],
@@ -558,7 +560,15 @@ def build_group_index(
             dtype=np.intp,
         )
         gids = gids * partition.sentence_centers.shape[0] + np.repeat(sentence_groups, lengths)
-    return GroupIndex(J, lengths, gids=gids)
+    # one sort for the whole sequence: (row, group) keys, each row's groups ascending
+    keys, counts = np.unique(np.repeat(np.arange(len(sentences)), lengths) * J + gids,
+                             return_counts=True)
+    pairs = (
+        _offsets(np.bincount(keys // J, minlength=len(sentences))),
+        keys % J,
+        counts.astype(np.float64),
+    )
+    return GroupIndex(J, lengths, pairs, gids=gids)
 
 
 def group_mass(

@@ -20,6 +20,7 @@ from .decay import DecayFit, curve_values
 from .partition import (
     GroupIndex,
     Partition,
+    _ranges,
     build_group_index,
     group_mass,
     sentence_group_delta,
@@ -133,29 +134,20 @@ class _PoolScorer:
         self.pool = [pool[i] for i in order]
         self.index = [ix.take(order) for ix in index]
         self.lengths = np.asarray([len(s) for s in self.pool], dtype=np.float64)
-        self.hard = [None if ix.soft else ix.deltas() for ix in self.index]
-        # Hard partitions keep every (sentence, group) pair's gain term, and
-        # each group's pairs in a stable order: a take changes the masses of
-        # the groups its row touches only, so only their pairs are recomputed,
-        # once before the next scoring (a document is taken row by row).
-        self.terms = [
-            None if h is None else self._terms(p, slice(None)) for p, h in enumerate(self.hard)
-        ]
-        self.group_pairs = [
-            None if h is None else _pairs_by_group(h[1], ix.n_groups)
-            for h, ix in zip(self.hard, self.index)
-        ]
-        self.stale = [
-            None if h is None else np.zeros(ix.n_groups, dtype=bool)
-            for h, ix in zip(self.hard, self.index)
-        ]
+        # Every (sentence, group) pair keeps its gain term, and each group's
+        # pairs in a stable order: a take changes the masses of the groups its
+        # row touches only, so only their pairs are recomputed, once before
+        # the next scoring (a document is taken row by row).
+        self.terms = [self._terms(p, slice(None)) for p in range(len(self.index))]
+        self.group_pairs = [_pairs_by_group(ix.pairs[1], ix.n_groups) for ix in self.index]
+        self.stale = [np.zeros(ix.n_groups, dtype=bool) for ix in self.index]
 
     def _terms(self, partition_index: int, pairs) -> np.ndarray:
         """Gain terms ``(c(m[g]) - c(m[g] + v)) * da[g]`` of the CSR ``pairs``."""
         state = self.state
         params = state.fits[partition_index].params
         m = state.train_mass[partition_index]
-        _, gids, vals = self.hard[partition_index]
+        _, gids, vals = self.index[partition_index].pairs
         gids, vals = gids[pairs], vals[pairs]
         before = curve_values(params, m[gids], groups=gids)
         after = curve_values(params, m[gids] + vals, groups=gids)
@@ -163,11 +155,10 @@ class _PoolScorer:
 
     def take(self, row: int) -> None:
         """Add the sentence at ``row`` to the training masses."""
-        for p, (ix, masses) in enumerate(zip(self.index, self.state.train_mass)):
+        for ix, masses, stale in zip(self.index, self.state.train_mass, self.stale):
             gids, vals = ix.delta(row)
             masses[gids] += vals
-            if self.stale[p] is not None:
-                self.stale[p][gids] = True
+            stale[gids] = True
 
     def _refresh(self, partition_index: int) -> None:
         """Recompute the terms of the groups taken since the last refresh;
@@ -186,19 +177,12 @@ class _PoolScorer:
         stale[groups] = False
 
     def gains(self, partition_index: int) -> np.ndarray:
-        state = self.state
-        params = state.fits[partition_index].params
-        m = state.train_mass[partition_index]
-        da = state.da_mass[partition_index]
-        if self.hard[partition_index] is None:
-            P = self.index[partition_index].membership
-            before = curve_values(params, m)[None, :]
-            after = curve_values(params, m[None, :] + P * self.lengths[:, None])
-            return ((before - after) * da[None, :]).sum(axis=1)
         self._refresh(partition_index)
-        indptr = self.hard[partition_index][0]
+        ix, terms = self.index[partition_index], self.terms[partition_index]
+        if ix.soft:  # every row holds all J groups: a contiguous row sum
+            return terms.reshape(len(ix), ix.n_groups).sum(axis=1)
         # segment sum per sentence; every sentence touches at least one group
-        return np.add.reduceat(self.terms[partition_index], indptr[:-1])
+        return np.add.reduceat(terms, ix.pairs[0][:-1])
 
     def scores(self, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
         """Scores of ``rows``; only their clamped factors count as faults."""
@@ -221,12 +205,6 @@ def _pairs_by_group(gids: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.nda
     order = np.argsort(gids, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(gids, minlength=n_groups))))
     return order, bounds
-
-
-def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """The concatenated ranges ``starts[k]:stops[k]``."""
-    sizes = stops - starts
-    return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
 
 
 def select_batch(

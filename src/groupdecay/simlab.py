@@ -14,12 +14,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, EmbeddingTable, Sentence, Token, entity_type
+from .corpus import Dataset, EmbeddingTable, Sentence, Token, _is_finite, _is_int, entity_type
 from .strategies import PredictionRecord
 
 __all__ = [
@@ -61,6 +61,12 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not (_is_int(value) and value >= 0):
+                raise ValueError(f"{f.name} must be an integer >= 0, got {value!r}")
+            if f.type == "float" and not _is_finite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.n_always_none + self.n_noise + self.n_context != self.vocab_size:
             raise ValueError("category sizes must sum to vocab_size")
         if not 0.0 <= self.stop_probability <= 1.0:

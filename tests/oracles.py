@@ -11,7 +11,13 @@ import numpy as np
 
 from groupdecay.corpus import _BIO_RE, Dataset, Sentence, Token, entity_type, shape_class
 from groupdecay.decay import curve_values
-from groupdecay.partition import N_SHAPES, PartitionKind, aligned_labels
+from groupdecay.partition import (
+    N_SHAPES,
+    ParameterError,
+    PartitionKind,
+    aligned_labels,
+    build_group_index,
+)
 from groupdecay.scoring import Phrase, ScoreReport
 from groupdecay.selection import Batch, take_units
 from groupdecay.strategies import PredictionRecord
@@ -121,6 +127,31 @@ def per_tag_micro_f1(gold, predictions, weights=None) -> ScoreReport:
         per_type={t: tuple(v) for t, v in sorted(per_type.items())},
         weights=dict(weights) if weights is not None else None,
     )
+
+
+# -- per-unit partition views ------------------------------------------------
+#
+# Views ``Partition`` offered before it moved them here: no library code reads
+# them, and the tests use them to name a unit's groups.
+
+
+def token_group_ids(partition, sentence, table):
+    """Hard group id of every token of one sentence (word-unit kinds), read
+    from a one-sentence group index."""
+    if partition.soft:
+        raise ParameterError("token_group_ids requires a word-unit partition")
+    return build_group_index(partition, [sentence], table).gids
+
+
+def membership(partition, unit, table=None):
+    """Probability vector over groups for one unit: a Sentence for the soft
+    partition, a (sentence, token index) pair (one-hot) for a hard one."""
+    if partition.soft:
+        return partition.sentence_membership(unit, table)
+    sentence, index = unit
+    vec = np.zeros(partition.n_groups, dtype=np.float64)
+    vec[token_group_ids(partition, sentence, table)[index]] = 1.0
+    return vec
 
 
 # -- per-sentence group contributions ---------------------------------------
@@ -396,7 +427,8 @@ def per_mask_solve_a(phi, Y, W, b, c, current):
 # -- eager EDG gains -----------------------------------------------------------
 #
 # ``_PoolScorer.gains`` as it ran before the per-pair gain terms were cached:
-# the curve evaluated twice at every (sentence, group) pair at every pick.
+# the curve evaluated twice at every (sentence, group) pair at every pick, and
+# over the dense (rows, J) membership matrix for the soft partition.
 
 
 def eager_gains(scorer, partition_index):
@@ -404,12 +436,12 @@ def eager_gains(scorer, partition_index):
     params = state.fits[partition_index].params
     m = state.train_mass[partition_index]
     da = state.da_mass[partition_index]
-    if scorer.hard[partition_index] is None:
-        P = scorer.index[partition_index].membership
+    index = scorer.index[partition_index]
+    if index.soft:  # dense over (rows, J)
         before = curve_values(params, m)[None, :]
-        after = curve_values(params, m[None, :] + P * scorer.lengths[:, None])
+        after = curve_values(params, m[None, :] + index.membership * scorer.lengths[:, None])
         return ((before - after) * da[None, :]).sum(axis=1)
-    indptr, gids, vals = scorer.hard[partition_index]
+    indptr, gids, vals = index.pairs
     before = curve_values(params, m[gids], groups=gids)
     after = curve_values(params, m[gids] + vals, groups=gids)
     return np.add.reduceat((before - after) * da[gids], indptr[:-1])

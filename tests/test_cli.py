@@ -127,6 +127,18 @@ class TestGenSynth:
         for name in ("train.conll", "valid.conll", "test.conll"):
             assert (out2 / name).read_bytes() == (synth_dir / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "setting",
+        ["train_tokens=abc", "pool_tokens=-1", "sentences_per_doc=0", "vocab_sise=100",
+         "seed=abc"],
+        ids=["train-tokens-string", "pool-tokens-negative", "docs-zero", "typo", "seed-string"],
+    )
+    def test_bad_setting_is_config_error(self, tmp_path, capsys, setting):
+        out = tmp_path / "corpus"
+        assert run_cli("gen-synth", "--output", out, "--set", setting) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_sizes_match_reference_corpus(self, tmp_path):
         # full-size generation: ~100k/10k/10k tokens with <1 sentence overshoot
         out = tmp_path / "full"
@@ -346,6 +358,39 @@ class TestSimulate:
         cfg = tmp_path / "cfg_weights.json"
         cfg.write_text(json.dumps(config))
         assert run_cli("simulate", "--config", cfg) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()  # refused before any partition was built
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "seed=abc",
+            "partitions.sentence_groups=abc",
+            'partitions.kinds=["BOGUS"]',
+            "partitions.kinds=[]",
+            "predictor.smoothing_alpha=abc",
+            "partitions.sentence_groups=0",
+            "predictor.smoothing_alpha=0",
+            "partitions.temperature=0",
+            "partitions.sentence_groups=3.7",
+            "partitions.sentence_group=3",
+            "synth_spec.vocab_sise=100",
+            "predictor.type=bultin",
+        ],
+        ids=[
+            "seed-string", "groups-string", "kind-unknown", "kinds-empty", "alpha-string",
+            "groups-zero", "alpha-zero", "temperature-zero", "groups-fraction",
+            "partitions-typo", "synth-spec-typo", "predictor-type-typo",
+        ],
+    )
+    def test_bad_setting_is_config_error(self, synth_dir, tmp_path, capsys, setting):
+        # the reproductions build embedding partitions over one-hot vectors
+        out = tmp_path / "run_setting"
+        config = _sim_config(synth_dir, out, strategy="rnd")
+        config["partitions"] = {"kinds": ["SENTENCE"], "one_hot": True, "kmeans_iters": 5}
+        cfg = tmp_path / "cfg_setting.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", cfg, "--set", setting) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()  # refused before any partition was built
 
@@ -623,6 +668,22 @@ class TestMissingInputFile:
         assert code == 2
         assert f"file not found: {missing}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()  # simulate refused before any output
+
+
+class TestDirectoryInputFile:
+    @pytest.mark.parametrize("case", ["config", "pool"])
+    def test_is_config_error(self, synth_dir, tmp_path, capsys, case):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        config = _sim_config(synth_dir, tmp_path / "run")
+        if case == "pool":
+            config["paths"]["pool"] = str(folder)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = run_cli("simulate", "--config", folder if case == "config" else cfg)
+        assert code == 2
+        assert f"{case} file is a directory: {folder}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 EXTERNAL_TAGGER = '''\

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,13 @@ from groupdecay.partition import (
     save_partition,
     sentence_group_delta,
 )
-from oracles import per_sentence_delta, per_sentence_mass, per_sentence_rates
+from oracles import (
+    membership,
+    per_sentence_delta,
+    per_sentence_mass,
+    per_sentence_rates,
+    token_group_ids,
+)
 
 
 def _sent(i, *pairs, doc=None):
@@ -160,23 +168,23 @@ class TestBuildPartition:
         assert part.n_groups == 12
         s = sentences[0]
         sg = int(np.argmax(part.sentence_group_scores(s, table)))
-        gids = part.token_group_ids(s, table)
+        gids = token_group_ids(part, s, table)
         assert all(g % 4 == sg for g in gids)
 
     def test_identity_partition(self):
         sents = [_sent(0, ("a", "O"), ("b", "O")), _sent(1, ("b", "O"), ("c", "O"))]
         part = build_identity_partition(sents)
         assert part.n_groups == 3
-        gids = part.token_group_ids(sents[0], None)
+        gids = token_group_ids(part, sents[0], None)
         assert gids.tolist() == [0, 1]
         with pytest.raises(ParameterError):
-            part.token_group_ids(_sent(2, ("zzz", "O")), None)
+            token_group_ids(part, _sent(2, ("zzz", "O")), None)
 
     def test_membership_one_hot_for_hard(self, small_corpus):
         sentences, table = small_corpus
         cfg = PartitionConfig(word_groups=2, word_subgroups=2, seed=0, kmeans_iters=5)
         part = build_partition(sentences, table, PartitionKind.WORD, cfg)
-        vec = part.membership((sentences[0], 0), table)
+        vec = membership(part, (sentences[0], 0), table)
         assert vec.sum() == 1.0
         assert set(np.unique(vec)) <= {0.0, 1.0}
 
@@ -188,7 +196,7 @@ class TestBuildPartition:
         clone = load_partition(text)
         for s in sentences[:10]:
             np.testing.assert_array_equal(
-                part.token_group_ids(s, table), clone.token_group_ids(s, table)
+                token_group_ids(part, s, table), token_group_ids(clone, s, table)
             )
         assert save_partition(clone) == text
 
@@ -268,7 +276,7 @@ class TestGroupError:
         part = build_identity_partition(gold + [_sent(1, ("y", "O"))])
         preds = {0: ["O"] * 7 + ["B-PER"] * 3}
         ge = group_error(part, preds, ds)
-        x_gid = part.token_group_ids(gold[0], None)[0]
+        x_gid = token_group_ids(part, gold[0], None)[0]
         assert ge.error[x_gid] == pytest.approx(0.3)
 
     def test_weighted_loss_value(self):
@@ -279,7 +287,7 @@ class TestGroupError:
         part = build_identity_partition(gold + [_sent(1, ("b", "O"))])
         weights = {"PER": 0.9, "LOC": 0.1, "O": 0.5}
         ge = group_error(part, {0: ["B-LOC"]}, ds, class_weights=weights)
-        gid = part.token_group_ids(gold[0], None)[0]
+        gid = token_group_ids(part, gold[0], None)[0]
         assert ge.error[gid] == pytest.approx(0.5)
 
     def test_uniform_weights_match_unweighted(self):
@@ -298,7 +306,7 @@ class TestGroupError:
         )
         preds = {s.id: [t.gold_label for t in s.tokens] for s in ds.sentences}
         ge = group_error(bigger, preds, ds)
-        unseen_gid = bigger.token_group_ids(_sent(9, ("unseen", "O")), None)[0]
+        unseen_gid = token_group_ids(bigger, _sent(9, ("unseen", "O")), None)[0]
         assert ge.zero_mass[unseen_gid]
         assert ge.error[unseen_gid] == 0.0
 
@@ -328,6 +336,21 @@ def _random_sentences(rng, n, words):
             ],
         )
         for i in range(n)
+    ]
+
+
+@functools.cache
+def _pair_table_partitions():
+    """An identity partition and one of every kind, at the default 10
+    sentence groups, over sentences of one to four of ``_WORDS``."""
+    table = _table(_WORDS, 4, np.random.default_rng(11))
+    corpus = [
+        _sent(i, *[(w, "O") for w in (_WORDS * 2)[i % 10 : i % 10 + 1 + i % 4]])
+        for i in range(20)
+    ]
+    cfg = PartitionConfig(word_groups=4, word_subgroups=2, seed=2, kmeans_iters=10)
+    return table, [build_identity_partition(corpus)] + [
+        build_partition(corpus, table, kind, cfg) for kind in PartitionKind
     ]
 
 
@@ -367,12 +390,11 @@ class TestGroupIndex:
                 gids, vals = index.delta(row)
                 want_gids, want_vals = per_sentence_delta(part, s, table)
                 assert np.array_equal(gids, want_gids) and np.array_equal(vals, want_vals)
-            if not part.soft:
-                indptr, gids, vals = index.take(slice(0, n_pool)).deltas()
-                pairs = [per_sentence_delta(part, s, table) for s in pool]
-                assert np.array_equal(indptr, np.cumsum([0] + [len(g) for g, _ in pairs]))
-                assert np.array_equal(gids, np.concatenate([g for g, _ in pairs]))
-                assert np.array_equal(vals, np.concatenate([v for _, v in pairs]))
+            indptr, gids, vals = index.take(slice(0, n_pool)).pairs
+            pairs = [per_sentence_delta(part, s, table) for s in pool]
+            assert np.array_equal(indptr, np.cumsum([0] + [len(g) for g, _ in pairs]))
+            assert np.array_equal(gids, np.concatenate([g for g, _ in pairs]))
+            assert np.array_equal(vals, np.concatenate([v for _, v in pairs]))
             val_index = index.take(slice(n_pool, None))
             want_rates, want_mass = per_sentence_rates(part, val, gold, preds, table, weights)
             got = mismatch_rates(
@@ -385,6 +407,25 @@ class TestGroupIndex:
             assert np.array_equal(view.error, want_rates)
             if part.identity_vocab is not None:
                 assert got.zero_mass.any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 8), data=st.data())
+    def test_pair_table_of_taken_rows(self, seed, n, data):
+        # reordered and repeated rows, or none, must give the pair table of an
+        # index built on those sentences, byte for byte and in the same dtypes
+        table, partitions = _pair_table_partitions()
+        sentences = _random_sentences(np.random.default_rng(seed), n, _WORDS)
+        rows = data.draw(st.lists(st.integers(0, n - 1), max_size=12))
+        for part in partitions:
+            index = build_group_index(part, sentences, table)
+            want = per_sentence_mass(part, sentences, table)
+            assert index.mass().tobytes() == want.tobytes()
+            for row, s in enumerate(sentences):
+                got, want = index.delta(row), per_sentence_delta(part, s, table)
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+            direct = build_group_index(part, [sentences[r] for r in rows], table)
+            for got, want in zip(index.take(rows).pairs, direct.pairs):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_take_reorders_rows(self, small_corpus):
         sentences, table = small_corpus

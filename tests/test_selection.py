@@ -506,7 +506,8 @@ _VOCAB = [f"v{i}" for i in range(12)]
 def _scorer_partitions():
     """An identity partition over the whole vocabulary (so groups no pool
     sentence touches have zero corpus mass), WORD and WORD_SENTENCE
-    clusterings, and the soft SENTENCE partition, whose path is eager."""
+    clusterings, and soft SENTENCE partitions of 3 and of 10 groups (the
+    default), whose every row holds all of its groups."""
     from groupdecay.corpus import load_embeddings
     from groupdecay.partition import PartitionConfig, PartitionKind, build_partition
 
@@ -520,9 +521,13 @@ def _scorer_partitions():
     cfg = PartitionConfig(sentence_groups=3, word_groups=4, word_subgroups=2, seed=1,
                           kmeans_iters=10)
     kinds = (PartitionKind.WORD, PartitionKind.WORD_SENTENCE, PartitionKind.SENTENCE)
+    # ten clusters need ten distinct sentence embeddings: windows of 1-4 words
+    windows = [_sent(i, (_VOCAB * 2)[i : i + 1 + i % 4]) for i in range(len(_VOCAB))]
+    soft10 = build_partition(windows, table, PartitionKind.SENTENCE,
+                             PartitionConfig(seed=1, kmeans_iters=10))
     return table, [build_identity_partition(corpus)] + [
         build_partition(corpus, table, kind, cfg) for kind in kinds
-    ]
+    ] + [soft10]
 
 
 _TABLE, _SCORER_PARTITIONS = _scorer_partitions()
@@ -570,10 +575,11 @@ def _state(cases, budget):
 
 
 class TestIncrementalGainTerms:
-    """``_PoolScorer`` keeps each hard partition's per-pair gain terms and
+    """``_PoolScorer`` keeps every partition's per-pair gain terms and
     refreshes only the taken groups' pairs before it scores again.  The
-    terms must stay byte-equal to a full recompute, and batches must equal
-    those of the eager gains they replaced."""
+    terms must stay byte-equal to a full recompute, the gains to the eager
+    ones they replaced (dense over the soft partitions' groups), and the
+    batches to the eager gains' batches."""
 
     @settings(max_examples=200, deadline=None)
     @given(scorer_cases())
@@ -586,11 +592,10 @@ class TestIncrementalGainTerms:
 
         def checked_take(row):
             scorer.take(row)
-            for p, terms in enumerate(scorer.terms):
+            for p in range(len(scorer.terms)):
                 assert scorer.gains(p).tobytes() == eager_gains(scorer, p).tobytes()
-                if terms is not None:  # refreshed by gains
-                    full = scorer._terms(p, slice(None))
-                    assert scorer.terms[p].tobytes() == full.tobytes()
+                full = scorer._terms(p, slice(None))  # the terms gains refreshed
+                assert scorer.terms[p].tobytes() == full.tobytes()
 
         docs = document_ids(scorer.pool) if mode == "DOCUMENT" else None
         ids = [s.id for s in scorer.pool]

@@ -31,7 +31,7 @@ from groupdecay.strategies import (
     score_us,
     write_records,
 )
-from oracles import dict_fass_select, heap_fass_select, per_sentence_rates
+from oracles import dict_fass_select, heap_fass_select, per_sentence_rates, token_group_ids
 
 
 def _lp(probs: dict[str, float]) -> dict[str, float]:
@@ -383,7 +383,7 @@ class TestPredictionDifference:
         cur = {0: ["O"] * 10}
         past = {0: ["B-PER"] * 3 + ["O"] * 7}
         rates, _ = prediction_difference_rates(cur, past, part10, ref10)
-        gid = part10.token_group_ids(ref10.sentences[0], None)[0]
+        gid = token_group_ids(part10, ref10.sentences[0], None)[0]
         assert rates[gid] == pytest.approx(0.3)
 
     def test_gold_relabeling_invariance(self):
@@ -417,7 +417,7 @@ class TestPredictionDifference:
         masses = [np.array([5.0, 0.0]), np.array([7.0, 3.0]), np.array([9.0, 6.0])]
         records = prediction_difference_records(ref, hist, masses, build_group_index(part, ref))
         assert len(records) == 2
-        gid_a = part.token_group_ids(ref.sentences[0], None)[0]
+        gid_a = token_group_ids(part, ref.sentences[0], None)[0]
         assert records[0].val_error[gid_a] == pytest.approx(1.0)
         assert records[1].val_error[gid_a] == pytest.approx(0.0)
         np.testing.assert_array_equal(records[0].train_mass, masses[0])
