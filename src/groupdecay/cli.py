@@ -17,7 +17,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import __version__
 from .corpus import (
@@ -42,6 +42,7 @@ from .loop import (
 )
 from .partition import (
     AlignmentError,
+    GroupErrorRecord,
     ParameterError,
     Partition,
     PartitionConfig,
@@ -136,6 +137,18 @@ def _count(table: dict, name: str, default, low: int):
     return value
 
 
+def _flag(table: dict, name: str, what: str) -> bool:
+    """``table[name]`` (false when left out), a JSON boolean."""
+    value = table.get(name, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} {name} must be true or false, got {value!r}")
+    return value
+
+
+def _write_json(path: Path, payload, indent=None) -> None:
+    path.write_text(json.dumps(payload, indent=indent, sort_keys=True), encoding="utf-8")
+
+
 def _synth_spec(table: dict, what: str) -> SynthSpec:
     """The synthetic-corpus spec of the ``SynthSpec`` fields of ``table``."""
     spec = {k: v for k, v in table.items() if k in SynthSpec.__dataclass_fields__}
@@ -179,6 +192,45 @@ def _read_embeddings(path: str) -> EmbeddingTable:
     return table
 
 
+def _read_history(path: str, least: int) -> list[list[GroupErrorRecord]]:
+    """Per-partition group-error records of the history file at ``path``,
+    which must hold at least ``least`` checkpoints with group errors."""
+    history = RunHistory.from_jsonl(_read_input(path, "history"))
+    with_records = [c for c in history.checkpoints if c.group_records is not None]
+    if len(with_records) < least:
+        raise FitError(f"history has {len(with_records)} checkpoints with group errors, "
+                       f"needs at least {least}")
+    return history.group_record_history(len(with_records[0].group_records))
+
+
+def _read_partitions(paths: Sequence[str] | None) -> list[Partition]:
+    return [load_partition(_read_input(p, "partition")) for p in paths or ()]
+
+
+def _read_fits(paths: Sequence[str], histories: list) -> list[DecayFit]:
+    """The fit files at ``paths``, one per partition, as fits over the
+    partitions' ``histories``."""
+    if len(paths) != len(histories):
+        raise ConfigError(f"{len(paths)} fit files for {len(histories)} partitions; "
+                          f"need one per partition")
+    return [
+        DecayFit(params=parse_fit(_read_input(p, "fit")), history=h, objective_value=0.0,
+                 converged=True)
+        for p, h in zip(paths, histories)
+    ]
+
+
+def _write_fits(fits, fit_dir: Path, stem: str, partitions=(), curves: Path | None = None):
+    """Each fit to ``fit_dir/<stem>_p<i>.txt``; with ``curves``, the
+    fit-vs-empirical table over ``partitions`` to that file."""
+    for i, f in enumerate(fits):
+        (fit_dir / f"{stem}_p{i}.txt").write_text(
+            serialize_fit(f.params, f.objective_value), encoding="utf-8"
+        )
+    if curves is not None:
+        curves.write_text(export_decay_curves(fits, partitions), encoding="utf-8")
+
+
 # -- external predictor -------------------------------------------------------
 
 
@@ -213,7 +265,10 @@ class ExternalPredictor:
             logprobs=int(bool(want_logprobs)),
             ensemble_k=int(ensemble_k or 0),
         )
-        result = subprocess.run(shlex.split(command), capture_output=True, text=True)
+        try:
+            result = subprocess.run(shlex.split(command), capture_output=True, text=True)
+        except OSError as exc:
+            raise ExternalPredictorError(f"external predictor could not start: {exc}") from exc
         if result.returncode != 0:
             raise ExternalPredictorError(
                 f"external predictor exited with {result.returncode}: "
@@ -260,14 +315,18 @@ _PREDICTOR_KEYS = ("type", "command", "logprobs", "ensemble", "smoothing_alpha")
 
 
 def _predictor_config(config: dict) -> dict:
-    """The ``predictor`` table, checked: a known type, an external command,
-    a smoothing constant that is a finite number > 0."""
+    """The ``predictor`` table, checked: a known type, an external command
+    string, boolean capabilities, a smoothing constant that is a finite
+    number > 0."""
     predictor_cfg = _options(config.get("predictor", {}), "predictor", _PREDICTOR_KEYS)
     kind = predictor_cfg.get("type", "builtin")
     if kind not in ("builtin", "external"):
         raise ConfigError(f"predictor type must be 'builtin' or 'external', got {kind!r}")
-    if kind == "external" and not predictor_cfg.get("command"):
-        raise ConfigError("external predictor needs a 'command' template")
+    command = predictor_cfg.get("command")
+    if kind == "external" and not (isinstance(command, str) and command):
+        raise ConfigError(f"external predictor needs a 'command' template, got {command!r}")
+    for name in ("logprobs", "ensemble"):
+        _flag(predictor_cfg, name, "predictor")
     alpha = predictor_cfg.get("smoothing_alpha", 1.0)
     if not (_is_finite(alpha) and alpha > 0):
         raise ConfigError(f"predictor smoothing_alpha must be a finite number > 0, got {alpha!r}")
@@ -279,8 +338,8 @@ def check_capabilities(
 ) -> None:
     strategy = make_strategy(strategy_name)
     builtin = predictor_cfg.get("type", "builtin") == "builtin"
-    has_logprobs = builtin or bool(predictor_cfg.get("logprobs", False))
-    has_ensemble = builtin or bool(predictor_cfg.get("ensemble", False))
+    has_logprobs = builtin or predictor_cfg.get("logprobs", False)
+    has_ensemble = builtin or predictor_cfg.get("ensemble", False)
     if strategy.needs_val_labels and not validation.has_labels:
         raise ConfigError(
             f"strategy {strategy_name!r} requires a labeled validation dataset"
@@ -299,23 +358,25 @@ def check_capabilities(
 
 
 _GEN_SYNTH_KEYS = (
-    "output", "train_tokens", "val_tokens", "test_tokens", "pool_tokens", "sentences_per_doc",
+    "train_tokens", "val_tokens", "test_tokens", "pool_tokens", "sentences_per_doc",
     *SynthSpec.__dataclass_fields__,
 )
 
 
 def cmd_gen_synth(args) -> int:
     config = _options(load_config(args.config, args.set or []), "gen-synth", _GEN_SYNTH_KEYS)
-    out_dir = Path(args.output or config.get("output", "synth"))
+    out_dir = Path(args.output)
     if out_dir.exists() and not args.force:
         raise ConfigError(f"output directory {out_dir} exists (use --force)")
     spec = _synth_spec(config, "gen-synth")
+    # a split holds at least one sentence, and a sentence min_length tokens
+    least = max(spec.min_length, 1)
     sizes = {
-        "train": _count(config, "train_tokens", 100_000, 1),
-        "valid": _count(config, "val_tokens", 10_000, 1),
-        "test": _count(config, "test_tokens", 10_000, 1),
+        "train": _count(config, "train_tokens", 100_000, least),
+        "valid": _count(config, "val_tokens", 10_000, least),
+        "test": _count(config, "test_tokens", 10_000, least),
     }
-    pool_tokens = _count(config, "pool_tokens", 0, 0)
+    pool_tokens = _count(config, "pool_tokens", 0, least if config.get("pool_tokens") else 0)
     sentences_per_doc = config.get("sentences_per_doc")
     if sentences_per_doc is not None:
         _count(config, "sentences_per_doc", None, 1)
@@ -327,27 +388,16 @@ def cmd_gen_synth(args) -> int:
         "sentences_per_doc": sentences_per_doc,
         "version": __version__,
     }
-    streams = {"train": 0, "valid": 1, "test": 2, "pool": 3}
+    splits = {**sizes, "pool": pool_tokens} if pool_tokens else sizes
     written = {}
-    for name, tokens in sizes.items():
+    for stream, (name, tokens) in enumerate(splits.items()):
         ds = gen_synthetic(
-            spec, tokens, role=name, stream=streams[name],
-            sentences_per_doc=sentences_per_doc,
+            spec, tokens, role=name, stream=stream, sentences_per_doc=sentences_per_doc
         )
-        path = out_dir / f"{name}.conll"
-        path.write_text(serialize_conll(ds), encoding="utf-8")
+        (out_dir / f"{name}.conll").write_text(serialize_conll(ds), encoding="utf-8")
         written[name] = {"tokens": ds.token_count, "sentences": len(ds)}
-    if pool_tokens > 0:
-        ds = gen_synthetic(
-            spec, pool_tokens, role="pool", stream=streams["pool"],
-            sentences_per_doc=sentences_per_doc,
-        )
-        (out_dir / "pool.conll").write_text(serialize_conll(ds), encoding="utf-8")
-        written["pool"] = {"tokens": ds.token_count, "sentences": len(ds)}
     manifest["written"] = written
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    _write_json(out_dir / "manifest.json", manifest, indent=2)
     print(f"wrote {', '.join(sorted(written))} to {out_dir}")
     return EXIT_OK
 
@@ -355,56 +405,78 @@ def cmd_gen_synth(args) -> int:
 # -- simulate ------------------------------------------------------------------
 
 
+_SIMULATE_KEYS = (
+    "strategy", "seed", "mode", "epsilon", "class_weights",
+    "paths", "loop", "fit", "partitions", "predictor", "synth_spec",
+)
+# LoopConfig's schedule: its seed, mode, epsilon, class_weights and fit are top-level keys
+_LOOP_KEYS = tuple(k for k in LoopConfig.__dataclass_fields__ if k not in _SIMULATE_KEYS)
+_PATH_KEYS = ("pool", "validation", "test", "pseudo_test", "embeddings", "output")
 _KINDS = [k.value for k in PartitionKind]
-_PARTITION_KEYS = ("kinds", "identity", "one_hot", *PartitionConfig.__dataclass_fields__)
+_PARTITION_KEYS = ("kinds", "one_hot", *PartitionConfig.__dataclass_fields__)
 
 
-def _partition_config(config: dict) -> tuple[list[str] | None, PartitionConfig]:
-    """The ``partitions`` table, checked: the kinds to build (None for one
-    identity partition) and the clustering settings."""
+class _Settings(NamedTuple):
+    """A ``simulate`` config, checked."""
+
+    strategy: str
+    paths: dict
+    loop: LoopConfig
+    kinds: list[str] | None  # None: one identity partition
+    partitions: PartitionConfig
+    one_hot: bool
+    predictor: dict
+    spec: SynthSpec
+
+
+def _simulate_settings(config: dict) -> _Settings:
+    """Every setting of a ``simulate`` config, read from its one key and
+    checked; an unknown key or a bad value at any level is a ConfigError."""
+    _options(config, "top-level", _SIMULATE_KEYS)
+    strategy = config.get("strategy", "edg")
+    if strategy not in STRATEGY_NAMES:
+        raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGY_NAMES}")
+    paths = _options(config.get("paths", {}), "paths", _PATH_KEYS)
+    for required in ("pool", "validation", "output"):
+        if required not in paths:
+            raise ConfigError(f"paths.{required} is required")
+    for key, value in paths.items():
+        if not isinstance(value, str):
+            raise ConfigError(f"paths.{key} must be a string, got {value!r}")
+    schedule = _options(config.get("loop", {}), "loop", _LOOP_KEYS)
+    fit_cfg = _options(config.get("fit", {}), "fit", FitConfig.__dataclass_fields__)
     pcfg = _options(config.get("partitions", {}), "partitions", _PARTITION_KEYS)
-    settings = {k: v for k, v in pcfg.items() if k in PartitionConfig.__dataclass_fields__}
-    settings.setdefault("seed", config.get("seed", 0))
+    spec_cfg = _options(config.get("synth_spec", {}), "synth_spec", SynthSpec.__dataclass_fields__)
+    seed = _count(config, "seed", 0, 0)
+    top = {k: config[k] for k in ("mode", "epsilon", "class_weights") if k in config}
+    clustering = {k: v for k, v in pcfg.items() if k in PartitionConfig.__dataclass_fields__}
     try:
-        cfg = PartitionConfig(**settings)
+        loop_cfg = LoopConfig(**schedule, **top, seed=seed, fit=FitConfig(**fit_cfg))
+        partition_cfg = PartitionConfig(**{"seed": seed, **clustering})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if pcfg.get("kinds") == "identity" or pcfg.get("identity", False):
-        return None, cfg
     kinds = pcfg.get("kinds", _KINDS)
-    if not (isinstance(kinds, list) and kinds and all(k in _KINDS for k in kinds)):
+    if kinds == "identity":
+        kinds = None
+    elif not (isinstance(kinds, list) and kinds and all(k in _KINDS for k in kinds)):
         raise ConfigError(f'partitions kinds must be "identity" or a list of {_KINDS}, '
                           f"got {kinds!r}")
-    return kinds, cfg
+    return _Settings(
+        strategy, paths, loop_cfg, kinds, partition_cfg, _flag(pcfg, "one_hot", "partitions"),
+        _predictor_config(config), _synth_spec(spec_cfg, "synth_spec"),
+    )
 
 
 def _build_partitions(
-    kinds: list[str] | None,
-    cfg: PartitionConfig,
-    pool: Dataset,
-    validation: Dataset,
-    table: EmbeddingTable | None,
+    settings: _Settings, pool: Dataset, validation: Dataset, table: EmbeddingTable | None
 ) -> list[Partition]:
     union = list(pool.sentences) + list(validation.sentences)
-    if kinds is None:
+    if settings.kinds is None:
         return [build_identity_partition(union)]
     if table is None:
         raise ConfigError("embedding-based partitions need an embeddings file")
-    return [build_partition(union, table, PartitionKind(k), cfg) for k in kinds]
-
-
-def _loop_config(config: dict) -> LoopConfig:
-    known = dict(_options(config.get("loop", {}), "loop", LoopConfig.__dataclass_fields__))
-    known.setdefault("seed", _count(config, "seed", 0, 0))
-    known["mode"] = config.get("mode", known.get("mode", "SENTENCE"))
-    for name in ("class_weights", "epsilon"):
-        if config.get(name) is not None:
-            known[name] = config[name]
-    try:
-        known["fit"] = FitConfig(**config.get("fit", {}))
-        return LoopConfig(**known)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return [build_partition(union, table, PartitionKind(k), settings.partitions)
+            for k in settings.kinds]
 
 
 class _RunWriter:
@@ -425,16 +497,12 @@ class _RunWriter:
                 fh.write(record.to_json() + "\n")
             snap: UncertaintySnapshot | None = payload.get("snapshot")
             if snap is not None:
-                path = self.run_dir / "snapshots" / f"checkpoint_{record.index:04d}.json"
-                path.write_text(
-                    json.dumps(
-                        {
-                            "tokens": snap.checkpoint_tokens,
-                            "scores": {str(k): v for k, v in sorted(snap.scores.items())},
-                        },
-                        sort_keys=True,
-                    ),
-                    encoding="utf-8",
+                _write_json(
+                    self.run_dir / "snapshots" / f"checkpoint_{record.index:04d}.json",
+                    {
+                        "tokens": snap.checkpoint_tokens,
+                        "scores": {str(k): v for k, v in sorted(snap.scores.items())},
+                    },
                 )
             ref = payload.get("reference_labels")
             if ref is not None:
@@ -449,29 +517,18 @@ class _RunWriter:
                     )
         elif event == "batch":
             batch = payload["batch"]
-            path = self.run_dir / "batches" / f"batch_{payload['batch_index']:04d}.json"
-            path.write_text(
-                json.dumps(
-                    {
-                        "batch_index": payload["batch_index"],
-                        "sentence_ids": list(batch.sentence_ids),
-                        "token_count": batch.token_count,
-                        "exhausted": batch.exhausted,
-                    },
-                    sort_keys=True,
-                ),
-                encoding="utf-8",
+            _write_json(
+                self.run_dir / "batches" / f"batch_{payload['batch_index']:04d}.json",
+                {
+                    "batch_index": payload["batch_index"],
+                    "sentence_ids": list(batch.sentence_ids),
+                    "token_count": batch.token_count,
+                    "exhausted": batch.exhausted,
+                },
             )
         elif event == "fits":
-            for p, f in enumerate(payload["fits"]):
-                path = (
-                    self.run_dir
-                    / "fits"
-                    / f"batch_{payload['batch_index']:04d}_p{p}.txt"
-                )
-                path.write_text(
-                    serialize_fit(f.params, f.objective_value), encoding="utf-8"
-                )
+            stem = f"batch_{payload['batch_index']:04d}"
+            _write_fits(payload["fits"], self.run_dir / "fits", stem)
 
 
 def _load_resume(run_dir: Path):
@@ -499,60 +556,39 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config, args.set or [])
     if args.strategy:
         config["strategy"] = args.strategy
-    strategy_name = config.get("strategy", "edg")
-    if strategy_name not in STRATEGY_NAMES:
-        raise ConfigError(
-            f"unknown strategy {strategy_name!r}; expected one of {STRATEGY_NAMES}"
-        )
-    paths = config.get("paths", {})
-    for required in ("pool", "validation", "output"):
-        if required not in paths:
-            raise ConfigError(f"paths.{required} is required")
-
-    loop_cfg = _loop_config(config)
-    kinds, partition_cfg = _partition_config(config)
-    predictor_cfg = _predictor_config(config)
-    spec = _synth_spec(
-        _options(config.get("synth_spec", {}), "synth_spec", SynthSpec.__dataclass_fields__),
-        "synth_spec",
-    )
+    settings = _simulate_settings(config)
+    strategy_name, paths, loop_cfg = settings.strategy, settings.paths, settings.loop
+    predictor_cfg = settings.predictor
 
     run_dir = Path(paths["output"])
-    resume = bool(args.resume)
-    if run_dir.exists() and any(run_dir.iterdir()) and not resume and not args.force:
+    if run_dir.exists() and any(run_dir.iterdir()) and not args.resume and not args.force:
         raise ConfigError(f"run directory {run_dir} exists (use --resume or --force)")
 
-    pool = _read_dataset(paths["pool"], "pool")
-    validation = _read_dataset(paths["validation"], "validation")
-    test = _read_dataset(paths["test"], "test") if "test" in paths else None
-    pseudo_test = (
-        _read_dataset(paths["pseudo_test"], "pseudo_test")
-        if "pseudo_test" in paths
-        else None
+    pool, validation, test, pseudo_test = (
+        _read_dataset(paths[role], role) if role in paths else None
+        for role in ("pool", "validation", "test", "pseudo_test")
     )
 
-    one_hot = bool(config.get("partitions", {}).get("one_hot", False))
-    has_table = "embeddings" in paths or one_hot
+    has_table = "embeddings" in paths or settings.one_hot
     check_capabilities(strategy_name, predictor_cfg, validation, has_table)
     strategy = make_strategy(strategy_name)
 
     table = None
     if "embeddings" in paths:
         table = _read_embeddings(paths["embeddings"])
-    elif one_hot:
-        table = one_hot_embeddings(spec)
+    elif settings.one_hot:
+        table = one_hot_embeddings(settings.spec)
 
     if loop_cfg.class_weights is not None:
         missing = (pool.label_inventory | validation.label_inventory) - set(loop_cfg.class_weights)
         if missing:
             raise ConfigError(f"class_weights has no weight for entity types {sorted(missing)}")
-    partitions = _build_partitions(kinds, partition_cfg, pool, validation, table)
+    partitions = _build_partitions(settings, pool, validation, table)
 
     run_dir.mkdir(parents=True, exist_ok=True)
-    norm_config = copy.deepcopy(config)
     manifest = {
-        "config": norm_config,
-        "config_hash": config_hash(norm_config),
+        "config": config,
+        "config_hash": config_hash(config),
         "strategy": strategy_name,
         "version": __version__,
         "n_partitions": len(partitions),
@@ -560,13 +596,11 @@ def cmd_simulate(args) -> int:
         "epsilon": loop_cfg.epsilon,
     }
     manifest_path = run_dir / "manifest.json"
-    if resume and manifest_path.exists():
+    if args.resume and manifest_path.exists():
         previous = json.loads(manifest_path.read_text(encoding="utf-8"))
         if previous.get("config_hash") != manifest["config_hash"]:
             raise ConfigError("resume config differs from the recorded manifest")
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    _write_json(manifest_path, manifest, indent=2)
     pdir = run_dir / "partitions"
     pdir.mkdir(exist_ok=True)
     for i, p in enumerate(partitions):
@@ -575,14 +609,14 @@ def cmd_simulate(args) -> int:
     if predictor_cfg.get("type", "builtin") == "builtin":
         trainer = builtin_trainer(
             smoothing_alpha=predictor_cfg.get("smoothing_alpha", 1.0),
-            seed=config.get("seed", 0),
+            seed=loop_cfg.seed,
         )
     else:
         trainer = external_trainer(predictor_cfg["command"], run_dir / "external")
 
-    resume_history = resume_snaps = resume_refs = None
-    if resume:
-        resume_history, resume_snaps, resume_refs = _load_resume(run_dir)
+    resume_history, resume_snaps, resume_refs = (
+        _load_resume(run_dir) if args.resume else (None, None, None)
+    )
 
     writer = _RunWriter(run_dir)
     history = run_active_loop(
@@ -614,13 +648,7 @@ def cmd_simulate(args) -> int:
     record_history = history.group_record_history(len(partitions))
     if all(len(records) >= 2 for records in record_history):
         fits = [fit(records, config=loop_cfg.fit) for records in record_history]
-        for i, f in enumerate(fits):
-            (run_dir / "fits" / f"final_p{i}.txt").write_text(
-                serialize_fit(f.params, f.objective_value), encoding="utf-8"
-            )
-        (run_dir / "curves.csv").write_text(
-            export_decay_curves(fits, partitions), encoding="utf-8"
-        )
+        _write_fits(fits, run_dir / "fits", "final", partitions, run_dir / "curves.csv")
     print(f"run complete: {len(history.checkpoints)} checkpoints in {run_dir}")
     return EXIT_OK
 
@@ -629,25 +657,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit_decay(args) -> int:
-    history = RunHistory.from_jsonl(_read_input(args.history, "history"))
-    with_records = [c for c in history.checkpoints if c.group_records is not None]
-    if len(with_records) < 2:
-        raise FitError("history must contain at least 2 checkpoints with group errors")
-    n_partitions = len(with_records[0].group_records)
-    record_history = history.group_record_history(n_partitions)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    record_history = _read_history(args.history, least=2)
+    partitions = _read_partitions(args.partitions)
     fit_cfg = FitConfig(seed=args.fit_seed)
     fits = [fit(records, config=fit_cfg) for records in record_history]
-    partitions = [load_partition(_read_input(p, "partition")) for p in args.partitions or ()]
-    for i, f in enumerate(fits):
-        (out_dir / f"fit_p{i}.txt").write_text(
-            serialize_fit(f.params, f.objective_value), encoding="utf-8"
-        )
-    (out_dir / "curves.csv").write_text(
-        export_decay_curves(fits, partitions), encoding="utf-8"
-    )
-    print(f"fitted {n_partitions} partitions over {len(with_records)} checkpoints")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_fits(fits, out_dir, "fit", partitions, out_dir / "curves.csv")
+    print(f"fitted {len(fits)} partitions over {len(record_history[0])} checkpoints")
     return EXIT_OK
 
 
@@ -662,17 +679,11 @@ def cmd_select(args) -> int:
     pool = _read_dataset(args.pool, "pool")
     train = _read_dataset(args.train, "train") if args.train else None
     validation = _read_dataset(args.validation, "validation") if args.validation else None
-    partitions = [load_partition(_read_input(p, "partition")) for p in args.partitions]
-    params = [parse_fit(_read_input(p, "fit")) for p in args.fits]
-    if len(params) != len(partitions):
-        raise ConfigError("need one fit file per partition file")
+    partitions = _read_partitions(args.partitions)
+    fits = _read_fits(args.fits, [[] for _ in partitions])
     table = None
     if args.embeddings:
         table = _read_embeddings(args.embeddings)
-    fits = [
-        DecayFit(params=p, history=[], objective_value=0.0, converged=True)
-        for p in params
-    ]
     train_sentences = list(train.sentences) if train else []
     da = list(pool.sentences) + train_sentences + (
         list(validation.sentences) if validation else []
@@ -736,23 +747,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_export_curves(args) -> int:
-    history = RunHistory.from_jsonl(_read_input(args.history, "history"))
-    with_records = [c for c in history.checkpoints if c.group_records is not None]
-    if not with_records:
-        raise FitError("history contains no group error records")
-    n_partitions = len(with_records[0].group_records)
-    record_history = history.group_record_history(n_partitions)
-    params = [parse_fit(_read_input(p, "fit")) for p in args.fits]
-    if len(params) != n_partitions:
-        raise ConfigError(
-            f"history has {n_partitions} partitions but {len(params)} fit files given"
-        )
-    fits = [
-        DecayFit(params=p, history=record_history[i], objective_value=0.0, converged=True)
-        for i, p in enumerate(params)
-    ]
-    partitions = [load_partition(_read_input(p, "partition")) for p in args.partitions or ()]
-    text = export_decay_curves(fits, partitions)
+    fits = _read_fits(args.fits, _read_history(args.history, least=1))
+    text = export_decay_curves(fits, _read_partitions(args.partitions))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -774,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-synth", help="generate the synthetic corpus splits")
     p.add_argument("--config", default=None)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--output", default=None)
+    p.add_argument("--output", default="synth")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_gen_synth)
 

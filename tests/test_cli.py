@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from groupdecay import cli
 from groupdecay.cli import main
 from groupdecay.corpus import parse_conll
 from groupdecay.loop import LoopConfig, burn_in_checkpoints
@@ -80,6 +81,16 @@ def _assert_resume_reproduces(tmp_path, config_for, cut):
     assert (broken / "curves.csv").read_bytes() == (full / "curves.csv").read_bytes()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_json(after):
+    """The first JSON block of the README after the text ``after``."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```json\n", text.index(after)) + len("```json\n")
+    return text[start:text.index("```", start)]
+
+
 def _sim_config(synth_dir, out_dir, strategy="edg", **loop_overrides):
     loop = dict(
         burn_in_batches=2,
@@ -130,14 +141,22 @@ class TestGenSynth:
     @pytest.mark.parametrize(
         "setting",
         ["train_tokens=abc", "pool_tokens=-1", "sentences_per_doc=0", "vocab_sise=100",
-         "seed=abc"],
-        ids=["train-tokens-string", "pool-tokens-negative", "docs-zero", "typo", "seed-string"],
+         "seed=abc", "train_tokens=3", "val_tokens=4", "pool_tokens=4"],
+        ids=["train-tokens-string", "pool-tokens-negative", "docs-zero", "typo", "seed-string",
+             "train-below-min-length", "val-below-min-length", "pool-below-min-length"],
     )
     def test_bad_setting_is_config_error(self, tmp_path, capsys, setting):
         out = tmp_path / "corpus"
         assert run_cli("gen-synth", "--output", out, "--set", setting) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_output_key_is_config_error(self, tmp_path, capsys):
+        """The output directory is named by --output alone."""
+        out, other = tmp_path / "corpus", tmp_path / "other"
+        assert run_cli("gen-synth", "--output", out, "--set", f"output={other}") == 2
+        assert "unknown gen-synth options: ['output']" in capsys.readouterr().err
+        assert not out.exists() and not other.exists()
 
     def test_default_sizes_match_reference_corpus(self, tmp_path):
         # full-size generation: ~100k/10k/10k tokens with <1 sentence overshoot
@@ -301,16 +320,16 @@ class TestSimulate:
         assert not out.exists()  # refused before any checkpoint ran
 
     @pytest.mark.parametrize(
-        "loop",
+        "edit",
         [
-            {"ensemble_k": 1},
-            {"history_batch_tokens": 0},
-            {"selection_batch_tokens": 1000.5},
-            {"total_batches": 6.5},
-            {"burn_in_batches": 2.5},
-            {"history_start_tokens": 100.5},
-            {"min_history_points": 2.5},
-            {"uncertainty_lag_tokens": 0.5},
+            {"loop": {"ensemble_k": 1}},
+            {"loop": {"history_batch_tokens": 0}},
+            {"loop": {"selection_batch_tokens": 1000.5}},
+            {"loop": {"total_batches": 6.5}},
+            {"loop": {"burn_in_batches": 2.5}},
+            {"loop": {"history_start_tokens": 100.5}},
+            {"loop": {"min_history_points": 2.5}},
+            {"loop": {"uncertainty_lag_tokens": 0.5}},
             {"seed": 1.5},
         ],
         ids=[
@@ -318,10 +337,15 @@ class TestSimulate:
             "lag", "seed",
         ],
     )
-    def test_bad_loop_option_is_config_error(self, synth_dir, tmp_path, loop, capsys):
+    def test_bad_loop_option_is_config_error(self, synth_dir, tmp_path, edit, capsys):
+        """A bad value of a ``LoopConfig`` field, in the ``loop`` table or
+        at the top level, where the loop's seed is read."""
         out = tmp_path / "run_loop"
+        config = _sim_config(synth_dir, out, strategy="bald")
+        config["loop"].update(edit.get("loop", {}))
+        config.update({k: v for k, v in edit.items() if k != "loop"})
         cfg = tmp_path / "cfg_loop.json"
-        cfg.write_text(json.dumps(_sim_config(synth_dir, out, strategy="bald", **loop)))
+        cfg.write_text(json.dumps(config))
         assert run_cli("simulate", "--config", cfg) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()  # refused before any checkpoint ran
@@ -334,8 +358,8 @@ class TestSimulate:
             ("edg", {"class_weights": {"O": 1.0, "E1": 1.0, "E2": 1.0, "E3": 1.0}}),
             ("rnd", {"class_weights": {"O": 1.0, "E1": -1.0, "E2": 1.0, "E3": 1.0, "E4": 1.0}}),
             ("rnd", {"class_weights": {"O": "1", "E1": 1.0, "E2": 1.0, "E3": 1.0, "E4": 1.0}}),
-            ("rnd", {"loop": {"class_weights": [1, 2]}}),
-            ("rnd", {"loop": {"epsilon": "abc"}}),
+            ("rnd", {"class_weights": [1, 2]}),
+            ("rnd", {"epsilon": "abc"}),
             ("edg", {"epsilon": "abc"}),
             ("edg", {"epsilon": float("nan")}),
             ("edg", {"epsilon": float("inf")}),
@@ -353,7 +377,6 @@ class TestSimulate:
     ):
         out = tmp_path / "run_weights"
         config = _sim_config(synth_dir, out, strategy=strategy)
-        config["loop"].update(edit.pop("loop", {}))
         config.update(edit)
         cfg = tmp_path / "cfg_weights.json"
         cfg.write_text(json.dumps(config))
@@ -393,6 +416,69 @@ class TestSimulate:
         assert run_cli("simulate", "--config", cfg, "--set", setting) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()  # refused before any partition was built
+
+    @pytest.mark.parametrize(
+        "key, setting",
+        [
+            ("seed", "loop.seed=3"),
+            ("mode", "loop.mode=SENTENCE"),
+            ("epsilon", "loop.epsilon=0.5"),
+            ("class_weights", 'loop.class_weights={"O": 1.0}'),
+            ("fit", 'loop.fit={"restarts": "bogus"}'),
+            ("identity", "partitions.identity=true"),
+        ],
+        ids=["loop-seed", "loop-mode", "loop-epsilon", "loop-class-weights", "loop-fit",
+             "partitions-identity"],
+    )
+    def test_second_spelling_is_config_error(self, synth_dir, tmp_path, capsys, key, setting):
+        """Each setting has one key: the top level holds seed, mode, epsilon,
+        class_weights and fit, and an identity partition is kinds "identity"."""
+        out = tmp_path / "run_alias"
+        cfg = tmp_path / "cfg_alias.json"
+        cfg.write_text(json.dumps(_sim_config(synth_dir, out, strategy="rnd")))
+        assert run_cli("simulate", "--config", cfg, "--set", setting) == 2
+        table = setting.split(".")[0]
+        assert f"config error: unknown {table} options: ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("strateg=edg", "unknown top-level options: ['strateg']"),
+            ("paths.tset=test.conll", "unknown paths options: ['tset']"),
+            ("paths.test=7", "paths.test must be a string, got 7"),
+            ("paths.pool=null", "paths.pool must be a string, got None"),
+            ('partitions.one_hot="false"', "partitions one_hot must be true or false"),
+            ('predictor.logprobs="false"', "predictor logprobs must be true or false"),
+            ("predictor.ensemble=1", "predictor ensemble must be true or false"),
+        ],
+        ids=["top-level-typo", "paths-typo", "path-number", "path-null", "one-hot-string",
+             "logprobs-string", "ensemble-number"],
+    )
+    def test_unread_or_mistyped_key_is_config_error(
+        self, synth_dir, tmp_path, capsys, monkeypatch, setting, message
+    ):
+        def no_partitions(*args, **kwargs):
+            raise AssertionError("a partition was built before the config was checked")
+
+        monkeypatch.setattr(cli, "build_identity_partition", no_partitions)
+        monkeypatch.setattr(cli, "build_partition", no_partitions)
+        out = tmp_path / "run_unread"
+        cfg = tmp_path / "cfg_unread.json"
+        cfg.write_text(json.dumps(_sim_config(synth_dir, out, strategy="rnd")))
+        assert run_cli("simulate", "--config", cfg, "--set", setting) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_examples_pass_the_config_checks(self):
+        """The README's simulate config and external predictor table are
+        accepted by the checks ``simulate`` runs on every config."""
+        settings = cli._simulate_settings(json.loads(_readme_json("A simulation config is")))
+        assert settings.strategy == "edg" and settings.kinds == [
+            "SENTENCE", "WORD", "WORD_SHAPE", "WORD_SENTENCE"
+        ]
+        predictor = json.loads("{" + _readme_json("Any external tagger can participate") + "}")
+        assert cli._predictor_config(predictor)["type"] == "external"
 
     def test_pool_smaller_than_burn_in_is_data_error(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "run_small"
@@ -780,6 +866,21 @@ class TestExternalPredictor:
         assert run_cli("simulate", "--config", cfg) == 4
         # partial results preserved for resumption
         assert (out / "manifest.json").exists()
+
+
+    def test_command_that_cannot_start_is_predictor_error(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "run_nostart"
+        config = _sim_config(synth_dir, out, strategy="rnd", total_batches=3)
+        config["predictor"] = {
+            "type": "external",
+            "command": "groupdecay-no-such-tagger {train} {input} {output}",
+        }
+        cfg = tmp_path / "cfg_nostart.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", cfg) == 4
+        assert "external predictor error: external predictor could not start" in (
+            capsys.readouterr().err
+        )
 
 
 class TestBenchmarkTracer:
