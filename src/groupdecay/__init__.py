@@ -27,7 +27,6 @@ from .decay import (
     DecayParams,
     FitConfig,
     default_weights,
-    eval_curve,
     fit,
     objective_and_gradient,
 )

@@ -14,6 +14,8 @@ import dataclasses
 import hashlib
 import json
 import shlex
+import shutil
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -238,35 +240,37 @@ class ExternalPredictor:
     """Subprocess boundary: the command reads a CoNLL training file and an
     input file and writes prediction records (JSON lines).
 
-    The command template must contain {train}, {input}, and {output}
-    placeholders; {logprobs} and {ensemble_k} are substituted with 0/1 and
-    an integer when present.  Records in the output file are keyed by the
-    0-based position of the sentence in the input file; the harness maps
-    them back to its own sentence ids.
+    ``template`` is the command split into arguments (see
+    :func:`_command_template`); each argument is formatted on its own, so a
+    substituted path stays one argument.  {logprobs} and {ensemble_k} are
+    substituted with 0/1 and an integer.  Records in the output file are
+    keyed by the 0-based position of the sentence in the input file; the
+    harness maps them back to its own sentence ids.
     """
 
-    def __init__(self, command: str, train_path: Path, workdir: Path):
-        self.command = command
+    def __init__(self, template: Sequence[str], train_path: Path, workdir: Path):
+        self.template = template
         self.train_path = train_path
         self.workdir = workdir
         self._counter = 0
 
     def predict(self, dataset, want_logprobs=False, ensemble_k=None):
-        sentences = list(dataset.sentences if isinstance(dataset, Dataset) else dataset)
+        sentences = list(dataset)
         ds = Dataset(tuple(sentences), frozenset(), role="input")
         self._counter += 1
         input_path = self.workdir / f"input_{self._counter:05d}.conll"
         output_path = self.workdir / f"output_{self._counter:05d}.jsonl"
         input_path.write_text(serialize_conll(ds), encoding="utf-8")
-        command = self.command.format(
+        values = dict(
             train=str(self.train_path),
             input=str(input_path),
             output=str(output_path),
             logprobs=int(bool(want_logprobs)),
             ensemble_k=int(ensemble_k or 0),
         )
+        command = [arg.format(**values) for arg in self.template]
         try:
-            result = subprocess.run(shlex.split(command), capture_output=True, text=True)
+            result = subprocess.run(command, capture_output=True, text=True)
         except OSError as exc:
             raise ExternalPredictorError(f"external predictor could not start: {exc}") from exc
         if result.returncode != 0:
@@ -297,13 +301,13 @@ class ExternalPredictor:
         }
 
 
-def external_trainer(command: str, workdir: Path):
+def external_trainer(template: Sequence[str], workdir: Path):
     workdir.mkdir(parents=True, exist_ok=True)
 
     def train(train_ds: Dataset) -> ExternalPredictor:
         train_path = workdir / "train_current.conll"
         train_path.write_text(serialize_conll(train_ds), encoding="utf-8")
-        return ExternalPredictor(command, train_path, workdir)
+        return ExternalPredictor(template, train_path, workdir)
 
     return train
 
@@ -312,19 +316,44 @@ def external_trainer(command: str, workdir: Path):
 
 
 _PREDICTOR_KEYS = ("type", "command", "logprobs", "ensemble", "smoothing_alpha")
+_PLACEHOLDERS = {"train", "input", "output", "logprobs", "ensemble_k"}
+
+
+def _command_template(command: str) -> list[str]:
+    """The external command split shell-style into arguments, which must
+    name {train}, {input} and {output}, may name {logprobs} and
+    {ensemble_k}, name no other placeholder, and format without error."""
+    try:
+        template = shlex.split(command)
+        fields = [f[1] for arg in template for f in string.Formatter().parse(arg)]
+    except ValueError as exc:
+        raise ConfigError(f"predictor command {command!r}: {exc}") from exc
+    names = set(fields) - {None}
+    if not {"train", "input", "output"} <= names <= _PLACEHOLDERS:
+        raise ConfigError(f"predictor command {command!r} names placeholders {sorted(names)}; "
+                          f"it needs train, input and output and takes logprobs and ensemble_k")
+    try:
+        for arg in template:
+            arg.format(train="", input="", output="", logprobs=0, ensemble_k=0)
+    except ValueError as exc:
+        raise ConfigError(f"predictor command {command!r}: {exc}") from exc
+    return template
 
 
 def _predictor_config(config: dict) -> dict:
     """The ``predictor`` table, checked: a known type, an external command
     string, boolean capabilities, a smoothing constant that is a finite
-    number > 0."""
+    number > 0.  An external command is returned split by
+    :func:`_command_template`."""
     predictor_cfg = _options(config.get("predictor", {}), "predictor", _PREDICTOR_KEYS)
     kind = predictor_cfg.get("type", "builtin")
     if kind not in ("builtin", "external"):
         raise ConfigError(f"predictor type must be 'builtin' or 'external', got {kind!r}")
     command = predictor_cfg.get("command")
-    if kind == "external" and not (isinstance(command, str) and command):
-        raise ConfigError(f"external predictor needs a 'command' template, got {command!r}")
+    if kind == "external":
+        if not (isinstance(command, str) and command):
+            raise ConfigError(f"external predictor needs a 'command' template, got {command!r}")
+        predictor_cfg = {**predictor_cfg, "command": _command_template(command)}
     for name in ("logprobs", "ensemble"):
         _flag(predictor_cfg, name, "predictor")
     alpha = predictor_cfg.get("smoothing_alpha", 1.0)
@@ -552,6 +581,13 @@ def _load_resume(run_dir: Path):
     return history, snapshots, refs
 
 
+# what ``simulate`` writes into a run directory; ``--force`` removes these
+_RUN_OUTPUTS = (
+    "history.jsonl", "manifest.json", "scores.csv", "curves.csv",
+    "batches", "fits", "snapshots", "refpred", "partitions", "external",
+)
+
+
 def cmd_simulate(args) -> int:
     config = load_config(args.config, args.set or [])
     if args.strategy:
@@ -585,6 +621,13 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"class_weights has no weight for entity types {sorted(missing)}")
     partitions = _build_partitions(settings, pool, validation, table)
 
+    if args.force:
+        for name in _RUN_OUTPUTS:
+            path = run_dir / name
+            if path.is_dir():
+                shutil.rmtree(path)
+            else:
+                path.unlink(missing_ok=True)
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "config": config,
@@ -657,9 +700,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit_decay(args) -> int:
+    try:
+        fit_cfg = FitConfig(seed=args.fit_seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     record_history = _read_history(args.history, least=2)
     partitions = _read_partitions(args.partitions)
-    fit_cfg = FitConfig(seed=args.fit_seed)
     fits = [fit(records, config=fit_cfg) for records in record_history]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

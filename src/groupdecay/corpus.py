@@ -212,14 +212,10 @@ class EmbeddingTable:
     dim: int
     vectors: dict[str, np.ndarray]
     oov_vector: np.ndarray
-    normalized: bool = False
     duplicate_warnings: int = 0
 
     def get(self, surface: str) -> np.ndarray:
         return self.vectors.get(surface, self.oov_vector)
-
-    def __contains__(self, surface: str) -> bool:
-        return surface in self.vectors
 
 
 def load_embeddings(source: Union[str, IO], normalize: bool = True) -> EmbeddingTable:
@@ -280,7 +276,6 @@ def load_embeddings(source: Union[str, IO], normalize: bool = True) -> Embedding
         dim=dim,
         vectors=raw,
         oov_vector=oov,
-        normalized=normalize,
         duplicate_warnings=duplicates,
     )
 

@@ -38,7 +38,6 @@ __all__ = [
     "FitConfig",
     "FitError",
     "DecayNumericalError",
-    "eval_curve",
     "curve_values",
     "default_weights",
     "objective_value",
@@ -77,10 +76,6 @@ class DecayParams:
     def n_groups(self) -> int:
         return len(self.b)
 
-    @property
-    def n_params(self) -> int:
-        return 2 * self.n_groups + 5
-
     def to_vector(self) -> np.ndarray:
         return np.concatenate(
             ([self.a0, self.a_half, self.a1, self.a2, self.a3], self.b, self.c)
@@ -118,11 +113,6 @@ def curve_values(params: DecayParams, n, clamp: bool = False, groups=None) -> np
     return np.clip(e, 0.0, 1.0) if clamp else e
 
 
-def eval_curve(params: DecayParams, group: int, n: float, clamp: bool = False) -> float:
-    """Predicted average error of one group at training mass n."""
-    return float(curve_values(params, float(n), clamp=clamp, groups=group))
-
-
 def default_weights(
     history: Sequence[GroupErrorRecord],
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -157,11 +147,7 @@ def objective_value(
     vec: np.ndarray, N: np.ndarray, Y: np.ndarray, W: np.ndarray
 ) -> float:
     """Weighted squared loss of the decay model at a raw parameter vector."""
-    r = curve_values(DecayParams.from_vector(vec, N.shape[1]), N) - Y
-    per_group = np.sum(W * r * r, axis=0)
-    if not np.all(np.isfinite(per_group)):
-        raise DecayNumericalError(int(np.flatnonzero(~np.isfinite(per_group))[0]))
-    return float(per_group.sum())
+    return objective_and_gradient(vec, N, Y, W)[0]
 
 
 def objective_and_gradient(

@@ -324,8 +324,7 @@ def build_partition(
     ``sentences`` must cover training data, sampling pool, and validation so
     that group statistics approximate the test distribution.
     """
-    if isinstance(sentences, Dataset):
-        sentences = list(sentences.sentences)
+    sentences = list(sentences)
     kind = PartitionKind(kind)
     cfg = config or PartitionConfig()
 
@@ -536,7 +535,7 @@ def build_group_index(
     """Each sentence's group contributions under ``partition``: hard
     partitions look up every distinct surface once, the soft one stacks
     :meth:`Partition.sentence_membership` rows."""
-    sentences = list(sentences.sentences if isinstance(sentences, Dataset) else sentences)
+    sentences = list(sentences)
     lengths = np.asarray([len(s) for s in sentences], dtype=np.intp)
     J = partition.n_groups
     if partition.soft:
@@ -589,9 +588,8 @@ def sentence_group_delta(
 
 @dataclass
 class GroupErrors:
-    error: np.ndarray      # average per-token error in [0, 1] per group
-    mass: np.ndarray       # m(group, dataset)
-    zero_mass: np.ndarray  # True where mass == 0 (error reported as 0)
+    error: np.ndarray  # average per-token error in [0, 1] per group; 0 where mass == 0
+    mass: np.ndarray   # m(group, dataset)
 
 
 @dataclass
@@ -647,7 +645,7 @@ def mismatch_rates(
     per index row) differ: gold against predictions gives the validation
     error, two checkpoints' predictions the prediction difference.  With
     ``class_weights`` a mismatch costs the mean of the two tags' weights.
-    Groups with zero mass report rate 0 and are flagged.
+    Groups with zero mass report rate 0.
     """
     a = [t for tags in first for t in tags]
     b = [t for tags in second for t in tags]
@@ -655,10 +653,9 @@ def mismatch_rates(
         raise AlignmentError(f"labelings of {len(a)} and {len(b)} for {index.offsets[-1]} tokens")
     err = index.token_sums(_token_losses(a, b, class_weights))
     mass = index.mass()
-    zero = mass == 0
     rate = np.zeros_like(err)
-    np.divide(err, mass, out=rate, where=~zero)
-    return GroupErrors(error=rate, mass=mass, zero_mass=zero)
+    np.divide(err, mass, out=rate, where=mass != 0)
+    return GroupErrors(error=rate, mass=mass)
 
 
 def group_error(
@@ -673,7 +670,7 @@ def group_error(
     ``predictions`` maps sentence id to a predicted tag sequence covering
     every gold sentence.  With ``class_weights`` the token loss becomes the
     mean of the gold and predicted class weights on mismatches.  Groups with
-    zero mass report error 0 and are flagged.
+    zero mass report error 0.
     """
     sentences = gold.sentences
     return mismatch_rates(

@@ -12,7 +12,6 @@ easy words quickly, plateaus on noise words, and learns context slowly.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
@@ -31,17 +30,12 @@ __all__ = [
     "tagger_predict",
     "make_pseudo_pool",
     "relabel",
-    "BuiltinPredictor",
     "builtin_trainer",
-    "save_tagger",
-    "load_tagger",
 ]
 
 CAT_ALWAYS_NONE = 1
 CAT_NOISE = 2
 CAT_CONTEXT = 3
-
-_PAD = "\x00pad"  # name of the pad row in a saved tagger's surface list
 
 
 @dataclass(frozen=True)
@@ -108,7 +102,6 @@ def one_hot_embeddings(spec: SynthSpec) -> EmbeddingTable:
         dim=spec.vocab_size,
         vectors=vectors,
         oov_vector=np.zeros(spec.vocab_size),
-        normalized=True,
     )
 
 
@@ -265,17 +258,18 @@ class ReferenceTagger:
     P(y | token, context) is proportional to (token-tag count + alpha) times
     the product over offsets of smoothed context likelihoods
     (count(y, ctx, offset) + alpha) / (count(y) + alpha * V).
-    Deterministic given the training data.
+    Deterministic given the training data; ``seed`` seeds only the
+    bootstrap ensembles :meth:`predict` draws.
     """
 
-    def __init__(self, train: Dataset, smoothing_alpha: float = 1.0):
+    def __init__(self, train: Dataset, smoothing_alpha: float = 1.0, seed: int = 0):
         if len(train) == 0:
             raise ValueError("training data is empty")
         tags = [t.gold_label for s in train.sentences for t in s.tokens]
         if None in tags:
             raise ValueError("training data must be fully labeled")
         surfaces, lengths = _flatten(train.sentences)
-        self.train_sentences: tuple[Sentence, ...] = train.sentences
+        self.seed = seed
         self._fit(surfaces, tags, lengths, smoothing_alpha)
 
     def _fit(self, surfaces, tags, lengths, smoothing_alpha, weights=None) -> None:
@@ -341,13 +335,18 @@ class ReferenceTagger:
         names = self._label_names(surfaces, lengths)
         return [names[a:b] for a, b in _spans(lengths)]
 
+    def predict(
+        self,
+        dataset: Dataset | Sequence[Sentence],
+        want_logprobs: bool = False,
+        ensemble_k: int | None = None,
+    ) -> dict[int, PredictionRecord]:
+        """The predictor protocol of the active-learning loop."""
+        return tagger_predict(self, dataset, want_logprobs, ensemble_k, self.seed)
 
-def train_reference_tagger(
-    train: Dataset, smoothing_alpha: float = 1.0, seed: int = 0
-) -> ReferenceTagger:
-    """Fit the count tables; ``seed`` is kept for API symmetry (training is
-    deterministic) and reserved for bootstrap resampling by callers."""
-    del seed
+
+def train_reference_tagger(train: Dataset, smoothing_alpha: float = 1.0) -> ReferenceTagger:
+    """Fit the count tables (training is deterministic)."""
     return ReferenceTagger(train, smoothing_alpha)
 
 
@@ -361,7 +360,7 @@ def tagger_predict(
     """Predictions as exchange records; optional per-token log-probabilities
     and an optional ensemble of K bootstrap-retrained taggers.  A member
     counts each training sentence as many times as its bootstrap drew it."""
-    sentences = list(dataset.sentences if isinstance(dataset, Dataset) else dataset)
+    sentences = list(dataset)
     surfaces, lengths = _flatten(sentences)
     flat = tagger._log_probs(surfaces, lengths)
     labels = [tagger.labels[i] for i in flat.argmax(axis=1).tolist()]
@@ -463,75 +462,10 @@ def make_pseudo_pool(
 # -- loop integration --------------------------------------------------------
 
 
-class BuiltinPredictor:
-    """Adapter exposing the reference tagger through the predictor protocol."""
-
-    def __init__(self, tagger: ReferenceTagger, seed: int = 0):
-        self.tagger = tagger
-        self.seed = seed
-
-    def predict(
-        self,
-        dataset: Dataset | Sequence[Sentence],
-        want_logprobs: bool = False,
-        ensemble_k: int | None = None,
-    ) -> dict[int, PredictionRecord]:
-        return tagger_predict(
-            self.tagger, dataset, want_logprobs=want_logprobs,
-            ensemble_k=ensemble_k, seed=self.seed,
-        )
-
-
 def builtin_trainer(smoothing_alpha: float = 1.0, seed: int = 0):
     """Trainer callback for the active-learning loop."""
 
-    def train(train_ds: Dataset) -> BuiltinPredictor:
-        return BuiltinPredictor(ReferenceTagger(train_ds, smoothing_alpha), seed=seed)
+    def train(train_ds: Dataset) -> ReferenceTagger:
+        return ReferenceTagger(train_ds, smoothing_alpha, seed)
 
     return train
-
-
-# -- serialization ------------------------------------------------------------
-
-_TAGGER_FORMAT = "groupdecay-tagger/1"
-
-
-def save_tagger(tagger: ReferenceTagger) -> str:
-    payload = {
-        "format": _TAGGER_FORMAT,
-        "alpha": tagger.smoothing_alpha,
-        "labels": list(tagger.labels),
-        "surfaces": [*tagger.surface_index, _PAD],  # in row order, pad row last
-        "token_counts": tagger.token_counts.tolist(),
-        "context_counts": [c.tolist() for c in tagger.context_counts],
-        "label_totals": tagger.label_totals.tolist(),
-        "train": [
-            {
-                "id": s.id,
-                "tokens": [[t.surface, t.gold_label] for t in s.tokens],
-            }
-            for s in tagger.train_sentences
-        ],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def load_tagger(text: str) -> ReferenceTagger:
-    payload = json.loads(text)
-    if payload.get("format") != _TAGGER_FORMAT:
-        raise ValueError(f"unsupported tagger format: {payload.get('format')!r}")
-    sentences = tuple(
-        Sentence(
-            id=s["id"],
-            tokens=tuple(Token(surface=w, gold_label=l) for w, l in s["tokens"]),
-        )
-        for s in payload["train"]
-    )
-    train = Dataset(sentences=sentences, label_inventory=frozenset(), role="train")
-    tagger = ReferenceTagger(train, payload["alpha"])
-    # the tables are recomputed from the stored training sentences; verify
-    recomputed = json.loads(save_tagger(tagger))
-    for key in ("labels", "surfaces", "token_counts", "context_counts", "label_totals"):
-        if payload.get(key) != recomputed[key]:
-            raise ValueError(f"stored {key} disagree with the recomputed {key}")
-    return tagger

@@ -294,7 +294,7 @@ def prediction_difference_records(
         raise ValueError("prediction and mass histories differ in length")
     if len(prediction_history) < 2:
         raise ValueError("need at least 2 checkpoints of predictions")
-    sentences = reference.sentences if isinstance(reference, Dataset) else reference
+    sentences = list(reference)
     current = aligned_labels(prediction_history[-1], sentences)
     records = []
     for t in range(len(prediction_history) - 1):

@@ -194,6 +194,22 @@ class TestSimulate:
         assert run_cli("simulate", "--config", cfg) == 2
         assert run_cli("simulate", "--config", cfg, "--force") == 0
 
+    def test_force_starts_from_a_clean_run_directory(self, synth_dir, tmp_path):
+        out, fresh = tmp_path / "run_force", tmp_path / "run_fresh"
+        cfg = tmp_path / "cfg_force.json"
+        cfg.write_text(json.dumps(_sim_config(synth_dir, out, strategy="rnd")))
+        assert run_cli("simulate", "--config", cfg) == 0
+        (out / "notes.txt").write_text("not written by simulate")
+        config = _sim_config(synth_dir, out, strategy="rnd", total_batches=3)
+        cfg.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", cfg, "--force") == 0
+        config["paths"]["output"] = str(fresh)
+        cfg.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", cfg) == 0
+        assert (out / "history.jsonl").read_bytes() == (fresh / "history.jsonl").read_bytes()
+        assert not (out / "batches" / "batch_0002.json").exists()
+        assert (out / "notes.txt").read_text() == "not written by simulate"
+
     def test_orphan_inside_tag_in_pool_warns(self, synth_dir, tmp_path, capsys):
         pool = tmp_path / "pool.conll"
         # a one-token sentence whose I- tag opens no phrase
@@ -536,6 +552,19 @@ class TestFitDecayCommand:
             "fit-decay", "--history", short, "--out-dir", tmp_path / "nope"
         ) == 3
 
+    def test_negative_fit_seed_is_config_error(self, synth_dir, tmp_path, capsys):
+        run = tmp_path / "run_seed"
+        cfg = tmp_path / "cfg_seed.json"
+        cfg.write_text(json.dumps(_sim_config(synth_dir, run, strategy="rnd")))
+        assert run_cli("simulate", "--config", cfg) == 0
+        out = tmp_path / "fits"
+        assert run_cli(
+            "fit-decay", "--history", run / "history.jsonl", "--out-dir", out,
+            "--fit-seed", "-1",
+        ) == 2
+        assert "config error: fit seed must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScoreCommand:
     def test_identity_scores_one(self, synth_dir, capsys):
@@ -814,7 +843,8 @@ class TestExternalPredictor:
 
     def test_external_us_run(self, synth_dir, tmp_path):
         script = self._write_script(tmp_path)
-        out = tmp_path / "run_ext"
+        # each substituted path stays one argument, spaces and all
+        out = tmp_path / "run ext"
         config = _sim_config(synth_dir, out, strategy="us", total_batches=3)
         config["predictor"] = {
             "type": "external",
@@ -867,6 +897,28 @@ class TestExternalPredictor:
         # partial results preserved for resumption
         assert (out / "manifest.json").exists()
 
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("tagger '{train} {input} {output}", "No closing quotation"),
+            ("tagger {train} {input} {output} {foo}", "['foo', 'input', 'output', 'train']"),
+            ("tagger {train} {input}", "names placeholders ['input', 'train']"),
+            ("tagger {train:d} {input} {output}", "Unknown format code 'd'"),
+        ],
+        ids=["unbalanced_quote", "unknown_placeholder", "missing_placeholder", "format_spec"],
+    )
+    def test_bad_command_template_is_config_error(
+        self, synth_dir, tmp_path, capsys, command, message
+    ):
+        out = tmp_path / "run_template"
+        config = _sim_config(synth_dir, out, strategy="rnd")
+        config["predictor"] = {"type": "external", "command": command}
+        cfg = tmp_path / "cfg_template.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", cfg) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_command_that_cannot_start_is_predictor_error(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "run_nostart"

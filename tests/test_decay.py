@@ -10,7 +10,6 @@ from groupdecay.decay import (
     FitError,
     curve_values,
     default_weights,
-    eval_curve,
     fit,
     objective_and_gradient,
     objective_value,
@@ -32,7 +31,7 @@ class TestDecayParams:
     def test_parameter_count_is_2j_plus_5(self):
         for J in (1, 10, 100):
             p = _params(b=np.ones(J), c=np.zeros(J))
-            assert p.n_params == 2 * J + 5
+            assert p.to_vector().shape == (2 * J + 5,)
 
     def test_vector_round_trip(self):
         p = _params(a0=0.3, a_half=1.1, a1=0.2, a2=0.1, a3=0.05,
@@ -45,21 +44,21 @@ class TestEvalCurve:
     def test_constant_when_basis_weights_zero(self):
         p = _params(c=(0.17,))
         for n in (0, 1, 10, 1e6):
-            assert eval_curve(p, 0, n) == pytest.approx(0.17)
+            assert float(curve_values(p, n, groups=0)) == pytest.approx(0.17)
 
     def test_inverse_sqrt_value(self):
         p = _params(a_half=1.0, b=(1.0,), c=(0.1,))
-        assert eval_curve(p, 0, 4.0) == pytest.approx(0.6)
+        assert float(curve_values(p, 4.0, groups=0)) == pytest.approx(0.6)
 
     def test_clamped_below_one_mass(self):
         p = _params(a_half=1.0, b=(1.0,), c=(0.0,))
-        assert eval_curve(p, 0, 0.0) == eval_curve(p, 0, 1.0)
-        assert eval_curve(p, 0, 0.5) == eval_curve(p, 0, 1.0)
+        assert float(curve_values(p, 0.0, groups=0)) == float(curve_values(p, 1.0, groups=0))
+        assert float(curve_values(p, 0.5, groups=0)) == float(curve_values(p, 1.0, groups=0))
 
     def test_reporting_clamp(self):
         p = _params(a_half=5.0, b=(1.0,), c=(0.0,))
-        assert eval_curve(p, 0, 1.0) == 5.0
-        assert eval_curve(p, 0, 1.0, clamp=True) == 1.0
+        assert float(curve_values(p, 1.0, groups=0)) == 5.0
+        assert float(curve_values(p, 1.0, clamp=True, groups=0)) == 1.0
 
     def test_monotone_and_convex_for_random_nonnegative_params(self):
         # finite differences on a geometric grid over n >= 1

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupdecay.corpus import Dataset, Sentence, Token
-from groupdecay.decay import DecayFit, DecayParams
+from groupdecay.decay import DecayFit, DecayParams, curve_values
 from groupdecay.partition import AlignmentError, GroupErrorRecord
 from groupdecay.scoring import (
     CURVE_EXPORT_COLUMNS,
@@ -310,15 +310,13 @@ class TestExportCurves:
         assert len(lines) == 1 + 3 * 4
 
     def test_predicted_column_reproducible(self):
-        from groupdecay.decay import eval_curve
-
         fit = self._fit()
         lines = export_decay_curves([fit]).strip().splitlines()[1:]
         for line in lines:
             cols = line.split(",")
             group, mass, predicted = int(cols[1]), float(cols[3]), float(cols[5])
             assert predicted == pytest.approx(
-                eval_curve(fit.params, group, mass, clamp=True), abs=1e-9
+                float(curve_values(fit.params, mass, clamp=True, groups=group)), abs=1e-9
             )
 
     def test_flat_fit_constant_column(self):

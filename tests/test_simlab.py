@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from collections import Counter, defaultdict
@@ -14,10 +13,8 @@ from groupdecay.simlab import (
     ReferenceTagger,
     SynthSpec,
     gen_synthetic,
-    load_tagger,
     make_pseudo_pool,
     one_hot_embeddings,
-    save_tagger,
     tagger_predict,
 )
 from oracles import PerSentenceTagger, per_round_pseudo_labels, per_sentence_predict
@@ -397,21 +394,6 @@ class TestMakePseudoPool:
 
 
 class TestTaggerSerialization:
-    def test_ordinary_payload_unchanged(self):
-        train = parse_conll("a O\nb B-E1\n\nb B-E1\nc I-E1\n", role="train")
-        assert save_tagger(ReferenceTagger(train)) == (
-            '{"alpha": 1.0, "context_counts": [[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], '
-            '[0.0, 0.0, 0.0], [2.0, 1.0, 1.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], '
-            '[0.0, 0.0, 0.0], [1.0, 0.0, 1.0]], [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], '
-            '[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], '
-            '[0.0, 0.0, 0.0], [2.0, 1.0, 1.0]]], "format": "groupdecay-tagger/1", '
-            '"label_totals": [2.0, 1.0, 1.0], "labels": ["B-E1", "I-E1", "O"], '
-            '"surfaces": ["a", "b", "c", "\\u0000pad"], "token_counts": [[0.0, 0.0, 1.0], '
-            '[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], "train": [{"id": 0, '
-            '"tokens": [["a", "O"], ["b", "B-E1"]]}, {"id": 1, "tokens": [["b", "B-E1"], '
-            '["c", "I-E1"]]}]}'
-        )
-
     def test_surface_spelled_like_pad_is_ordinary(self):
         # "\x01pad" sorts to the same row, so both taggers must agree exactly
         text = "a O\n{} B-E1\nb O\n\n{} B-E1\na O\n"
@@ -425,39 +407,3 @@ class TestTaggerSerialization:
         for got, want in zip(tagger.scores(probe), renamed.scores(renamed_probe)):
             assert _same_bits(got, want)
         assert tagger.predict_labels(probe)[0][1] == "B-E1"
-        clone = load_tagger(save_tagger(tagger))
-        assert tagger_predict(clone, probe, want_logprobs=True) == tagger_predict(
-            tagger, probe, want_logprobs=True
-        )
-
-    def test_round_trip(self, corpus):
-        tagger = ReferenceTagger(
-            Dataset(corpus.sentences[:20], corpus.label_inventory, "train")
-        )
-        clone = load_tagger(save_tagger(tagger))
-        sents = list(corpus.sentences[20:25])
-        a = tagger_predict(tagger, sents, want_logprobs=True)
-        b = tagger_predict(clone, sents, want_logprobs=True)
-        assert a == b
-
-    @pytest.mark.parametrize(
-        "key", ["labels", "surfaces", "token_counts", "context_counts", "label_totals"]
-    )
-    def test_altered_table_raises(self, corpus, key):
-        tagger = ReferenceTagger(
-            Dataset(corpus.sentences[:20], corpus.label_inventory, "train")
-        )
-        payload = json.loads(save_tagger(tagger))
-        table = payload[key]
-        if key == "labels":
-            table.reverse()
-        elif key == "surfaces":
-            table[0], table[1] = table[1], table[0]
-        elif key == "context_counts":
-            table[1][0][0] += 1.0
-        elif key == "token_counts":
-            table[0][0] += 1.0
-        else:
-            table[0] += 1.0
-        with pytest.raises(ValueError, match=f"stored {key}"):
-            load_tagger(json.dumps(payload))
