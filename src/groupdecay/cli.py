@@ -32,7 +32,9 @@ from .corpus import (
     parse_conll,
     serialize_conll,
 )
-from .decay import DecayFit, FitConfig, FitError, fit, parse_fit, serialize_fit
+from .decay import (
+    DecayFit, DecayNumericalError, FitConfig, FitError, fit, parse_fit, serialize_fit,
+)
 from .loop import (
     CheckpointRecord,
     LoopConfig,
@@ -496,6 +498,9 @@ def _simulate_settings(config: dict) -> _Settings:
     )
 
 
+_NEEDS_EMBEDDINGS = "embedding-based partitions need an embeddings file"
+
+
 def _build_partitions(
     settings: _Settings, pool: Dataset, validation: Dataset, table: EmbeddingTable | None
 ) -> list[Partition]:
@@ -503,7 +508,7 @@ def _build_partitions(
     if settings.kinds is None:
         return [build_identity_partition(union)]
     if table is None:
-        raise ConfigError("embedding-based partitions need an embeddings file")
+        raise ConfigError(_NEEDS_EMBEDDINGS)
     return [build_partition(union, table, PartitionKind(k), settings.partitions)
             for k in settings.kinds]
 
@@ -545,15 +550,10 @@ class _RunWriter:
                         fh,
                     )
         elif event == "batch":
-            batch = payload["batch"]
+            index = payload["batch_index"]
             _write_json(
-                self.run_dir / "batches" / f"batch_{payload['batch_index']:04d}.json",
-                {
-                    "batch_index": payload["batch_index"],
-                    "sentence_ids": list(batch.sentence_ids),
-                    "token_count": batch.token_count,
-                    "exhausted": batch.exhausted,
-                },
+                self.run_dir / "batches" / f"batch_{index:04d}.json",
+                {"batch_index": index, **dataclasses.asdict(payload["batch"])},
             )
         elif event == "fits":
             stem = f"batch_{payload['batch_index']:04d}"
@@ -726,10 +726,14 @@ def cmd_select(args) -> int:
     train = _read_dataset(args.train, "train") if args.train else None
     validation = _read_dataset(args.validation, "validation") if args.validation else None
     partitions = _read_partitions(args.partitions)
+    if not args.embeddings and any(p.identity_vocab is None for p in partitions):
+        raise ConfigError(_NEEDS_EMBEDDINGS)
     fits = _read_fits(args.fits, [[] for _ in partitions])
-    table = None
-    if args.embeddings:
-        table = _read_embeddings(args.embeddings)
+    for path, f, p in zip(args.fits, fits, partitions):
+        if f.params.n_groups != p.n_groups:
+            raise FitError(f"fit file {path} has {f.params.n_groups} groups, "
+                           f"its partition {p.n_groups}")
+    table = _read_embeddings(args.embeddings) if args.embeddings else None
     train_sentences = list(train.sentences) if train else []
     da = list(pool.sentences) + train_sentences + (
         list(validation.sentences) if validation else []
@@ -744,12 +748,7 @@ def cmd_select(args) -> int:
         table=table,
     )
     batch = select_batch(state, list(pool.sentences), mode=args.mode)
-    payload = {
-        "sentence_ids": list(batch.sentence_ids),
-        "token_count": batch.token_count,
-        "exhausted": batch.exhausted,
-    }
-    text = json.dumps(payload, sort_keys=True)
+    text = json.dumps(dataclasses.asdict(batch), sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:
@@ -872,7 +871,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, CapabilityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CorpusFormatError, AlignmentError, FitError, ParameterError, ValueError) as exc:
+    except (CorpusFormatError, AlignmentError, FitError, ParameterError, DecayNumericalError,
+            ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ExternalPredictorError as exc:

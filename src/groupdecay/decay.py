@@ -81,21 +81,6 @@ class DecayParams:
             ([self.a0, self.a_half, self.a1, self.a2, self.a3], self.b, self.c)
         )
 
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, n_groups: int) -> "DecayParams":
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (2 * n_groups + 5,):
-            raise ValueError(f"expected {2 * n_groups + 5} parameters, got {vec.shape}")
-        return cls(
-            a0=float(vec[0]),
-            a_half=float(vec[1]),
-            a1=float(vec[2]),
-            a2=float(vec[3]),
-            a3=float(vec[4]),
-            b=vec[5 : 5 + n_groups].copy(),
-            c=vec[5 + n_groups :].copy(),
-        )
-
 
 def _basis(a: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Shared decay basis: a_half/(a0*n)^0.5 + a1/u + a2/u^2 + a3/u^3."""

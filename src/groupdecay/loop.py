@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -157,8 +157,15 @@ def burn_in_checkpoints(config: LoopConfig) -> list[int]:
     return grid
 
 
+# each partition's group record on a history line, by field name
+_RECORD_ARRAYS = ("train_mass", "val_error", "val_mass")
+
+
 @dataclass
 class CheckpointRecord:
+    """One line of ``history.jsonl``: the fields below, with
+    ``group_records`` stored as ``partitions``."""
+
     index: int
     phase: str  # "burnin" | "select"
     batch_index: int | None
@@ -172,57 +179,39 @@ class CheckpointRecord:
     batch_exhausted: bool = False
 
     def to_json(self) -> str:
-        payload = {
-            "index": self.index,
-            "phase": self.phase,
-            "batch_index": self.batch_index,
-            "train_tokens": self.train_tokens,
-            "selected_ids": list(self.selected_ids),
-            "val_f1": self.val_f1,
-            "test_f1": self.test_f1,
-            "pseudo_f1": self.pseudo_f1,
-            "weighted_val_f1": self.weighted_val_f1,
-            "batch_exhausted": self.batch_exhausted,
-            "partitions": None
-            if self.group_records is None
-            else [
-                {
-                    "train_mass": rec.train_mass.tolist(),
-                    "val_error": rec.val_error.tolist(),
-                    "val_mass": rec.val_mass.tolist(),
-                }
-                for rec in self.group_records
-            ],
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        records = payload.pop("group_records")
+        payload["partitions"] = None if records is None else [
+            {k: getattr(rec, k).tolist() for k in _RECORD_ARRAYS} for rec in records
+        ]
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "CheckpointRecord":
-        p = json.loads(line)
-        records = None
-        if p.get("partitions") is not None:
-            records = [
-                GroupErrorRecord(
-                    checkpoint_index=p["index"],
-                    train_mass=np.asarray(r["train_mass"], dtype=np.float64),
-                    val_error=np.asarray(r["val_error"], dtype=np.float64),
-                    val_mass=np.asarray(r["val_mass"], dtype=np.float64),
-                )
-                for r in p["partitions"]
-            ]
-        return cls(
-            index=p["index"],
-            phase=p["phase"],
-            batch_index=p["batch_index"],
-            train_tokens=p["train_tokens"],
-            selected_ids=tuple(p["selected_ids"]),
-            group_records=records,
-            val_f1=p.get("val_f1"),
-            test_f1=p.get("test_f1"),
-            pseudo_f1=p.get("pseudo_f1"),
-            weighted_val_f1=p.get("weighted_val_f1"),
-            batch_exhausted=p.get("batch_exhausted", False),
-        )
+        """The record of one history line, whose fields with a default may be
+        left out; a line that holds no record is a ValueError naming it."""
+        try:
+            p = json.loads(line)
+            if not isinstance(p, dict):
+                raise TypeError("not a JSON object")
+            values = {
+                f.name: p[f.name] if f.default is MISSING else p.get(f.name, f.default)
+                for f in fields(cls) if f.name != "group_records"
+            }
+            values["selected_ids"] = tuple(values["selected_ids"])
+            records = p.get("partitions")
+            if records is not None:
+                records = [
+                    GroupErrorRecord(p["index"], **{
+                        k: np.asarray(r[k], dtype=np.float64) for k in _RECORD_ARRAYS
+                    })
+                    for r in records
+                ]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"malformed history line {line[:80]!r}: {type(exc).__name__}: {exc}"
+            ) from exc
+        return cls(group_records=records, **values)
 
 
 @dataclass

@@ -102,9 +102,14 @@ class Group:
     exemplar_surfaces: tuple[str, ...] = ()
 
 
+def _sq_dists(centers: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Squared distance of every row of X to every center, (n, k)."""
+    return ((centers[None, :, :] - X[:, None, :]) ** 2).sum(axis=2)
+
+
 def _nearest(centers: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Nearest center of every row of X (squared distance, first on ties)."""
-    return np.argmin(((centers[None, :, :] - X[:, None, :]) ** 2).sum(axis=2), axis=1)
+    return np.argmin(_sq_dists(centers, X), axis=1)
 
 
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -113,7 +118,7 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     centers = np.empty((k, X.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centers[0] = X[first]
-    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    d2 = _sq_dists(centers[:1], X)[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -121,7 +126,7 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[j] = X[idx]
-        d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
+        d2 = np.minimum(d2, _sq_dists(centers[j : j + 1], X)[:, 0])
     return centers
 
 
@@ -172,14 +177,12 @@ def minibatch_kmeans(
         counts = new_counts
 
     for _ in range(k):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_dists(centers, X)
         assign = np.argmin(d2, axis=1)
-        sizes = np.bincount(assign, minlength=k)
-        empty = np.flatnonzero(sizes == 0)
+        empty = np.flatnonzero(np.bincount(assign, minlength=k) == 0)
         if empty.size == 0:
-            break
-        dist_to_own = d2[np.arange(n), assign]
-        farthest = int(np.argmax(dist_to_own))
+            return centers, assign
+        farthest = int(np.argmax(d2[np.arange(n), assign]))
         centers[empty[0]] = X[farthest]
     return centers, _nearest(centers, X)
 
@@ -232,6 +235,39 @@ class Partition:
         )
         self.sub_slots = int(sub_slots)
         self.groups = groups or []
+        if self._identity_index is None:
+            self._check_centers()
+
+    def _check_centers(self) -> None:
+        """The centers this kind reads are 2-D arrays of at least one row and
+        one width; WORD has one sub-center array per word center, none with
+        more rows than ``sub_slots``."""
+        reads = {
+            PartitionKind.SENTENCE: ("sentence_centers",),
+            PartitionKind.WORD: ("word_centers",),
+            PartitionKind.WORD_SHAPE: ("word_centers",),
+            PartitionKind.WORD_SENTENCE: ("word_centers", "sentence_centers"),
+        }[self.kind]
+        arrays = {name: getattr(self, name) for name in reads}
+        subs = self.sub_centers or []
+        if self.kind == PartitionKind.WORD:
+            arrays.update((f"sub_centers[{t}]", c) for t, c in enumerate(subs))
+        for name, c in arrays.items():
+            if not (isinstance(c, np.ndarray) and c.ndim == 2 and len(c)):
+                raise ParameterError(
+                    f"a {self.kind.value} partition needs {name} as a 2-D array of rows"
+                )
+        widths = sorted({c.shape[1] for c in arrays.values()})
+        if len(widths) > 1:
+            raise ParameterError(f"partition centers differ in width: {widths}")
+        if self.kind == PartitionKind.WORD:
+            if len(subs) != len(self.word_centers):
+                raise ParameterError(
+                    f"{len(subs)} sub_centers arrays for {len(self.word_centers)} word centers"
+                )
+            if max(len(c) for c in subs) > self.sub_slots:
+                raise ParameterError(f"a sub_centers array has more rows than sub_slots "
+                                     f"{self.sub_slots}")
 
     @property
     def n_groups(self) -> int:
@@ -295,8 +331,7 @@ def _nearest_exemplars(
 ) -> tuple[str, ...]:
     if len(names) == 0:
         return ()
-    d2 = np.sum((X - center) ** 2, axis=1)
-    order = np.argsort(d2, kind="stable")[:limit]
+    order = np.argsort(_sq_dists(center[None, :], X)[:, 0], kind="stable")[:limit]
     return tuple(names[i] for i in order)
 
 
@@ -322,21 +357,17 @@ def build_partition(
     """Cluster the corpus union into a frozen partition of the given kind.
 
     ``sentences`` must cover training data, sampling pool, and validation so
-    that group statistics approximate the test distribution.
+    that group statistics approximate the test distribution.  Each group is
+    described by the vocabulary words :meth:`Partition._surface_groups`
+    puts in it (for WORD_SENTENCE, the words of its word cluster), nearest
+    first to its word cluster's center (WORD: its sub-center).
     """
     sentences = list(sentences)
     kind = PartitionKind(kind)
     cfg = config or PartitionConfig()
 
-    sentence_centers = None
-    word_centers = None
-    sub_centers = None
-    groups: list[Group] = []
-
-    needs_sentence = kind in (PartitionKind.SENTENCE, PartitionKind.WORD_SENTENCE)
-    needs_word = kind != PartitionKind.SENTENCE
-
-    if needs_sentence:
+    sentence_centers = word_centers = sub_centers = None
+    if kind in (PartitionKind.SENTENCE, PartitionKind.WORD_SENTENCE):
         S = np.stack([sentence_embedding(s, table) for s in sentences])
         if np.unique(S, axis=0).shape[0] < cfg.sentence_groups:
             raise ParameterError(
@@ -345,8 +376,7 @@ def build_partition(
         sentence_centers, _ = minibatch_kmeans(
             S, cfg.sentence_groups, cfg.kmeans_batch, cfg.kmeans_iters, seed=cfg.seed * 7 + 1
         )
-
-    if needs_word:
+    if kind != PartitionKind.SENTENCE:
         vocab, X = _unique_word_vectors(sentences, table)
         if np.unique(X, axis=0).shape[0] < cfg.word_groups:
             raise ParameterError(
@@ -355,92 +385,51 @@ def build_partition(
         word_centers, assign = minibatch_kmeans(
             X, cfg.word_groups, cfg.kmeans_batch, cfg.kmeans_iters, seed=cfg.seed * 7 + 2
         )
-
-    if kind == PartitionKind.SENTENCE:
-        part = Partition(
-            kind, temperature=cfg.temperature, seed=cfg.seed, sentence_centers=sentence_centers
-        )
-        sent_names = [" ".join(s.surfaces[:8]) for s in sentences]
-        for j in range(cfg.sentence_groups):
-            groups.append(
-                Group(
-                    id=j,
-                    descriptor={"sentence_cluster": j},
-                    exemplar_surfaces=_nearest_exemplars(sentence_centers[j], sent_names, S),
-                )
-            )
-        part.groups = groups
-        return part
-
     if kind == PartitionKind.WORD:
         sub_centers = []
         for top in range(cfg.word_groups):
-            members = np.flatnonzero(assign == top)
-            Xm = X[members]
+            Xm = X[assign == top]
             k2 = min(cfg.word_subgroups, max(1, np.unique(Xm, axis=0).shape[0]))
-            centers2, _ = minibatch_kmeans(
+            sub_centers.append(minibatch_kmeans(
                 Xm, k2, cfg.kmeans_batch, cfg.kmeans_iters, seed=cfg.seed * 7 + 100 + top
-            )
-            sub_centers.append(centers2)
-        part = Partition(
-            kind,
-            seed=cfg.seed,
-            word_centers=word_centers,
-            sub_centers=sub_centers,
-            sub_slots=cfg.word_subgroups,
-        )
-    elif kind == PartitionKind.WORD_SHAPE:
-        part = Partition(kind, seed=cfg.seed, word_centers=word_centers)
-    else:  # WORD_SENTENCE
-        part = Partition(
-            kind,
-            temperature=cfg.temperature,
-            seed=cfg.seed,
-            word_centers=word_centers,
-            sentence_centers=sentence_centers,
-        )
+            )[0])
+    part = Partition(
+        kind,
+        # the word kinds read no temperature and record the default
+        temperature=cfg.temperature if sentence_centers is not None else 0.1,
+        seed=cfg.seed,
+        sentence_centers=sentence_centers,
+        word_centers=word_centers,
+        sub_centers=sub_centers,
+        sub_slots=cfg.word_subgroups if sub_centers is not None else 0,
+    )
 
-    # exemplars from the word vocabulary, grouped by final assignment
-    for j in range(part.n_groups):
-        groups.append(Group(id=j, descriptor={}, exemplar_surfaces=()))
-    if kind == PartitionKind.WORD:
-        for top in range(cfg.word_groups):
-            members = np.flatnonzero(assign == top)
-            if members.size == 0:
-                continue
-            Xm = X[members]
-            subs = part.sub_centers[top]
-            sub_assign = _nearest(subs, Xm)
-            for sub in range(subs.shape[0]):
-                gid = top * cfg.word_subgroups + sub
-                sel = members[sub_assign == sub]
-                groups[gid].descriptor = {"word_cluster": top, "word_subcluster": sub}
-                groups[gid].exemplar_surfaces = _nearest_exemplars(
-                    subs[sub], [vocab[i] for i in sel], X[sel]
-                )
-    elif kind == PartitionKind.WORD_SHAPE:
-        shapes = np.asarray([int(shape_class(w)) for w in vocab])
-        for top in range(cfg.word_groups):
-            for sh in range(N_SHAPES):
-                gid = top * N_SHAPES + sh
-                sel = np.flatnonzero((assign == top) & (shapes == sh))
-                groups[gid].descriptor = {
-                    "word_cluster": top,
-                    "shape": ShapeClass(sh).name,
-                }
-                groups[gid].exemplar_surfaces = _nearest_exemplars(
-                    word_centers[top], [vocab[i] for i in sel], X[sel]
-                )
-    else:
-        js = cfg.sentence_groups
-        for top in range(cfg.word_groups):
-            sel = np.flatnonzero(assign == top)
-            ex = _nearest_exemplars(word_centers[top], [vocab[i] for i in sel], X[sel])
-            for sg in range(js):
-                gid = top * js + sg
-                groups[gid].descriptor = {"word_cluster": top, "sentence_cluster": sg}
-                groups[gid].exemplar_surfaces = ex
-    part.groups = groups
+    if kind == PartitionKind.SENTENCE:
+        sent_names = [" ".join(s.surfaces[:8]) for s in sentences]
+        part.groups = [
+            Group(j, {"sentence_cluster": j},
+                  _nearest_exemplars(sentence_centers[j], sent_names, S))
+            for j in range(cfg.sentence_groups)
+        ]
+        return part
+    word_group = part._surface_groups(vocab, table)  # WORD_SENTENCE: the word cluster
+    second, width = {
+        PartitionKind.WORD: ("word_subcluster", cfg.word_subgroups),
+        PartitionKind.WORD_SHAPE: ("shape", N_SHAPES),
+        PartitionKind.WORD_SENTENCE: ("sentence_cluster", cfg.sentence_groups),
+    }[kind]
+    for gid in range(part.n_groups):
+        top, sub = divmod(gid, width)
+        if kind == PartitionKind.WORD and sub >= len(sub_centers[top]):
+            part.groups.append(Group(gid, {}))  # a slot past the cluster's sub-centers
+            continue
+        center = sub_centers[top][sub] if kind == PartitionKind.WORD else word_centers[top]
+        sel = np.flatnonzero(word_group == (top if kind == PartitionKind.WORD_SENTENCE else gid))
+        value = ShapeClass(sub).name if kind == PartitionKind.WORD_SHAPE else sub
+        part.groups.append(Group(
+            gid, {"word_cluster": top, second: value},
+            _nearest_exemplars(center, [vocab[i] for i in sel], X[sel]),
+        ))
     return part
 
 
@@ -725,18 +714,20 @@ def load_partition(text: str) -> Partition:
     if missing:
         raise ParameterError(f"partition file lacks {', '.join(missing)}")
 
-    def arr(key):
-        v = payload.get(key)
-        return None if v is None else np.asarray(v, dtype=np.float64)
+    def arr(v):
+        try:
+            return None if v is None else np.asarray(v, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"partition centers must be numeric arrays: {exc}") from exc
 
     subs = payload.get("sub_centers")
     part = Partition(
         PartitionKind(payload["kind"]),
         temperature=payload["temperature"],
         seed=payload["seed"],
-        sentence_centers=arr("sentence_centers"),
-        word_centers=arr("word_centers"),
-        sub_centers=None if subs is None else [np.asarray(c, dtype=np.float64) for c in subs],
+        sentence_centers=arr(payload.get("sentence_centers")),
+        word_centers=arr(payload.get("word_centers")),
+        sub_centers=[arr(c) for c in subs] if isinstance(subs, list) else None,
         identity_vocab=payload.get("identity_vocab"),
         sub_slots=payload.get("sub_slots", 0),
     )

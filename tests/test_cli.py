@@ -3,12 +3,16 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from groupdecay import cli
 from groupdecay.cli import main
 from groupdecay.corpus import parse_conll
+from groupdecay.decay import DecayParams, serialize_fit
 from groupdecay.loop import LoopConfig, burn_in_checkpoints
+from groupdecay.partition import PartitionConfig, build_partition, load_partition, save_partition
+from groupdecay.simlab import SynthSpec
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -704,6 +708,132 @@ class TestSelectCommand:
             "--budget", 300,
         )
         assert code == 3
+
+
+@pytest.fixture(scope="module")
+def word_files(synth_dir, tmp_path_factory):
+    """An embeddings file over the synthetic vocabulary, a WORD partition of
+    the pool under it (3 x 4 groups) and a fit file for that partition."""
+    tmp = tmp_path_factory.mktemp("word")
+    rng = np.random.default_rng(7)
+    embeddings = tmp / "emb.txt"
+    embeddings.write_text("".join(
+        w + " " + " ".join(repr(float(v)) for v in rng.normal(size=6)) + "\n"
+        for w in SynthSpec().surfaces
+    ))
+    pool = parse_conll((synth_dir / "train.conll").read_text(), role="pool")
+    table = cli._read_embeddings(str(embeddings))
+    cfg = PartitionConfig(word_groups=3, word_subgroups=4, kmeans_iters=10)
+    part = build_partition(pool.sentences, table, "WORD", cfg)
+    partition = tmp / "word.json"
+    partition.write_text(save_partition(part))
+    fit = tmp / "word_fit.txt"
+    fit.write_text(serialize_fit(_params(part.n_groups)))
+    return embeddings, partition, fit
+
+
+def _params(n_groups):
+    return DecayParams(a0=1.0, a_half=0.5, a1=0.0, a2=0.0, a3=0.0,
+                       b=np.full(n_groups, 0.2), c=np.full(n_groups, 0.01))
+
+
+class TestSelectInputChecks:
+    def _select(self, synth_dir, partition, fit, *extra):
+        return run_cli("select", "--pool", synth_dir / "train.conll", "--partitions", partition,
+                       "--fits", fit, "--budget", 300, *extra)
+
+    def test_embedding_partition_needs_embeddings(self, synth_dir, word_files, capsys):
+        embeddings, partition, fit = word_files
+        assert self._select(synth_dir, partition, fit) == 2
+        assert "need an embeddings file" in capsys.readouterr().err
+        assert self._select(synth_dir, partition, fit, "--embeddings", embeddings) == 0
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"word_centers": None},
+            {"kind": "WORD_SENTENCE"},
+            {"sub_slots": 1},
+            {"kind": "SENTENCE"},
+            {"word_centers": [0.5, 0.5]},
+            {"word_centers": [[0.5] * 5] * 3},
+            {"sub_centers": "drop-one"},
+            {"sub_centers": None},
+        ],
+        ids=["no-word-centers", "as-word-sentence", "sub-slots-1", "as-sentence",
+             "1-d-word-centers", "other-width", "sub-centers-short", "no-sub-centers"],
+    )
+    def test_partition_file_missing_what_its_kind_reads_is_data_error(
+        self, synth_dir, word_files, tmp_path, capsys, edit
+    ):
+        embeddings, partition, fit = word_files
+        payload = json.loads(partition.read_text())
+        if edit.get("sub_centers") == "drop-one":
+            edit = {"sub_centers": payload["sub_centers"][:-1]}
+        payload.update(edit)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert self._select(synth_dir, bad, fit, "--embeddings", embeddings) == 3
+        assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("groups", [7, 300])
+    def test_fit_of_another_group_count_is_data_error(
+        self, synth_dir, finished_run, tmp_path, capsys, groups
+    ):
+        partition = finished_run / "partitions" / "p0.json"
+        n_groups = load_partition(partition.read_text()).n_groups
+        assert n_groups not in (7, 300)
+        fit = tmp_path / "fit.txt"
+        fit.write_text(serialize_fit(_params(groups)))
+        assert self._select(synth_dir, partition, fit) == 3
+        err = capsys.readouterr().err
+        assert f"has {groups} groups" in err and f"partition {n_groups}" in err
+
+
+def _malformed_history(run, tmp_path, case):
+    """A copy of ``run``'s history whose second line is broken by ``case``."""
+    lines = (run / "history.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    if case == "array":
+        lines[1] = json.dumps([record])
+    elif case == "no-index":
+        del record["index"]
+        lines[1] = json.dumps(record)
+    else:
+        record["partitions"][0]["val_error"][0] = float("nan")
+        lines[1] = json.dumps(record)
+    path = tmp_path / "history.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestMalformedHistory:
+    @pytest.mark.parametrize("case", ["array", "no-index", "nan-error"])
+    def test_fit_decay(self, finished_run, tmp_path, capsys, case):
+        history = _malformed_history(finished_run, tmp_path, case)
+        assert run_cli("fit-decay", "--history", history, "--out-dir", tmp_path / "f") == 3
+        err = capsys.readouterr().err
+        assert "data error" in err
+        if case != "nan-error":
+            assert "malformed history line" in err
+
+    @pytest.mark.parametrize("case", ["array", "no-index"])
+    def test_export_curves(self, finished_run, tmp_path, capsys, case):
+        history = _malformed_history(finished_run, tmp_path, case)
+        code = run_cli("export-curves", "--history", history,
+                       "--fits", finished_run / "fits" / "final_p0.txt")
+        assert code == 3
+        assert "malformed history line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["array", "no-index"])
+    def test_resume(self, synth_dir, finished_run, tmp_path, capsys, case):
+        run = tmp_path / "run"
+        shutil.copytree(finished_run, run)
+        _malformed_history(finished_run, run, case)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_sim_config(synth_dir, run)))
+        assert run_cli("simulate", "--config", cfg, "--resume") == 3
+        assert "malformed history line" in capsys.readouterr().err
 
 
 class TestExportCurvesCommand:

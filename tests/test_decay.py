@@ -33,12 +33,6 @@ class TestDecayParams:
             p = _params(b=np.ones(J), c=np.zeros(J))
             assert p.to_vector().shape == (2 * J + 5,)
 
-    def test_vector_round_trip(self):
-        p = _params(a0=0.3, a_half=1.1, a1=0.2, a2=0.1, a3=0.05,
-                    b=(0.5, 0.6), c=(0.01, 0.02))
-        q = DecayParams.from_vector(p.to_vector(), 2)
-        np.testing.assert_array_equal(q.to_vector(), p.to_vector())
-
 
 class TestEvalCurve:
     def test_constant_when_basis_weights_zero(self):

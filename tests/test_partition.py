@@ -1,4 +1,5 @@
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from groupdecay.partition import (
     save_partition,
     sentence_group_delta,
 )
+from groupdecay.simlab import SynthSpec, gen_synthetic
 from oracles import (
     membership,
     per_sentence_delta,
@@ -454,3 +456,52 @@ class TestGroupIndex:
         index = build_group_index(build_identity_partition(gold), gold)
         with pytest.raises(AlignmentError):
             mismatch_rates(index, [["O", "O"]], [["O"]])
+
+
+@functools.cache
+def _synth_partition_inputs():
+    """A fixed 2,000-token gen-synth corpus, its surfaces respelt by word
+    index into the four shape classes, and a seeded 8-d table over them."""
+    ds = gen_synthetic(SynthSpec(seed=3), 2000, role="pool")
+    spell = {}
+    for s in ds.sentences:
+        for t in s.tokens:
+            i = int(t.surface[1:])
+            spell[t.surface] = (t.surface, t.surface.upper(), "W" + t.surface,
+                                t.surface[1:])[i % 4]
+    sentences = [
+        Sentence(id=s.id, tokens=tuple(Token(spell[t.surface], t.gold_label) for t in s.tokens),
+                 doc_id=s.doc_id)
+        for s in ds.sentences
+    ]
+    return sentences, _table(sorted(set(spell.values())), 8, np.random.default_rng(5))
+
+
+# sha256 of ``save_partition`` for each kind over ``_synth_partition_inputs``,
+# recorded with numpy 2.4.6.  The "wide" config asks for more sub-centres
+# than a word cluster has distinct words, so some WORD slots stay empty.
+_PINNED_CONFIGS = {
+    "narrow": PartitionConfig(sentence_groups=5, word_groups=4, word_subgroups=3,
+                              kmeans_iters=10, seed=0),
+    "wide": PartitionConfig(sentence_groups=4, word_groups=3, word_subgroups=40,
+                            temperature=0.5, kmeans_batch=64, kmeans_iters=10, seed=1),
+}
+RECORDED_PARTITIONS = {
+    ("SENTENCE", "narrow"): "ba94e904c793438044cc07378185865c343af40074235122a7174357d7568ac7",
+    ("SENTENCE", "wide"): "0b0907a44a06c4a82d68bcd5e6c85c89b4223d906b6a314b58a9917f57a68452",
+    ("WORD", "narrow"): "36149b537a9aa04da2039e39d2c445785cf2cb83e5ea8fe2b04d52f35d777aac",
+    ("WORD", "wide"): "2fe6aa1feb0272c6dd13e00a4ed0a7a2423c0c1c7177a475628c55d8a9644c75",
+    ("WORD_SHAPE", "narrow"): "d6a14d03461aee632caaf64070794ad60a596338ebafb0e8f86c8322b5c5d65c",
+    ("WORD_SHAPE", "wide"): "0a4c607846bc0af57e64c3886c7224e57852d00ac6c9f4885e1c35b19f1b8080",
+    ("WORD_SENTENCE", "narrow"): "b32ef657bcaa3f8d520c7efce4d5be370901c282c167acc4c07ab6532897acf0",
+    ("WORD_SENTENCE", "wide"): "d4938f33a23e1880fb1cd4a1c4e403d8d1f20bca27c9e66963599b8c2c7aa210",
+}
+
+
+@pytest.mark.parametrize("config", sorted(_PINNED_CONFIGS))
+@pytest.mark.parametrize("kind", [k.value for k in PartitionKind])
+def test_partition_file_reproduces_its_recorded_digest(kind, config):
+    sentences, table = _synth_partition_inputs()
+    part = build_partition(sentences, table, kind, _PINNED_CONFIGS[config])
+    digest = hashlib.sha256(save_partition(part).encode()).hexdigest()
+    assert digest == RECORDED_PARTITIONS[kind, config]
