@@ -41,6 +41,7 @@ from .loop import (
     RunHistory,
     STRATEGY_NAMES,
     check_epsilon,
+    check_weights,
     make_strategy,
     run_active_loop,
 )
@@ -196,32 +197,54 @@ def _read_embeddings(path: str) -> EmbeddingTable:
     return table
 
 
-def _read_history(path: str, least: int) -> list[list[GroupErrorRecord]]:
-    """Per-partition group-error records of the history file at ``path``,
-    which must hold at least ``least`` checkpoints with group errors."""
-    history = RunHistory.from_jsonl(_read_input(path, "history"))
-    with_records = [c for c in history.checkpoints if c.group_records is not None]
-    if len(with_records) < least:
-        raise FitError(f"history has {len(with_records)} checkpoints with group errors, "
-                       f"needs at least {least}")
-    return history.group_record_history(len(with_records[0].group_records))
+class _RunFiles(NamedTuple):
+    """The history, partition and fit files a command reads back."""
+
+    records: list[list[GroupErrorRecord]]  # per partition; empty lists without a history
+    partitions: list[Partition]
+    fits: list[DecayFit]  # over ``records``
 
 
-def _read_partitions(paths: Sequence[str] | None) -> list[Partition]:
-    return [load_partition(_read_input(p, "partition")) for p in paths or ()]
+def _read_run_files(
+    history: str | None, partition_paths: Sequence[str], fit_paths: Sequence[str]
+) -> _RunFiles:
+    """The history file (if any), partition files and fit files at these
+    paths, checked to agree.
 
-
-def _read_fits(paths: Sequence[str], histories: list) -> list[DecayFit]:
-    """The fit files at ``paths``, one per partition, as fits over the
-    partitions' ``histories``."""
-    if len(paths) != len(histories):
-        raise ConfigError(f"{len(paths)} fit files for {len(histories)} partitions; "
-                          f"need one per partition")
-    return [
-        DecayFit(params=parse_fit(_read_input(p, "fit")), history=h, objective_value=0.0,
-                 converged=True)
-        for p, h in zip(paths, histories)
-    ]
+    The partition count and each partition's group count come from the
+    history when there is one, and from the partition files otherwise.
+    Partition and fit files, when given, must be one per partition, each
+    with its partition's group count; a disagreement is a FitError naming
+    the file and both counts.
+    """
+    partitions = [load_partition(_read_input(p, "partition")) for p in partition_paths]
+    if history is None:
+        records = [[] for _ in partitions]
+        counts = [p.n_groups for p in partitions]
+        source = f"partition files {' '.join(partition_paths)}"
+    else:
+        run = RunHistory.from_jsonl(_read_input(history, "history"))
+        first = next((c.group_records for c in run.checkpoints if c.group_records), None)
+        if first is None:
+            raise FitError(f"history {history} has no checkpoint with group errors")
+        records = run.group_record_history(len(first))
+        counts = [len(rec.train_mass) for rec in first]
+        source = f"history {history}"
+    params = [parse_fit(_read_input(p, "fit")) for p in fit_paths]
+    for what, paths, sizes in (
+        ("partition", partition_paths, [p.n_groups for p in partitions]),
+        ("fit", fit_paths, [f.n_groups for f in params]),
+    ):
+        if paths and len(paths) != len(counts):
+            raise FitError(f"{len(paths)} {what} files for the {len(counts)} partitions "
+                           f"of {source}")
+        for i, (path, size) in enumerate(zip(paths, sizes)):
+            if size != counts[i]:
+                raise FitError(f"{what} file {path} has {size} groups, its partition "
+                               f"{counts[i]} (p{i} of {source})")
+    fits = [DecayFit(params=f, history=h, objective_value=0.0, converged=True)
+            for f, h in zip(params, records)]
+    return _RunFiles(records, partitions, fits)
 
 
 def _write_fits(fits, fit_dir: Path, stem: str, partitions=(), curves: Path | None = None):
@@ -288,7 +311,7 @@ class ExternalPredictor:
             ) from exc
         try:
             records = read_records(payload)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ExternalPredictorError(
                 f"external predictor wrote malformed records: {exc}"
             ) from exc
@@ -567,16 +590,23 @@ def _load_resume(run_dir: Path):
     history = RunHistory.from_jsonl(history_path.read_text(encoding="utf-8"))
     snapshots = []
     for path in sorted((run_dir / "snapshots").glob("checkpoint_*.json")):
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        snapshots.append(
-            UncertaintySnapshot(
-                checkpoint_tokens=payload["tokens"],
-                scores={int(k): v for k, v in payload["scores"].items()},
-            )
-        )
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            tokens, scores = payload["tokens"], payload["scores"]
+            if not (_is_int(tokens) and isinstance(scores, dict)):
+                raise TypeError("tokens must be an integer and scores an object")
+            snapshots.append(UncertaintySnapshot(
+                checkpoint_tokens=tokens, scores={int(k): v for k, v in scores.items()},
+            ))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed snapshot file {path}: {type(exc).__name__}: {exc}"
+                             ) from exc
     refs = []
     for path in sorted((run_dir / "refpred").glob("checkpoint_*.jsonl")):
-        records = read_records(path.read_text(encoding="utf-8"), validate=False)
+        try:
+            records = read_records(path.read_text(encoding="utf-8"), validate=False)
+        except ValueError as exc:
+            raise ValueError(f"reference prediction file {path}: {exc}") from exc
         refs.append({sid: rec.labels for sid, rec in records.items()})
     return history, snapshots, refs
 
@@ -704,13 +734,12 @@ def cmd_fit_decay(args) -> int:
         fit_cfg = FitConfig(seed=args.fit_seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    record_history = _read_history(args.history, least=2)
-    partitions = _read_partitions(args.partitions)
-    fits = [fit(records, config=fit_cfg) for records in record_history]
+    run = _read_run_files(args.history, args.partitions, ())
+    fits = [fit(records, config=fit_cfg) for records in run.records]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_fits(fits, out_dir, "fit", partitions, out_dir / "curves.csv")
-    print(f"fitted {len(fits)} partitions over {len(record_history[0])} checkpoints")
+    _write_fits(fits, out_dir, "fit", run.partitions, out_dir / "curves.csv")
+    print(f"fitted {len(fits)} partitions over {len(run.records[0])} checkpoints")
     return EXIT_OK
 
 
@@ -718,6 +747,7 @@ def cmd_fit_decay(args) -> int:
 
 
 def cmd_select(args) -> int:
+    _count(vars(args), "budget", None, 1)
     try:
         check_epsilon(args.epsilon)
     except ValueError as exc:
@@ -725,22 +755,17 @@ def cmd_select(args) -> int:
     pool = _read_dataset(args.pool, "pool")
     train = _read_dataset(args.train, "train") if args.train else None
     validation = _read_dataset(args.validation, "validation") if args.validation else None
-    partitions = _read_partitions(args.partitions)
-    if not args.embeddings and any(p.identity_vocab is None for p in partitions):
+    run = _read_run_files(None, args.partitions, args.fits)
+    if not args.embeddings and any(p.identity_vocab is None for p in run.partitions):
         raise ConfigError(_NEEDS_EMBEDDINGS)
-    fits = _read_fits(args.fits, [[] for _ in partitions])
-    for path, f, p in zip(args.fits, fits, partitions):
-        if f.params.n_groups != p.n_groups:
-            raise FitError(f"fit file {path} has {f.params.n_groups} groups, "
-                           f"its partition {p.n_groups}")
     table = _read_embeddings(args.embeddings) if args.embeddings else None
     train_sentences = list(train.sentences) if train else []
     da = list(pool.sentences) + train_sentences + (
         list(validation.sentences) if validation else []
     )
     state = SelectionState.create(
-        partitions,
-        fits,
+        run.partitions,
+        run.fits,
         train_sentences,
         da,
         token_budget=args.budget,
@@ -768,6 +793,17 @@ def _load_predictions(path: str, fmt: str) -> dict[int, tuple[str, ...]]:
     return {s.id: tuple(t.gold_label for t in s.tokens) for s in ds.sentences}
 
 
+def _parse_weights(path: str, fh) -> dict:
+    """The weights file ``fh`` (at ``path``): a JSON object of finite numbers
+    >= 0, or a ConfigError naming the file."""
+    try:
+        weights = json.load(fh)
+        check_weights(weights)
+    except ValueError as exc:
+        raise ConfigError(f"weights file {path}: {exc}") from exc
+    return weights
+
+
 def cmd_score(args) -> int:
     gold = gold_phrases(_read_dataset(args.gold, "gold"))
     predictions = _load_predictions(args.predictions, args.pred_format)
@@ -776,7 +812,7 @@ def cmd_score(args) -> int:
     report = micro_f1(gold, predictions)
     weights = None
     if args.weights:
-        weights = _read_input(args.weights, "weights", json.load)
+        weights = _read_input(args.weights, "weights", lambda fh: _parse_weights(args.weights, fh))
         missing = sorted(set(report.per_type) - set(weights))
         if missing:
             raise ConfigError(f"missing weight for types: {missing}")
@@ -792,8 +828,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_export_curves(args) -> int:
-    fits = _read_fits(args.fits, _read_history(args.history, least=1))
-    text = export_decay_curves(fits, _read_partitions(args.partitions))
+    run = _read_run_files(args.history, args.partitions, args.fits)
+    text = export_decay_curves(run.fits, run.partitions)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -830,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-decay", help="fit decay curves to a run history")
     p.add_argument("--history", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--partitions", nargs="*", default=None)
+    p.add_argument("--partitions", nargs="*", default=[])
     p.add_argument("--fit-seed", type=int, default=0)
     p.set_defaults(func=cmd_fit_decay)
 
@@ -857,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-curves", help="export fit-vs-empirical curve tables")
     p.add_argument("--history", required=True)
     p.add_argument("--fits", nargs="+", required=True)
-    p.add_argument("--partitions", nargs="*", default=None)
+    p.add_argument("--partitions", nargs="*", default=[])
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_export_curves)
     return parser

@@ -111,14 +111,10 @@ class LoopConfig:
         if self.mode not in ("SENTENCE", "DOCUMENT"):
             raise ValueError(f"unknown mode {self.mode!r}")
         check_epsilon(self.epsilon)
-        weights = self.class_weights
-        if weights is not None and not (
-            isinstance(weights, Mapping) and "O" in weights
-            and all(_is_finite(w) and w >= 0 for w in weights.values())
-        ):
-            raise ValueError(
-                f"class_weights must map types to finite numbers >= 0, with 'O': {weights!r}"
-            )
+        if self.class_weights is not None:
+            check_weights(self.class_weights)
+            if "O" not in self.class_weights:
+                raise ValueError(f"class_weights needs a weight for 'O': {self.class_weights!r}")
 
     @property
     def lag_tokens(self) -> int:
@@ -131,6 +127,14 @@ def check_epsilon(epsilon) -> None:
     """Selection's smoothing constant is left out (None) or a finite number > 0."""
     if epsilon is not None and not (_is_finite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be a finite number > 0, got {epsilon!r}")
+
+
+def check_weights(weights) -> None:
+    """Entity-type weights are a map from type to a finite number >= 0."""
+    if not (
+        isinstance(weights, Mapping) and all(_is_finite(w) and w >= 0 for w in weights.values())
+    ):
+        raise ValueError(f"weights must map types to finite numbers >= 0, got {weights!r}")
 
 
 def burn_in_checkpoints(config: LoopConfig) -> list[int]:
@@ -207,6 +211,11 @@ class CheckpointRecord:
                     })
                     for r in records
                 ]
+                for rec in records:
+                    arrays = [getattr(rec, k) for k in _RECORD_ARRAYS]
+                    if any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
+                        raise ValueError(f"{', '.join(_RECORD_ARRAYS)} must be lists of "
+                                         f"one length")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
                 f"malformed history line {line[:80]!r}: {type(exc).__name__}: {exc}"
@@ -223,13 +232,22 @@ class RunHistory:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "RunHistory":
-        return cls(
-            checkpoints=[
-                CheckpointRecord.from_json(line)
-                for line in text.splitlines()
-                if line.strip()
-            ]
-        )
+        """The history of ``text``, one checkpoint per non-blank line.  Every
+        line with group records has the first such line's partition count
+        and group counts; a line that differs is a ValueError naming it."""
+        checkpoints = [CheckpointRecord.from_json(line) for line in text.splitlines()
+                       if line.strip()]
+        shapes = [
+            (c.index, [len(r.train_mass) for r in c.group_records])
+            for c in checkpoints if c.group_records is not None
+        ]
+        for index, counts in shapes[1:]:
+            if counts != shapes[0][1]:
+                raise ValueError(
+                    f"history checkpoint {index} has group counts {counts} per partition, "
+                    f"checkpoint {shapes[0][0]} {shapes[0][1]}"
+                )
+        return cls(checkpoints=checkpoints)
 
     def group_record_history(self, n_partitions: int) -> list[list[GroupErrorRecord]]:
         """Per-partition record lists across checkpoints (fit input)."""

@@ -87,25 +87,32 @@ def write_records(records: Iterable[PredictionRecord], fh: IO[str]) -> None:
 
 
 def read_records(fh: IO[str] | str, validate: bool = True) -> dict[int, PredictionRecord]:
+    """The records of the JSON lines in ``fh``, keyed by sentence id; a line
+    that holds no record is a ValueError naming it."""
     lines = fh.splitlines() if isinstance(fh, str) else fh
     out: dict[int, PredictionRecord] = {}
     for line in lines:
         line = line.strip()
         if not line:
             continue
-        payload = json.loads(line)
-        rec = PredictionRecord(
-            sentence_id=int(payload["sentence_id"]),
-            labels=tuple(payload["labels"]),
-            logprobs=tuple(dict(lp) for lp in payload["logprobs"])
-            if "logprobs" in payload
-            else None,
-            ensemble=tuple(tuple(p) for p in payload["ensemble"])
-            if "ensemble" in payload
-            else None,
-        )
-        if validate:
-            rec.validate()
+        try:
+            payload = json.loads(line)
+            rec = PredictionRecord(
+                sentence_id=int(payload["sentence_id"]),
+                labels=tuple(payload["labels"]),
+                logprobs=tuple(dict(lp) for lp in payload["logprobs"])
+                if "logprobs" in payload
+                else None,
+                ensemble=tuple(tuple(p) for p in payload["ensemble"])
+                if "ensemble" in payload
+                else None,
+            )
+            if validate:
+                rec.validate()
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(
+                f"malformed record line {line[:80]!r}: {type(exc).__name__}: {exc}"
+            ) from exc
         out[rec.sentence_id] = rec
     return out
 

@@ -11,7 +11,9 @@ from groupdecay.cli import main
 from groupdecay.corpus import parse_conll
 from groupdecay.decay import DecayParams, serialize_fit
 from groupdecay.loop import LoopConfig, burn_in_checkpoints
-from groupdecay.partition import PartitionConfig, build_partition, load_partition, save_partition
+from groupdecay.partition import (
+    PartitionConfig, build_identity_partition, build_partition, load_partition, save_partition,
+)
 from groupdecay.simlab import SynthSpec
 
 pytestmark = pytest.mark.filterwarnings("ignore")
@@ -609,6 +611,43 @@ class TestScoreCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '{"O": 1.0, "E1": null, "E2": 1.0, "E3": 1.0, "E4": 1.0}',
+            '{"O": 1.0, "E1": -0.5, "E2": 1.0, "E3": 1.0, "E4": 1.0}',
+            '{"E1": 1.0',
+        ],
+        ids=["list", "null-weight", "negative-weight", "not-json"],
+    )
+    def test_bad_weights_file_is_config_error(self, synth_dir, tmp_path, capsys, text):
+        weights = tmp_path / "weights.json"
+        weights.write_text(text)
+        code = run_cli(
+            "score",
+            "--gold", synth_dir / "test.conll",
+            "--predictions", synth_dir / "test.conll",
+            "--pred-format", "conll",
+            "--weights", weights,
+        )
+        assert code == 2
+        assert f"config error: weights file {weights}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "record",
+        [{"labels": ["B-PER", "O"]}, {"sentence_id": 0, "labels": 5}, [0, ["B-PER", "O"]]],
+        ids=["no-sentence-id", "labels-number", "array"],
+    )
+    def test_malformed_record_is_data_error(self, tmp_path, capsys, record):
+        gold = tmp_path / "gold.conll"
+        gold.write_text("Ann B-PER\nran O\n")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps(record) + "\n")
+        code = run_cli("score", "--gold", gold, "--predictions", preds)
+        assert code == 3
+        assert "data error: malformed record line" in capsys.readouterr().err
+
     @pytest.mark.parametrize("with_weights", [False, True])
     def test_tag_without_prefix_is_data_error(self, tmp_path, capsys, with_weights):
         gold = tmp_path / "gold.conll"
@@ -677,6 +716,18 @@ class TestSelectCommand:
         )
         assert code == 2
         assert "epsilon must be a finite number > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_is_config_error(self, finished_run, tmp_path, capsys, budget):
+        code = run_cli(
+            "select",
+            "--pool", tmp_path / "absent.conll",
+            "--partitions", finished_run / "partitions" / "p0.json",
+            "--fits", finished_run / "fits" / "final_p0.txt",
+            f"--budget={budget}",
+        )
+        assert code == 2
+        assert f"budget must be an integer >= 1, got {budget}" in capsys.readouterr().err
 
     def test_one_shot_selection(self, synth_dir, tmp_path):
         run = tmp_path / "run_sel"
@@ -776,18 +827,79 @@ class TestSelectInputChecks:
         assert self._select(synth_dir, bad, fit, "--embeddings", embeddings) == 3
         assert "data error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("groups", [7, 300])
+    @pytest.mark.parametrize(
+        "command, groups",
+        [("select", 7), ("select", 300), ("export-curves", 1)],
+        ids=["7", "300", "export-curves-1"],
+    )
     def test_fit_of_another_group_count_is_data_error(
-        self, synth_dir, finished_run, tmp_path, capsys, groups
+        self, synth_dir, finished_run, tmp_path, capsys, command, groups
     ):
         partition = finished_run / "partitions" / "p0.json"
         n_groups = load_partition(partition.read_text()).n_groups
-        assert n_groups not in (7, 300)
+        assert n_groups not in (1, 7, 300)
         fit = tmp_path / "fit.txt"
         fit.write_text(serialize_fit(_params(groups)))
-        assert self._select(synth_dir, partition, fit) == 3
+        if command == "select":
+            code = self._select(synth_dir, partition, fit)
+        else:
+            code = run_cli("export-curves", "--history", finished_run / "history.jsonl",
+                           "--fits", fit, "--out", tmp_path / "curves.csv")
+        assert code == 3
         err = capsys.readouterr().err
         assert f"has {groups} groups" in err and f"partition {n_groups}" in err
+        assert not (tmp_path / "curves.csv").exists()
+
+
+class TestRunFileCounts:
+    """fit-decay, export-curves and select need one partition and one fit
+    file per partition of the history (or of the partition files), each
+    with that partition's group count."""
+
+    def test_partition_of_another_group_count_is_data_error(self, finished_run, tmp_path,
+                                                            capsys):
+        small = tmp_path / "small.json"
+        sentence = parse_conll("aa O\nw050 O\nzz O\n", role="x").sentences
+        small.write_text(save_partition(build_identity_partition(sentence)))
+        n_groups = load_partition((finished_run / "partitions" / "p0.json").read_text()).n_groups
+        history = finished_run / "history.jsonl"
+        for command in (
+            ["fit-decay", "--history", history, "--out-dir", tmp_path / "f"],
+            ["export-curves", "--history", history, "--out", tmp_path / "curves.csv",
+             "--fits", finished_run / "fits" / "final_p0.txt"],
+        ):
+            assert run_cli(*command, "--partitions", small) == 3
+            err = capsys.readouterr().err
+            assert f"partition file {small} has 3 groups, its partition {n_groups}" in err
+        assert not (tmp_path / "f").exists() and not (tmp_path / "curves.csv").exists()
+
+    @pytest.mark.parametrize(
+        "case", ["fit-decay-two-partitions", "export-curves-two-fits", "select-one-fit"]
+    )
+    def test_wrong_number_of_files_is_data_error(
+        self, synth_dir, finished_run, tmp_path, capsys, case
+    ):
+        part, fit = finished_run / "partitions" / "p0.json", finished_run / "fits" / "final_p0.txt"
+        history = finished_run / "history.jsonl"
+        command, message = {
+            "fit-decay-two-partitions": (
+                ["fit-decay", "--history", history, "--out-dir", tmp_path / "f",
+                 "--partitions", part, part],
+                f"2 partition files for the 1 partitions of history {history}",
+            ),
+            "export-curves-two-fits": (
+                ["export-curves", "--history", history, "--fits", fit, fit],
+                f"2 fit files for the 1 partitions of history {history}",
+            ),
+            "select-one-fit": (
+                ["select", "--pool", synth_dir / "train.conll", "--partitions", part, part,
+                 "--fits", fit, "--budget", 300],
+                f"1 fit files for the 2 partitions of partition files {part} {part}",
+            ),
+        }[case]
+        assert run_cli(*command) == 3
+        assert f"data error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
 
 
 def _malformed_history(run, tmp_path, case):
@@ -799,6 +911,15 @@ def _malformed_history(run, tmp_path, case):
     elif case == "no-index":
         del record["index"]
         lines[1] = json.dumps(record)
+    elif case == "extra-partition":
+        record["partitions"].append(record["partitions"][0])
+        lines[1] = json.dumps(record)
+    elif case == "fewer-groups":
+        record["partitions"][0] = {k: v[:-1] for k, v in record["partitions"][0].items()}
+        lines[1] = json.dumps(record)
+    elif case == "ragged":
+        record["partitions"][0]["val_error"].pop()
+        lines[1] = json.dumps(record)
     else:
         record["partitions"][0]["val_error"][0] = float("nan")
         lines[1] = json.dumps(record)
@@ -807,25 +928,37 @@ def _malformed_history(run, tmp_path, case):
     return path
 
 
+# what the data error says about each broken history of ``_malformed_history``
+_HISTORY_ERRORS = {
+    "array": "malformed history line",
+    "no-index": "malformed history line",
+    "ragged": "malformed history line",
+    "extra-partition": "history checkpoint 1 has group counts",
+    "fewer-groups": "history checkpoint 1 has group counts",
+}
+
+
 class TestMalformedHistory:
-    @pytest.mark.parametrize("case", ["array", "no-index", "nan-error"])
+    @pytest.mark.parametrize(
+        "case", ["array", "no-index", "nan-error", "extra-partition", "fewer-groups", "ragged"]
+    )
     def test_fit_decay(self, finished_run, tmp_path, capsys, case):
         history = _malformed_history(finished_run, tmp_path, case)
         assert run_cli("fit-decay", "--history", history, "--out-dir", tmp_path / "f") == 3
         err = capsys.readouterr().err
         assert "data error" in err
         if case != "nan-error":
-            assert "malformed history line" in err
+            assert _HISTORY_ERRORS[case] in err
 
-    @pytest.mark.parametrize("case", ["array", "no-index"])
+    @pytest.mark.parametrize("case", ["array", "no-index", "extra-partition"])
     def test_export_curves(self, finished_run, tmp_path, capsys, case):
         history = _malformed_history(finished_run, tmp_path, case)
         code = run_cli("export-curves", "--history", history,
                        "--fits", finished_run / "fits" / "final_p0.txt")
         assert code == 3
-        assert "malformed history line" in capsys.readouterr().err
+        assert _HISTORY_ERRORS[case] in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", ["array", "no-index"])
+    @pytest.mark.parametrize("case", ["array", "no-index", "extra-partition"])
     def test_resume(self, synth_dir, finished_run, tmp_path, capsys, case):
         run = tmp_path / "run"
         shutil.copytree(finished_run, run)
@@ -833,7 +966,27 @@ class TestMalformedHistory:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(_sim_config(synth_dir, run)))
         assert run_cli("simulate", "--config", cfg, "--resume") == 3
-        assert "malformed history line" in capsys.readouterr().err
+        assert _HISTORY_ERRORS[case] in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("snapshots/checkpoint_0000.json", '{"scores": {}}', "malformed snapshot file"),
+            ("snapshots/checkpoint_0000.json", '{"tokens": 400, "scores": [1.0]}',
+             "malformed snapshot file"),
+            ("refpred/checkpoint_0000.jsonl", '{"labels": ["O"]}\n',
+             "reference prediction file"),
+        ],
+        ids=["snapshot-no-tokens", "snapshot-scores-list", "refpred-no-sentence-id"],
+    )
+    def test_resume_file(self, synth_dir, finished_run, tmp_path, capsys, name, text, message):
+        run = tmp_path / "run"
+        shutil.copytree(finished_run, run)
+        (run / name).write_text(text)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_sim_config(synth_dir, run)))
+        assert run_cli("simulate", "--config", cfg, "--resume") == 3
+        assert f"data error: {message} {run / name}" in capsys.readouterr().err
 
 
 class TestExportCurvesCommand:
@@ -1013,6 +1166,26 @@ class TestExternalPredictor:
         cfg.write_text(json.dumps(config))
         assert run_cli("simulate", "--config", cfg) == 3
         assert "no weight for entity type 'ZZZ'" in capsys.readouterr().err
+
+    def test_malformed_records_are_predictor_error(self, synth_dir, tmp_path, capsys):
+        script = tmp_path / "bad_tagger.py"
+        script.write_text(
+            "import json, sys\n"
+            "with open(sys.argv[1], 'w') as fh:\n"
+            "    fh.write(json.dumps({'sentence_id': 0, 'labels': 5}) + '\\n')\n"
+        )
+        out = tmp_path / "run_bad_records"
+        config = _sim_config(synth_dir, out, strategy="rnd", total_batches=3)
+        config["predictor"] = {
+            "type": "external",
+            "command": f"{sys.executable} {script} {{output}} {{train}} {{input}}",
+        }
+        cfg = tmp_path / "cfg_bad_records.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", cfg) == 4
+        assert "external predictor wrote malformed records: malformed record line" in (
+            capsys.readouterr().err
+        )
 
     def test_failing_external_command_exit_code(self, synth_dir, tmp_path):
         out = tmp_path / "run_fail"

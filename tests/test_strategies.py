@@ -469,6 +469,25 @@ class TestRecordIO:
         assert got.ensemble == rec.ensemble
         assert got.logprobs[0]["B-PER"] == pytest.approx(math.log(0.9))
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"labels": ["O"]}',
+            '{"sentence_id": 0, "labels": 5}',
+            '{"sentence_id": 0, "labels": ["O"], "logprobs": [{"O": "x"}]}',
+            '{"sentence_id": 0, "labels": ["O"], "logprobs": [{"O": 800}]}',
+            '{"sentence_id": 0, "labels": ["O"], "ensemble": [1, 2]}',
+            '{"sentence_id": 0',
+        ],
+        ids=["no-sentence-id", "labels-number", "logprob-string", "logprob-overflow",
+             "ensemble-numbers", "not-json"],
+    )
+    def test_malformed_line_is_value_error_naming_it(self, line):
+        text = '{"sentence_id": 1, "labels": ["O"]}\n' + line + "\n"
+        with pytest.raises(ValueError, match="malformed record line") as info:
+            read_records(text)
+        assert line[:20] in str(info.value)
+
     def test_validation_rejects_bad_probabilities(self):
         bad = PredictionRecord(0, ("O",), logprobs=({"O": math.log(0.5)},))
         with pytest.raises(ValueError, match="sum"):
