@@ -536,8 +536,15 @@ def _build_partitions(
             for k in settings.kinds]
 
 
+# a checkpoint's side files, by checkpoint index
+_SNAPSHOT = "snapshots/checkpoint_{:04d}.json"
+_REFPRED = "refpred/checkpoint_{:04d}.jsonl"
+
+
 class _RunWriter:
-    """Observer that persists checkpoints, batches, fits, and snapshots."""
+    """Observer that persists checkpoints, batches, fits, and snapshots.  A
+    checkpoint's side files are written before its history line, which
+    commits it."""
 
     def __init__(self, run_dir: Path):
         self.run_dir = run_dir
@@ -550,12 +557,10 @@ class _RunWriter:
     def __call__(self, event: str, payload: dict) -> None:
         if event == "checkpoint":
             record: CheckpointRecord = payload["record"]
-            with open(self.history_path, "a", encoding="utf-8") as fh:
-                fh.write(record.to_json() + "\n")
             snap: UncertaintySnapshot | None = payload.get("snapshot")
             if snap is not None:
                 _write_json(
-                    self.run_dir / "snapshots" / f"checkpoint_{record.index:04d}.json",
+                    self.run_dir / _SNAPSHOT.format(record.index),
                     {
                         "tokens": snap.checkpoint_tokens,
                         "scores": {str(k): v for k, v in sorted(snap.scores.items())},
@@ -563,8 +568,8 @@ class _RunWriter:
                 )
             ref = payload.get("reference_labels")
             if ref is not None:
-                path = self.run_dir / "refpred" / f"checkpoint_{record.index:04d}.jsonl"
-                with open(path, "w", encoding="utf-8") as fh:
+                with open(self.run_dir / _REFPRED.format(record.index), "w",
+                          encoding="utf-8") as fh:
                     write_records(
                         (
                             PredictionRecord(sentence_id=sid, labels=tuple(labels))
@@ -572,6 +577,8 @@ class _RunWriter:
                         ),
                         fh,
                     )
+            with open(self.history_path, "a", encoding="utf-8") as fh:
+                fh.write(record.to_json() + "\n")
         elif event == "batch":
             index = payload["batch_index"]
             _write_json(
@@ -584,30 +591,35 @@ class _RunWriter:
 
 
 def _load_resume(run_dir: Path):
+    """The history of ``run_dir`` and its checkpoints' snapshot and refpred
+    files, by checkpoint index; files of checkpoints past the history are
+    left unread."""
     history_path = run_dir / "history.jsonl"
     if not history_path.exists():
-        return None, [], []
+        return None, {}, {}
     history = RunHistory.from_jsonl(history_path.read_text(encoding="utf-8"))
-    snapshots = []
-    for path in sorted((run_dir / "snapshots").glob("checkpoint_*.json")):
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            tokens, scores = payload["tokens"], payload["scores"]
-            if not (_is_int(tokens) and isinstance(scores, dict)):
-                raise TypeError("tokens must be an integer and scores an object")
-            snapshots.append(UncertaintySnapshot(
-                checkpoint_tokens=tokens, scores={int(k): v for k, v in scores.items()},
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed snapshot file {path}: {type(exc).__name__}: {exc}"
-                             ) from exc
-    refs = []
-    for path in sorted((run_dir / "refpred").glob("checkpoint_*.jsonl")):
-        try:
-            records = read_records(path.read_text(encoding="utf-8"), validate=False)
-        except ValueError as exc:
-            raise ValueError(f"reference prediction file {path}: {exc}") from exc
-        refs.append({sid: rec.labels for sid, rec in records.items()})
+    snapshots, refs = {}, {}
+    for index in (rec.index for rec in history.checkpoints):
+        path = run_dir / _SNAPSHOT.format(index)
+        if path.exists():
+            try:
+                payload = json.loads(path.read_text(encoding="utf-8"))
+                tokens, scores = payload["tokens"], payload["scores"]
+                if not (_is_int(tokens) and isinstance(scores, dict)):
+                    raise TypeError("tokens must be an integer and scores an object")
+                snapshots[index] = UncertaintySnapshot(
+                    checkpoint_tokens=tokens, scores={int(k): v for k, v in scores.items()},
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"malformed snapshot file {path}: {type(exc).__name__}: {exc}"
+                                 ) from exc
+        path = run_dir / _REFPRED.format(index)
+        if path.exists():
+            try:
+                records = read_records(path.read_text(encoding="utf-8"), validate=False)
+            except ValueError as exc:
+                raise ValueError(f"reference prediction file {path}: {exc}") from exc
+            refs[index] = {sid: rec.labels for sid, rec in records.items()}
     return history, snapshots, refs
 
 

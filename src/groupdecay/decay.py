@@ -82,19 +82,20 @@ class DecayParams:
         )
 
 
-def _basis(a: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Shared decay basis: a_half/(a0*n)^0.5 + a1/u + a2/u^2 + a3/u^3."""
-    u = np.maximum(a[0], A0_MIN) * np.maximum(n, 1.0)
-    inv = 1.0 / u
-    return a[1] * np.sqrt(inv) + a[2] * inv + a[3] * inv**2 + a[4] * inv**3
+def _basis(a0, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four decay basis terms u^-0.5, u^-1, u^-2 and u^-3 of
+    u = max(a0, A0_MIN) * max(n, 1)."""
+    inv = 1.0 / (np.maximum(a0, A0_MIN) * np.maximum(n, 1.0))
+    return np.sqrt(inv), inv, inv**2, inv**3
 
 
 def curve_values(params: DecayParams, n, clamp: bool = False, groups=None) -> np.ndarray:
     """Predicted error per group at masses ``n`` (broadcast against b, c);
     with ``groups`` (one id or an array) only those groups' curves."""
-    a = np.array([params.a0, params.a_half, params.a1, params.a2, params.a3])
+    s, i1, i2, i3 = _basis(params.a0, np.asarray(n, dtype=np.float64))
+    psi = params.a_half * s + params.a1 * i1 + params.a2 * i2 + params.a3 * i3
     b, c = (params.b, params.c) if groups is None else (params.b[groups], params.c[groups])
-    e = c + b * _basis(a, np.asarray(n, dtype=np.float64))
+    e = c + b * psi
     return np.clip(e, 0.0, 1.0) if clamp else e
 
 
@@ -145,12 +146,7 @@ def objective_and_gradient(
     b = vec[5 : 5 + J]
     c = vec[5 + J :]
 
-    u = np.maximum(a[0], A0_MIN) * np.maximum(N, 1.0)
-    inv = 1.0 / u
-    s = np.sqrt(inv)
-    i1 = inv
-    i2 = inv**2
-    i3 = inv**3
+    s, i1, i2, i3 = _basis(a[0], N)
     psi = a[1] * s + a[2] * i1 + a[3] * i2 + a[4] * i3
 
     e = c[None, :] + b[None, :] * psi
@@ -354,9 +350,7 @@ def fit(
 
     # reduced parameterization: e = c_j + b_j * (a_bar . phi(n)) with
     # phi = (n^-0.5, n^-1, n^-2, n^-3); the redundant mass scale a0 is 1
-    nn = np.maximum(N, 1.0)
-    inv = 1.0 / nn
-    phi = np.stack([np.sqrt(inv), inv, inv**2, inv**3])  # (4, T, J)
+    phi = np.stack(_basis(1.0, N))  # (4, T, J)
     if not np.all(np.isfinite(phi)) or not np.all(np.isfinite(Y)):
         bad = ~np.all(np.isfinite(Y), axis=0) if np.any(~np.isfinite(Y)) else ~np.all(
             np.isfinite(phi), axis=(0, 1)

@@ -22,7 +22,7 @@ from .decay import DecayFit, FitConfig, fit
 # group_error, group_mass and sentence_group_delta stay bound for bench/tracing.py
 from .partition import (  # noqa: F401
     GroupErrorRecord, Partition, aligned_labels, build_group_index,
-    group_error, group_mass, mismatch_rates, sentence_group_delta,
+    group_error, group_mass, mismatch_rates, sentence_group_delta, tag_codes, token_losses,
 )
 # micro_f1 is called through this module's global for bench/tracing.py
 from .scoring import gold_phrases, micro_f1
@@ -342,15 +342,18 @@ def run_active_loop(
     pseudo_test: Dataset | None = None,
     observer: Callable[[str, dict], None] | None = None,
     resume_history: RunHistory | None = None,
-    resume_snapshots: Sequence[UncertaintySnapshot] | None = None,
-    resume_reference: Sequence[dict[int, tuple[str, ...]]] | None = None,
+    resume_snapshots: Mapping[int, UncertaintySnapshot] | None = None,
+    resume_reference: Mapping[int, Mapping[int, Sequence[str]]] | None = None,
 ) -> RunHistory:
     """Run the burn-in + selection loop and return the checkpoint history.
 
     ``trainer`` retrains the black-box predictor on the accumulated training
     data and returns an object that yields prediction records for any
     dataset.  With ``resume_history`` the recorded checkpoints are replayed
-    without retraining and the run continues from the first missing step.
+    without retraining and the run continues from the first missing step;
+    ``resume_snapshots`` and ``resume_reference`` hold, by checkpoint index,
+    the pool scores and validation predictions the replayed checkpoints
+    recorded, and one that is missing raises ``ValueError`` naming it.
     A pool with fewer tokens than burn-in takes raises ``ValueError``
     before anything is trained.
     """
@@ -404,9 +407,11 @@ def run_active_loop(
     ]
 
     history = RunHistory()
-    mass_history: list[list[np.ndarray]] = []
-    snapshots: list[UncertaintySnapshot] = list(resume_snapshots or [])
-    reference_history: list[dict[int, tuple[str, ...]]] = list(resume_reference or [])
+    snapshots: list[UncertaintySnapshot] = []
+    # edg_ext1: each checkpoint's validation tag codes and training masses
+    references: list[tuple[np.ndarray, list[np.ndarray]]] = []
+    tag_vocab: dict[str, int] = {}  # one tag code dict for the whole run
+    val_sentences = list(validation.sentences)
 
     # Burn-in takes units (sentences, or documents in DOCUMENT mode) in a seeded
     # permutation of the units by ascending id; a unit scores minus its place.
@@ -420,6 +425,22 @@ def run_active_loop(
 
     def remaining_rows() -> np.ndarray:
         return by_id[~taken[by_id]]
+
+    def scores_pool(step_idx: int) -> bool:
+        """Whether the checkpoint at ``step_idx`` scores the remaining pool:
+        a scoring strategy's before a selection batch, every one of a decay
+        strategy's, and none once the pool is empty."""
+        next_is_selection = step_idx + 1 < len(plan) and plan[step_idx + 1][0] == "select"
+        uses_scores = strategy.score is not None and (strategy.decay or next_is_selection)
+        return uses_scores and not taken.all()
+
+    def code_predictions(val_labels: Mapping[int, Sequence[str]]) -> np.ndarray:
+        """The tag codes of validation predictions, aligned and checked once;
+        edg_ext1 records them with the current training masses."""
+        codes = tag_codes(aligned_labels(val_labels, val_sentences), tag_vocab)
+        if strategy.select == "edg_ext1":
+            references.append((codes, [m.copy() for m in train_mass]))
+        return codes
 
     def burn_in_batch(target: int) -> Batch:
         rows = remaining_rows()
@@ -460,12 +481,18 @@ def run_active_loop(
             if phase == "burnin" and burn_in_batch(arg).sentence_ids != tuple(rec.selected_ids):
                 raise ValueError("resume history inconsistent with seed")
             add_to_train(rec.selected_ids)
-            mass_history.append([m.copy() for m in train_mass])
+            if scores_pool(done):
+                if rec.index not in (resume_snapshots or {}):
+                    raise ValueError(f"checkpoint {rec.index} has no uncertainty snapshot")
+                snapshots.append(resume_snapshots[rec.index])
+            if strategy.select == "edg_ext1":
+                if rec.index not in (resume_reference or {}):
+                    raise ValueError(f"checkpoint {rec.index} has no reference predictions")
+                code_predictions(resume_reference[rec.index])
             history.checkpoints.append(rec)
             done += 1
 
-    val_sentences = list(validation.sentences)
-    val_gold = [s.labels for s in val_sentences]
+    val_gold = tag_codes((s.labels for s in val_sentences), tag_vocab) if have_val_labels else None
     # gold phrases decoded once per run; an unlabelled dataset gets no F1
     val_phrases = gold_phrases(validation) if have_val_labels else None
     test_phrases, pseudo_phrases = (
@@ -473,8 +500,7 @@ def run_active_loop(
     )
 
     def checkpoint(step_idx: int, phase: str, batch_index: int | None,
-                   selected: tuple[int, ...], exhausted: bool,
-                   next_is_selection: bool) -> None:
+                   selected: tuple[int, ...], exhausted: bool) -> None:
         train_ds = Dataset(
             sentences=tuple(pool.sentences[r] for r in by_id[taken[by_id]]),
             label_inventory=inventory,
@@ -483,6 +509,8 @@ def run_active_loop(
         predictor = trainer(train_ds)
         val_records = predictor.predict(val_sentences)
         val_labels = _labels_map(val_records)
+        if have_val_labels or strategy.select == "edg_ext1":
+            val_codes = code_predictions(val_labels)
 
         val_f1 = test_f1 = pseudo_f1 = weighted = None
         recs = None
@@ -490,18 +518,12 @@ def run_active_loop(
             val_f1 = micro_f1(val_phrases, val_labels).f1
             if config.class_weights:
                 weighted = micro_f1(val_phrases, val_labels, config.class_weights).f1
-            val_tags = aligned_labels(val_labels, val_sentences)
-            recs = []
-            for pi, ix in enumerate(val_index):
-                ge = mismatch_rates(ix, val_gold, val_tags, config.class_weights)
-                recs.append(
-                    GroupErrorRecord(
-                        checkpoint_index=step_idx,
-                        train_mass=train_mass[pi].copy(),
-                        val_error=ge.error,
-                        val_mass=ge.mass,
-                    )
-                )
+            # one loss per token, summed per group by every partition
+            losses = token_losses(val_gold, val_codes, tag_vocab, config.class_weights)
+            recs = [
+                GroupErrorRecord(step_idx, masses.copy(), ge.error, ge.mass)
+                for masses, ge in zip(train_mass, (mismatch_rates(ix, losses) for ix in val_index))
+            ]
         if test_phrases is not None:
             test_f1 = micro_f1(test_phrases, _labels_map(predictor.predict(test.sentences))).f1
         if pseudo_phrases is not None:
@@ -510,27 +532,18 @@ def run_active_loop(
             ).f1
 
         snapshot = None
-        if strategy.score is not None and (strategy.decay or next_is_selection):
-            pool_sents = [pool.sentences[r] for r in remaining_rows()]
-            if pool_sents:
-                pool_records = predictor.predict(
-                    pool_sents,
-                    want_logprobs=strategy.needs_logprobs,
-                    ensemble_k=config.ensemble_k if strategy.needs_ensemble else None,
-                )
-                score = score_us if strategy.score == "us" else score_bald
-                snapshot = UncertaintySnapshot(
-                    checkpoint_tokens=train_tokens,
-                    scores={sid: score(rec) for sid, rec in pool_records.items()},
-                )
-                snapshots.append(snapshot)
-
-        reference_labels = None
-        if strategy.select == "edg_ext1":
-            reference_labels = val_labels
-            reference_history.append(reference_labels)
-
-        mass_history.append([m.copy() for m in train_mass])
+        if scores_pool(step_idx):
+            pool_records = predictor.predict(
+                [pool.sentences[r] for r in remaining_rows()],
+                want_logprobs=strategy.needs_logprobs,
+                ensemble_k=config.ensemble_k if strategy.needs_ensemble else None,
+            )
+            score = score_us if strategy.score == "us" else score_bald
+            snapshot = UncertaintySnapshot(
+                checkpoint_tokens=train_tokens,
+                scores={sid: score(rec) for sid, rec in pool_records.items()},
+            )
+            snapshots.append(snapshot)
 
         record = CheckpointRecord(
             index=step_idx,
@@ -552,7 +565,7 @@ def run_active_loop(
                 {
                     "record": record,
                     "snapshot": snapshot,
-                    "reference_labels": reference_labels,
+                    "reference_labels": val_labels if strategy.select == "edg_ext1" else None,
                 },
             )
 
@@ -581,12 +594,7 @@ def run_active_loop(
             if strategy.select == "edg":
                 records = history.group_record_history(len(partitions))
             else:
-                records = [
-                    prediction_difference_records(
-                        validation, reference_history, [m[p] for m in mass_history], ix
-                    )
-                    for p, ix in enumerate(val_index)
-                ]
+                records = prediction_difference_records(val_index, references)
             fits = [fit(r, config=config.fit) for r in records]
             state = SelectionState(
                 partitions=partitions,
@@ -615,10 +623,7 @@ def run_active_loop(
         if phase == "burnin":
             batch = burn_in_batch(arg)
             add_to_train(batch.sentence_ids)
-            next_is_selection = (
-                step_idx + 1 < len(plan) and plan[step_idx + 1][0] == "select"
-            )
-            checkpoint(step_idx, "burnin", None, batch.sentence_ids, False, next_is_selection)
+            checkpoint(step_idx, "burnin", None, batch.sentence_ids, False)
         else:
             batch_index = arg
             rows = remaining_rows()
@@ -631,12 +636,5 @@ def run_active_loop(
                 observer("fits", {"batch_index": batch_index, "fits": fits})
             if observer is not None:
                 observer("batch", {"batch_index": batch_index, "batch": batch})
-            checkpoint(
-                step_idx,
-                "select",
-                batch_index,
-                batch.sentence_ids,
-                batch.exhausted,
-                next_is_selection=step_idx + 1 < len(plan),
-            )
+            checkpoint(step_idx, "select", batch_index, batch.sentence_ids, batch.exhausted)
     return history

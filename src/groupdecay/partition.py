@@ -45,6 +45,8 @@ __all__ = [
     "build_identity_partition",
     "build_group_index",
     "aligned_labels",
+    "tag_codes",
+    "token_losses",
     "mismatch_rates",
     "group_mass",
     "sentence_group_delta",
@@ -591,19 +593,34 @@ class GroupErrorRecord:
     val_mass: np.ndarray
 
 
-def _token_losses(
-    gold: Sequence[str], pred: Sequence[str], class_weights: Mapping[str, float] | None
+def tag_codes(tags: Iterable[Sequence[str]], codes: dict[str, int]) -> np.ndarray:
+    """The flat integer codes of aligned tag sequences.  ``codes`` maps each
+    tag to its code and gains every tag it lacks, so arrays coded with one
+    dict compare tag for tag."""
+    return np.asarray(
+        [codes.setdefault(t, len(codes)) for seq in tags for t in seq], dtype=np.intp
+    )
+
+
+def token_losses(
+    first: np.ndarray,
+    second: np.ndarray,
+    codes: Mapping[str, int],
+    class_weights: Mapping[str, float] | None = None,
 ) -> np.ndarray:
-    mism = np.asarray([g != p for g, p in zip(gold, pred)], dtype=np.float64)
+    """Each token's loss between two labelings coded with ``codes``: 1 where
+    they differ, with ``class_weights`` the mean of the two tags' weights
+    there; 0 elsewhere.  Only the tags of these two labelings are weighed."""
+    if first.shape != second.shape:
+        raise AlignmentError(f"labelings of {len(first)} and {len(second)} tokens")
+    mism = (first != second).astype(np.float64)
     if class_weights is None:
         return mism
-    w = np.asarray(
-        [
-            0.5 * (class_weights[entity_type(g)] + class_weights[entity_type(p)])
-            for g, p in zip(gold, pred)
-        ]
-    )
-    return mism * w
+    tags = list(codes)
+    weight = np.zeros(len(tags))
+    for code in np.unique(np.concatenate((first, second))).tolist():
+        weight[code] = class_weights[entity_type(tags[code])]
+    return mism * (0.5 * (weight[first] + weight[second]))
 
 
 def aligned_labels(
@@ -624,23 +641,15 @@ def aligned_labels(
     return out
 
 
-def mismatch_rates(
-    index: GroupIndex,
-    first: Sequence[Sequence[str]],
-    second: Sequence[Sequence[str]],
-    class_weights: Mapping[str, float] | None = None,
-) -> GroupErrors:
-    """Per-group rate of tokens on which two labelings (one tag sequence
-    per index row) differ: gold against predictions gives the validation
-    error, two checkpoints' predictions the prediction difference.  With
-    ``class_weights`` a mismatch costs the mean of the two tags' weights.
-    Groups with zero mass report rate 0.
+def mismatch_rates(index: GroupIndex, losses: np.ndarray) -> GroupErrors:
+    """Per-group rate of the per-token ``losses`` over the index rows'
+    tokens (:func:`token_losses`): gold against predictions gives the
+    validation error, two checkpoints' predictions the prediction
+    difference.  Groups with zero mass report rate 0.
     """
-    a = [t for tags in first for t in tags]
-    b = [t for tags in second for t in tags]
-    if not len(a) == len(b) == index.offsets[-1]:
-        raise AlignmentError(f"labelings of {len(a)} and {len(b)} for {index.offsets[-1]} tokens")
-    err = index.token_sums(_token_losses(a, b, class_weights))
+    if len(losses) != index.offsets[-1]:
+        raise AlignmentError(f"{len(losses)} token losses for {index.offsets[-1]} tokens")
+    err = index.token_sums(losses)
     mass = index.mass()
     rate = np.zeros_like(err)
     np.divide(err, mass, out=rate, where=mass != 0)
@@ -662,12 +671,14 @@ def group_error(
     zero mass report error 0.
     """
     sentences = gold.sentences
-    return mismatch_rates(
-        build_group_index(partition, sentences, table),
-        [s.labels for s in sentences],
-        aligned_labels(predictions, sentences),
+    codes: dict[str, int] = {}
+    losses = token_losses(
+        tag_codes((s.labels for s in sentences), codes),
+        tag_codes(aligned_labels(predictions, sentences), codes),
+        codes,
         class_weights,
     )
+    return mismatch_rates(build_group_index(partition, sentences, table), losses)
 
 
 # -- serialization ---------------------------------------------------------

@@ -14,12 +14,11 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, Sentence
-from .partition import GroupErrorRecord, GroupIndex, aligned_labels, mismatch_rates
+from .partition import GroupErrorRecord, GroupIndex, mismatch_rates
 from .selection import Batch, document_means
 
 __all__ = [
@@ -287,31 +286,24 @@ def fass_select(
 
 
 def prediction_difference_records(
-    reference: Dataset | Sequence[Sentence],
-    prediction_history: Sequence[Mapping[int, Sequence[str]]],
-    train_mass_history: Sequence[np.ndarray],
-    index: GroupIndex,
-) -> list[GroupErrorRecord]:
-    """Decay-fit records where the error signal is the disagreement of each
-    past checkpoint's predictions with the current model's predictions:
-    the per-group fraction of reference tokens where they differ.  Uses
-    predictions only; gold labels never enter.  ``index`` is one
-    partition's :class:`GroupIndex` of the reference sentences."""
-    if len(prediction_history) != len(train_mass_history):
-        raise ValueError("prediction and mass histories differ in length")
-    if len(prediction_history) < 2:
+    indexes: Sequence[GroupIndex],
+    references: Sequence[tuple[np.ndarray, Sequence[np.ndarray]]],
+) -> list[list[GroupErrorRecord]]:
+    """Each partition's decay-fit records where the error signal is the
+    disagreement of each past checkpoint's predictions with the current
+    model's: the per-group fraction of reference tokens where they differ.
+    ``references`` holds one pair per checkpoint, the tag codes of its
+    predictions (:func:`tag_codes`, one dict for all) and its training mass
+    per partition; ``indexes`` holds each partition's :class:`GroupIndex` of
+    the reference sentences.  Uses predictions only; gold labels never
+    enter."""
+    if len(references) < 2:
         raise ValueError("need at least 2 checkpoints of predictions")
-    sentences = list(reference)
-    current = aligned_labels(prediction_history[-1], sentences)
-    records = []
-    for t in range(len(prediction_history) - 1):
-        rates = mismatch_rates(index, current, aligned_labels(prediction_history[t], sentences))
-        records.append(
-            GroupErrorRecord(
-                checkpoint_index=t,
-                train_mass=np.asarray(train_mass_history[t], dtype=np.float64),
-                val_error=rates.error,
-                val_mass=rates.mass,
-            )
-        )
+    current = references[-1][0]
+    records: list[list[GroupErrorRecord]] = [[] for _ in indexes]
+    for t, (codes, train_mass) in enumerate(references[:-1]):
+        losses = (codes != current).astype(np.float64)
+        for p, ix in enumerate(indexes):
+            rates = mismatch_rates(ix, losses)
+            records[p].append(GroupErrorRecord(t, train_mass[p], rates.error, rates.mass))
     return records

@@ -13,6 +13,9 @@ from groupdecay.corpus import _BIO_RE, Dataset, Sentence, Token, entity_type, sh
 from groupdecay.decay import curve_values
 from groupdecay.partition import (
     N_SHAPES,
+    AlignmentError,
+    GroupErrorRecord,
+    GroupErrors,
     ParameterError,
     PartitionKind,
     aligned_labels,
@@ -212,6 +215,46 @@ def _token_losses(first, second, class_weights):
         ]
     )
     return mism * w
+
+
+def string_mismatch_rates(index, first, second, class_weights=None):
+    """Per-group mismatch rates of two labelings given as tag strings, one
+    sequence per index row, flattened and compared token by token."""
+    a = [t for tags in first for t in tags]
+    b = [t for tags in second for t in tags]
+    if not len(a) == len(b) == index.offsets[-1]:
+        raise AlignmentError(f"labelings of {len(a)} and {len(b)} for {index.offsets[-1]} tokens")
+    err = index.token_sums(_token_losses(a, b, class_weights))
+    mass = index.mass()
+    rate = np.zeros_like(err)
+    np.divide(err, mass, out=rate, where=mass != 0)
+    return GroupErrors(error=rate, mass=mass)
+
+
+def string_prediction_difference_records(reference, prediction_history, train_mass_history,
+                                         index):
+    """One partition's prediction-difference records from id-keyed tag
+    strings, each past checkpoint aligned and compared with the last."""
+    if len(prediction_history) != len(train_mass_history):
+        raise ValueError("prediction and mass histories differ in length")
+    if len(prediction_history) < 2:
+        raise ValueError("need at least 2 checkpoints of predictions")
+    sentences = list(reference)
+    current = aligned_labels(prediction_history[-1], sentences)
+    records = []
+    for t in range(len(prediction_history) - 1):
+        rates = string_mismatch_rates(
+            index, current, aligned_labels(prediction_history[t], sentences)
+        )
+        records.append(
+            GroupErrorRecord(
+                checkpoint_index=t,
+                train_mass=np.asarray(train_mass_history[t], dtype=np.float64),
+                val_error=rates.error,
+                val_mass=rates.mass,
+            )
+        )
+    return records
 
 
 def per_sentence_rates(partition, sentences, first, second, table, class_weights=None):

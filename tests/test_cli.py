@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import sys
@@ -54,20 +55,24 @@ def doc_synth_dir(tmp_path_factory):
     return out
 
 
-def _interrupt(run_dir, cut):
-    """Leave ``run_dir`` as a run stopped after ``cut`` checkpoints."""
+def _interrupt(run_dir, cut, keep_side_files=False):
+    """Leave ``run_dir`` as a run stopped after ``cut`` checkpoints; with
+    ``keep_side_files`` the batch, fit, snapshot and refpred files of later
+    checkpoints stay, as an earlier run stopped further on leaves them."""
     lines = (run_dir / "history.jsonl").read_text().splitlines(keepends=True)
     (run_dir / "history.jsonl").write_text("".join(lines[:cut]))
+    (run_dir / "curves.csv").unlink()
+    if keep_side_files:
+        return
     for f in (run_dir / "batches").glob("*.json"):
         f.unlink()
     for sub in ("snapshots", "refpred"):
         for f in (run_dir / sub).glob("checkpoint_*"):
             if int(f.name.split("_")[1].split(".")[0]) >= cut:
                 f.unlink()
-    (run_dir / "curves.csv").unlink()
 
 
-def _assert_resume_reproduces(tmp_path, config_for, cut):
+def _assert_resume_reproduces(tmp_path, config_for, cut, keep_side_files=False):
     """A run resumed after ``cut`` checkpoints writes the uninterrupted run's
     history, batches and curves."""
     full = tmp_path / "run_full"
@@ -77,7 +82,7 @@ def _assert_resume_reproduces(tmp_path, config_for, cut):
 
     broken = tmp_path / "run_broken"
     shutil.copytree(full, broken)
-    _interrupt(broken, cut)
+    _interrupt(broken, cut, keep_side_files)
     cfg_broken = tmp_path / "cfg_broken.json"
     cfg_broken.write_text(json.dumps(config_for(broken)))
     assert run_cli("simulate", "--config", cfg_broken, "--resume") == 0
@@ -118,6 +123,27 @@ def _sim_config(synth_dir, out_dir, strategy="edg", **loop_overrides):
         "partitions": {"kinds": "identity", "one_hot": True},
         "predictor": {"type": "builtin"},
     }
+
+
+# sha256 over every file of a ``simulate`` run directory of ``_sim_config``
+# but ``manifest.json`` (it holds absolute paths), keyed by strategy and
+# partition kinds; recorded with numpy 2.4.6
+RECORDED_RUN_DIRECTORIES = {
+    ("edg", "identity"): "aa126c66e22c9959dc8e2b7fbc4d8b6a7b2f68e922ce6aae1f5f85242537c275",
+    ("us_edg_ext2", "identity"): "8fce112d4a59b758415965b52d5d1f41d5a764fbdfffeb231c7c68ad45530629",
+    ("edg_ext1", "identity"): "21c742152f5f88c46503d8df71eafe8b6a6dcee78d8e0ada7a2009ed53e4b5c3",
+    ("div", "identity"): "f314aee4a817d4789f49e4b2a3d41b74d2471b7388e1ec8beedb6de24aaa6035",
+    ("edg_ext1", "WORD+SENTENCE"): "604148d0aba900a6d54a0786563f277767ba031af1386dd1d44e6955e96e0dd4",
+}
+
+
+def _run_directory_digest(run):
+    """One sha256 over each file's path and sha256, but ``manifest.json``'s."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in run.rglob("*") if p.is_file() and p.name != "manifest.json"):
+        file_digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest.update(f"{path.relative_to(run).as_posix()}\0{file_digest}\n".encode())
+    return digest.hexdigest()
 
 
 class TestGenSynth:
@@ -247,6 +273,17 @@ class TestSimulate:
         assert (a / "curves.csv").read_bytes() == (b / "curves.csv").read_bytes()
         assert (a / "history.jsonl").read_bytes() == (b / "history.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("name, kinds", RECORDED_RUN_DIRECTORIES)
+    def test_run_directory_reproduces_its_recorded_digest(self, synth_dir, tmp_path, name, kinds):
+        out = tmp_path / "run"
+        config = _sim_config(synth_dir, out, strategy=name)
+        if kinds != "identity":
+            config["partitions"]["kinds"] = kinds.split("+")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", cfg) == 0
+        assert _run_directory_digest(out) == RECORDED_RUN_DIRECTORIES[name, kinds]
+
     def test_resume_completes_interrupted_run(self, synth_dir, tmp_path):
         _assert_resume_reproduces(tmp_path, lambda out: _sim_config(synth_dir, out), 3)
 
@@ -263,6 +300,93 @@ class TestSimulate:
         _assert_resume_reproduces(
             tmp_path, lambda out: _sim_config(synth_dir, out, strategy="us_edg_ext2"), burn_in
         )
+
+    # six batches: five burn-in checkpoints, then four selection checkpoints
+    @pytest.mark.parametrize(
+        "strategy, cut, lag",
+        [
+            ("us", 5, None),
+            ("us", 6, None),
+            ("bald", 6, None),
+            ("us_edg_ext2", 6, None),
+            ("us_edg_ext2", 4, 0),
+            ("edg_ext1", 4, None),
+            ("edg_ext1", 6, None),
+        ],
+    )
+    def test_resume_reads_only_the_side_files_of_its_history(
+        self, synth_dir, tmp_path, strategy, cut, lag
+    ):
+        def config_for(out):
+            config = _sim_config(synth_dir, out, strategy=strategy, total_batches=6)
+            if lag is not None:
+                config["loop"]["uncertainty_lag_tokens"] = lag
+            return config
+
+        _assert_resume_reproduces(tmp_path, config_for, cut, keep_side_files=True)
+
+    def test_resume_after_the_pool_ran_out(self, synth_dir, tmp_path):
+        # the last checkpoint took the whole pool, so it scored none and
+        # wrote no snapshot; replaying it needs none
+        def config_for(out):
+            return _sim_config(
+                synth_dir, out, strategy="us_edg_ext2", selection_batch_tokens=2000
+            )
+
+        full = tmp_path / "run_full"
+        lines = 12  # eleven burn-in checkpoints and the batch that empties the pool
+        _assert_resume_reproduces(tmp_path, config_for, lines, keep_side_files=True)
+        assert len((full / "history.jsonl").read_text().splitlines()) == lines
+        assert not (full / "snapshots" / f"checkpoint_{lines - 1:04d}.json").exists()
+
+    @pytest.mark.parametrize(
+        "strategy, cut, side",
+        [
+            ("us", 5, "snapshots/checkpoint_0004.json"),
+            ("us_edg_ext2", 4, "snapshots/checkpoint_0003.json"),
+            ("edg_ext1", 4, "refpred/checkpoint_0003.jsonl"),
+        ],
+    )
+    def test_resume_without_a_replayed_side_file_is_data_error(
+        self, synth_dir, tmp_path, capsys, strategy, cut, side
+    ):
+        out = tmp_path / "run"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_sim_config(synth_dir, out, strategy=strategy, total_batches=6)))
+        assert run_cli("simulate", "--config", cfg) == 0
+        _interrupt(out, cut, keep_side_files=True)
+        (out / side).unlink()
+        capsys.readouterr()
+        assert run_cli("simulate", "--config", cfg, "--resume") == 3
+        what = "uncertainty snapshot" if side.startswith("snapshots") else "reference predictions"
+        assert f"data error: checkpoint {cut - 1} has no {what}" in capsys.readouterr().err
+
+    def test_crash_before_a_snapshot_is_written_leaves_a_resumable_run(
+        self, synth_dir, tmp_path, monkeypatch
+    ):
+        # a checkpoint's history line is written after its snapshot, so a run
+        # stopped between the two has not recorded the checkpoint
+        def config_for(out):
+            return _sim_config(synth_dir, out, strategy="us_edg_ext2", total_batches=6)
+
+        full, crashed = tmp_path / "run_full", tmp_path / "run_crashed"
+        for out in (full, crashed):
+            (tmp_path / f"{out.name}.json").write_text(json.dumps(config_for(out)))
+        assert run_cli("simulate", "--config", tmp_path / "run_full.json") == 0
+        write_json = cli._write_json
+
+        def crash_at_checkpoint_4(path, payload, **kwargs):
+            if path.name == "checkpoint_0004.json":
+                raise KeyboardInterrupt
+            write_json(path, payload, **kwargs)
+
+        monkeypatch.setattr(cli, "_write_json", crash_at_checkpoint_4)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("simulate", "--config", tmp_path / "run_crashed.json")
+        assert len((crashed / "history.jsonl").read_text().splitlines()) == 4
+        monkeypatch.undo()
+        assert run_cli("simulate", "--config", tmp_path / "run_crashed.json", "--resume") == 0
+        assert (crashed / "history.jsonl").read_bytes() == (full / "history.jsonl").read_bytes()
 
     @pytest.mark.parametrize("edit", ["unknown", "twice", "taken"])
     def test_resume_with_foreign_ids_is_data_error(self, synth_dir, tmp_path, edit, capsys):

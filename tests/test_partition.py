@@ -23,6 +23,8 @@ from groupdecay.partition import (
     mismatch_rates,
     save_partition,
     sentence_group_delta,
+    tag_codes,
+    token_losses,
 )
 from groupdecay.simlab import SynthSpec, gen_synthetic
 from oracles import (
@@ -30,6 +32,7 @@ from oracles import (
     per_sentence_delta,
     per_sentence_mass,
     per_sentence_rates,
+    string_mismatch_rates,
     token_group_ids,
 )
 
@@ -399,9 +402,14 @@ class TestGroupIndex:
             assert np.array_equal(vals, np.concatenate([v for _, v in pairs]))
             val_index = index.take(slice(n_pool, None))
             want_rates, want_mass = per_sentence_rates(part, val, gold, preds, table, weights)
-            got = mismatch_rates(
-                val_index, aligned_labels(gold, val), aligned_labels(preds, val), weights
+            codes = {}
+            losses = token_losses(
+                tag_codes(aligned_labels(gold, val), codes),
+                tag_codes(aligned_labels(preds, val), codes),
+                codes,
+                weights,
             )
+            got = mismatch_rates(val_index, losses)
             assert np.array_equal(got.error, want_rates)
             assert np.array_equal(got.mass, want_mass)
             view = group_error(part, preds, val_ds, table, weights)
@@ -449,13 +457,52 @@ class TestGroupIndex:
         index = build_group_index(part, [])
         assert len(index) == 0
         np.testing.assert_array_equal(index.mass(), [0.0, 0.0])
-        np.testing.assert_array_equal(mismatch_rates(index, [], []).mass, [0.0, 0.0])
+        np.testing.assert_array_equal(mismatch_rates(index, np.zeros(0)).mass, [0.0, 0.0])
 
     def test_misaligned_labelings_raise(self):
         gold = [_sent(0, ("a", "O"), ("b", "O"))]
         index = build_group_index(build_identity_partition(gold), gold)
+        codes = {}
         with pytest.raises(AlignmentError):
-            mismatch_rates(index, [["O", "O"]], [["O"]])
+            token_losses(tag_codes([["O", "O"]], codes), tag_codes([["O"]], codes), codes)
+        with pytest.raises(AlignmentError):
+            mismatch_rates(index, np.zeros(1))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_weighted_rates_equal_the_string_rates(self, seed):
+        # class-weighted group errors from tag codes equal, byte for byte,
+        # those of comparing the tag strings; the predictions use a tag the
+        # gold never does, and a type whose weight is not 1
+        rng = np.random.default_rng(seed)
+        table, partitions = _pair_table_partitions()
+        sentences = _random_sentences(rng, 12, _WORDS)
+        gold = [[t.gold_label for t in s.tokens] for s in sentences]
+        preds = [[(_TAGS + ["I-LOC"])[int(rng.integers(5))] for _ in s.tokens] for s in sentences]
+        assert "I-LOC" in {t for p in preds for t in p} - {t for g in gold for t in g}
+        weights = {"O": 0.5, "PER": 0.9, "LOC": 0.3}
+        codes = {}
+        losses = token_losses(tag_codes(gold, codes), tag_codes(preds, codes), codes, weights)
+        for part in partitions:
+            index = build_group_index(part, sentences, table)
+            got = mismatch_rates(index, losses)
+            want = string_mismatch_rates(index, gold, preds, weights)
+            assert got.error.tobytes() == want.error.tobytes()
+            assert got.mass.tobytes() == want.mass.tobytes()
+
+    def test_predicted_type_without_weight_raises(self):
+        codes = {}
+        gold = tag_codes([["O", "B-PER"]], codes)
+        pred = tag_codes([["O", "B-ORG"]], codes)
+        with pytest.raises(KeyError):
+            token_losses(gold, pred, codes, {"O": 1.0, "PER": 1.0})
+
+    def test_only_the_compared_labelings_are_weighed(self):
+        # a run's code dict also holds the tags of other labelings, such as
+        # a replayed checkpoint's, which need no weight here
+        codes = {}
+        tag_codes([["B-ZZZ", "PER"]], codes)
+        gold, pred = tag_codes([["O", "B-PER"]], codes), tag_codes([["B-PER", "B-PER"]], codes)
+        assert token_losses(gold, pred, codes, {"O": 0.5, "PER": 1.5}).tolist() == [1.0, 0.0]
 
 
 @functools.cache

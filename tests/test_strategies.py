@@ -16,6 +16,8 @@ from groupdecay.partition import (
     build_identity_partition,
     build_partition,
     mismatch_rates,
+    tag_codes,
+    token_losses,
 )
 from groupdecay.strategies import (
     AlternationChoice,
@@ -31,7 +33,13 @@ from groupdecay.strategies import (
     score_us,
     write_records,
 )
-from oracles import dict_fass_select, heap_fass_select, per_sentence_rates, token_group_ids
+from oracles import (
+    dict_fass_select,
+    heap_fass_select,
+    per_sentence_rates,
+    string_prediction_difference_records,
+    token_group_ids,
+)
 
 
 def _lp(probs: dict[str, float]) -> dict[str, float]:
@@ -344,14 +352,23 @@ def _sent(i, words, labels=None):
     )
 
 
+def _code_history(history, sentences, masses):
+    """``prediction_difference_records``' references: each checkpoint's
+    aligned tag codes, from one dict, with its training masses."""
+    codes = {}
+    return [(tag_codes(aligned_labels(h, sentences), codes), m) for h, m in zip(history, masses)]
+
+
 def prediction_difference_rates(current, past, partition, reference):
     """Per-group rate at which two checkpoints' predictions differ."""
     sentences = reference.sentences
-    rates = mismatch_rates(
-        build_group_index(partition, sentences),
-        aligned_labels(current, sentences),
-        aligned_labels(past, sentences),
+    codes = {}
+    losses = token_losses(
+        tag_codes(aligned_labels(current, sentences), codes),
+        tag_codes(aligned_labels(past, sentences), codes),
+        codes,
     )
+    rates = mismatch_rates(build_group_index(partition, sentences), losses)
     return rates.error, rates.mass
 
 
@@ -415,7 +432,8 @@ class TestPredictionDifference:
             {0: ["O"] * 5, 1: ["O"] * 5},
         ]
         masses = [np.array([5.0, 0.0]), np.array([7.0, 3.0]), np.array([9.0, 6.0])]
-        records = prediction_difference_records(ref, hist, masses, build_group_index(part, ref))
+        references = _code_history(hist, ref.sentences, [[m] for m in masses])
+        (records,) = prediction_difference_records([build_group_index(part, ref)], references)
         assert len(records) == 2
         gid_a = token_group_ids(part, ref.sentences[0], None)[0]
         assert records[0].val_error[gid_a] == pytest.approx(1.0)
@@ -441,16 +459,63 @@ class TestPredictionDifference:
         ]
         cur = {s.id: [tags[int(rng.integers(3))] for _ in s.tokens] for s in ref}
         past = {s.id: [tags[int(rng.integers(3))] for _ in s.tokens] for s in ref}
+        codes = {}
+        losses = token_losses(
+            tag_codes(aligned_labels(cur, ref), codes),
+            tag_codes(aligned_labels(past, ref), codes),
+            codes,
+        )
         for part in partitions:
-            got = mismatch_rates(
-                build_group_index(part, ref, table),
-                aligned_labels(cur, ref),
-                aligned_labels(past, ref),
-                class_weights=None,
-            )
+            got = mismatch_rates(build_group_index(part, ref, table), losses)
             want_rates, want_mass = per_sentence_rates(part, ref, cur, past, table)
             assert np.array_equal(got.error, want_rates)
             assert np.array_equal(got.mass, want_mass)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_records_of_every_partition_equal_the_string_records(self, seed):
+        # one call over identity, WORD and the soft SENTENCE partition gives
+        # each partition the records of aligning and comparing tag strings,
+        # byte for byte
+        rng = np.random.default_rng(seed)
+        words = [f"w{i}" for i in range(12)]
+        tags = ["O", "B-PER", "I-PER", "B-LOC"]
+        ref = [
+            _sent(i, [words[int(rng.integers(12))] for _ in range(int(rng.integers(1, 15)))])
+            for i in range(40)
+        ]
+        table = load_embeddings(
+            "\n".join(f"{w} " + " ".join(repr(float(v)) for v in rng.normal(size=4))
+                      for w in words),
+            normalize=True,
+        )
+        cfg = PartitionConfig(sentence_groups=3, word_groups=4, seed=seed, kmeans_iters=5)
+        partitions = [
+            build_identity_partition(ref),
+            build_partition(ref, table, PartitionKind.WORD, cfg),
+            build_partition(ref, table, PartitionKind.SENTENCE, cfg),
+        ]
+        indexes = [build_group_index(part, ref, table) for part in partitions]
+        history = [
+            {s.id: [tags[int(rng.integers(len(tags)))] for _ in s.tokens] for s in ref}
+            for _ in range(5)
+        ]
+        masses = [[rng.random(part.n_groups) * 50 for part in partitions] for _ in history]
+        got = prediction_difference_records(indexes, _code_history(history, ref, masses))
+        assert len(got) == len(partitions)
+        for p, (part, ix) in enumerate(zip(partitions, indexes)):
+            want = string_prediction_difference_records(ref, history, [m[p] for m in masses], ix)
+            assert len(got[p]) == len(want) == len(history) - 1
+            for g, w in zip(got[p], want):
+                assert g.checkpoint_index == w.checkpoint_index
+                for field in ("train_mass", "val_error", "val_mass"):
+                    assert getattr(g, field).tobytes() == getattr(w, field).tobytes()
+
+    def test_fewer_than_two_checkpoints_rejected(self):
+        ref, part = self._setup()
+        references = _code_history([{0: ["O"] * 5, 1: ["O"] * 5}], ref.sentences,
+                                   [[np.zeros(2)]])
+        with pytest.raises(ValueError, match="at least 2"):
+            prediction_difference_records([build_group_index(part, ref)], references)
 
 
 class TestRecordIO:
