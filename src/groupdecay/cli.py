@@ -13,6 +13,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import operator
 import shlex
 import shutil
 import string
@@ -262,15 +263,15 @@ def _write_fits(fits, fit_dir: Path, stem: str, partitions=(), curves: Path | No
 
 
 class ExternalPredictor:
-    """Subprocess boundary: the command reads a CoNLL training file and an
-    input file and writes prediction records (JSON lines).
+    """Subprocess boundary: each :meth:`predict` call runs the command once,
+    on a CoNLL training file and one input file, and reads the prediction
+    records (JSON lines) it writes.
 
     ``template`` is the command split into arguments (see
     :func:`_command_template`); each argument is formatted on its own, so a
     substituted path stays one argument.  {logprobs} and {ensemble_k} are
     substituted with 0/1 and an integer.  Records in the output file are
-    keyed by the 0-based position of the sentence in the input file; the
-    harness maps them back to its own sentence ids.
+    keyed by the 0-based position of the sentence in the input file.
     """
 
     def __init__(self, template: Sequence[str], train_path: Path, workdir: Path):
@@ -279,13 +280,21 @@ class ExternalPredictor:
         self.workdir = workdir
         self._counter = 0
 
-    def predict(self, dataset, want_logprobs=False, ensemble_k=None):
-        sentences = list(dataset)
-        ds = Dataset(tuple(sentences), frozenset(), role="input")
+    def predict(self, datasets, want_logprobs=False, ensemble_k=None):
+        """Each of ``datasets``' records by position, from one invocation
+        whose input file holds the datasets in order: surfaces only, each
+        dataset with its own ``-DOCSTART-`` lines."""
+        datasets = [tuple(d) for d in datasets]
         self._counter += 1
         input_path = self.workdir / f"input_{self._counter:05d}.conll"
         output_path = self.workdir / f"output_{self._counter:05d}.jsonl"
-        input_path.write_text(serialize_conll(ds), encoding="utf-8")
+        input_path.write_text(
+            "\n".join(
+                serialize_conll(Dataset(d, frozenset(), role="input"), labels=False)
+                for d in datasets
+            ),
+            encoding="utf-8",
+        )
         values = dict(
             train=str(self.train_path),
             input=str(input_path),
@@ -315,24 +324,63 @@ class ExternalPredictor:
             raise ExternalPredictorError(
                 f"external predictor wrote malformed records: {exc}"
             ) from exc
-        missing = [pos for pos in range(len(sentences)) if pos not in records]
+        total = sum(map(len, datasets))
+        missing = [pos for pos in range(total) if pos not in records]
         if missing:
             raise ExternalPredictorError(
                 f"external predictor omitted input positions {missing[:5]}..."
             )
+        out, start = [], 0
+        for d in datasets:
+            out.append([records[pos] for pos in range(start, start + len(d))])
+            start += len(d)
+        return out
+
+
+class _CheckpointPredictor:
+    """The predictor a checkpoint's training yields.  A label-only request
+    for one of ``label_sets`` is answered from one invocation on all of
+    them, made at the first such request.  A request is matched to a set by
+    position and by the sentence objects themselves: sentence ids repeat
+    across datasets.  Every other request is an invocation of its own."""
+
+    def __init__(self, external: ExternalPredictor, label_sets: tuple[tuple, ...]):
+        self.external = external
+        self.label_sets = label_sets
+        self._labels = None
+
+    def predict(self, dataset, want_logprobs=False, ensemble_k=None):
+        sentences = list(dataset)
+        known = None
+        if not (want_logprobs or ensemble_k):
+            known = next(
+                (k for k, s in enumerate(self.label_sets)
+                 if len(s) == len(sentences) and all(map(operator.is_, s, sentences))),
+                None,
+            )
+        if known is None:
+            [records] = self.external.predict([sentences], want_logprobs, ensemble_k)
+        else:
+            if self._labels is None:
+                self._labels = self.external.predict(self.label_sets)
+            records = self._labels[known]
         return {
-            s.id: dataclasses.replace(records[pos], sentence_id=s.id)
-            for pos, s in enumerate(sentences)
+            s.id: dataclasses.replace(rec, sentence_id=s.id)
+            for s, rec in zip(sentences, records)
         }
 
 
-def external_trainer(template: Sequence[str], workdir: Path):
+def external_trainer(template: Sequence[str], workdir: Path, label_sets=()):
+    """Trainer whose predictors run ``template``; a checkpoint answers the
+    label-only requests for ``label_sets`` (the datasets it is asked to
+    label at every checkpoint) with one invocation."""
     workdir.mkdir(parents=True, exist_ok=True)
+    label_sets = tuple(tuple(d) for d in label_sets)
 
-    def train(train_ds: Dataset) -> ExternalPredictor:
+    def train(train_ds: Dataset) -> _CheckpointPredictor:
         train_path = workdir / "train_current.conll"
         train_path.write_text(serialize_conll(train_ds), encoding="utf-8")
-        return ExternalPredictor(template, train_path, workdir)
+        return _CheckpointPredictor(ExternalPredictor(template, train_path, workdir), label_sets)
 
     return train
 
@@ -607,6 +655,9 @@ def _load_resume(run_dir: Path):
                 tokens, scores = payload["tokens"], payload["scores"]
                 if not (_is_int(tokens) and isinstance(scores, dict)):
                     raise TypeError("tokens must be an integer and scores an object")
+                for key, score in scores.items():
+                    if not isinstance(score, (int, float)) or isinstance(score, bool):
+                        raise TypeError(f"score of sentence {key} is {score!r}, not a number")
                 snapshots[index] = UncertaintySnapshot(
                     checkpoint_tokens=tokens, scores={int(k): v for k, v in scores.items()},
                 )
@@ -697,7 +748,8 @@ def cmd_simulate(args) -> int:
             seed=loop_cfg.seed,
         )
     else:
-        trainer = external_trainer(predictor_cfg["command"], run_dir / "external")
+        label_sets = [d for d in (validation, test, pseudo_test) if d is not None]
+        trainer = external_trainer(predictor_cfg["command"], run_dir / "external", label_sets)
 
     resume_history, resume_snaps, resume_refs = (
         _load_resume(run_dir) if args.resume else (None, None, None)

@@ -184,8 +184,9 @@ def parse_conll(source: Union[str, IO], role: str = "pool") -> Dataset:
     )
 
 
-def serialize_conll(dataset: Dataset) -> str:
-    """Render a Dataset back to CoNLL text (surface [tag] columns).
+def serialize_conll(dataset: Dataset, labels: bool = True) -> str:
+    """Render a Dataset back to CoNLL text (surface [tag] columns; the
+    surface column alone with ``labels=False``).
 
     Emits a ``-DOCSTART-`` line before each document group so that
     ``parse_conll`` reconstructs identical document ids.
@@ -199,7 +200,7 @@ def serialize_conll(dataset: Dataset) -> str:
                 out.append(_DOCSTART)
                 out.append("")
         for token in sentence.tokens:
-            if token.gold_label is None:
+            if token.gold_label is None or not labels:
                 out.append(token.surface)
             else:
                 out.append(f"{token.surface} {token.gold_label}")

@@ -484,7 +484,14 @@ def run_active_loop(
             if scores_pool(done):
                 if rec.index not in (resume_snapshots or {}):
                     raise ValueError(f"checkpoint {rec.index} has no uncertainty snapshot")
-                snapshots.append(resume_snapshots[rec.index])
+                snapshot = resume_snapshots[rec.index]
+                unscored = [
+                    sid for sid in pool_ids[remaining_rows()].tolist() if sid not in snapshot.scores
+                ]
+                if unscored:
+                    raise ValueError(f"checkpoint {rec.index}'s uncertainty snapshot does not "
+                                     f"score pool sentences {unscored[:5]}")
+                snapshots.append(snapshot)
             if strategy.select == "edg_ext1":
                 if rec.index not in (resume_reference or {}):
                     raise ValueError(f"checkpoint {rec.index} has no reference predictions")

@@ -176,13 +176,16 @@ def gen_synthetic(
         CAT_NOISE: (c2_start, c3_start),
         CAT_CONTEXT: (c3_start, spec.vocab_size),
     }
-    w3 = weights / weights.sum()
+    # rng.choice(spec.n_context, p=weights / weights.sum()), draw for draw,
+    # without checking p on every call
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
     surfaces = spec.surfaces
 
     def draw_from_category(cat: int) -> int:
         lo, hi = cat_ranges[cat]
         if cat == CAT_CONTEXT:
-            return c3_start + int(rng.choice(spec.n_context, p=w3))
+            return c3_start + int(cdf.searchsorted(rng.random(), side="right"))
         return int(rng.integers(lo, hi))
 
     def category(wid: int) -> int:

@@ -9,13 +9,13 @@ import pytest
 
 from groupdecay import cli
 from groupdecay.cli import main
-from groupdecay.corpus import parse_conll
+from groupdecay.corpus import Dataset, parse_conll
 from groupdecay.decay import DecayParams, serialize_fit
 from groupdecay.loop import LoopConfig, burn_in_checkpoints
 from groupdecay.partition import (
     PartitionConfig, build_identity_partition, build_partition, load_partition, save_partition,
 )
-from groupdecay.simlab import SynthSpec
+from groupdecay.simlab import ReferenceTagger, SynthSpec, tagger_predict
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -137,10 +137,13 @@ RECORDED_RUN_DIRECTORIES = {
 }
 
 
-def _run_directory_digest(run):
-    """One sha256 over each file's path and sha256, but ``manifest.json``'s."""
+def _run_directory_digest(run, skip=("manifest.json",)):
+    """One sha256 over each file's path and sha256, but those of the files
+    and directories named in ``skip`` at the top of ``run``."""
     digest = hashlib.sha256()
-    for path in sorted(p for p in run.rglob("*") if p.is_file() and p.name != "manifest.json"):
+    for path in sorted(
+        p for p in run.rglob("*") if p.is_file() and p.relative_to(run).parts[0] not in skip
+    ):
         file_digest = hashlib.sha256(path.read_bytes()).hexdigest()
         digest.update(f"{path.relative_to(run).as_posix()}\0{file_digest}\n".encode())
     return digest.hexdigest()
@@ -360,6 +363,24 @@ class TestSimulate:
         assert run_cli("simulate", "--config", cfg, "--resume") == 3
         what = "uncertainty snapshot" if side.startswith("snapshots") else "reference predictions"
         assert f"data error: checkpoint {cut - 1} has no {what}" in capsys.readouterr().err
+
+    def test_resume_with_a_snapshot_missing_a_pool_sentence_is_data_error(
+        self, synth_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_sim_config(synth_dir, out, strategy="us", total_batches=6)))
+        assert run_cli("simulate", "--config", cfg) == 0
+        _interrupt(out, 5, keep_side_files=True)
+        snapshot = out / "snapshots" / "checkpoint_0004.json"
+        payload = json.loads(snapshot.read_text())
+        dropped = sorted(payload["scores"], key=int)[3]
+        del payload["scores"][dropped]
+        snapshot.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("simulate", "--config", cfg, "--resume") == 3
+        assert (f"data error: checkpoint 4's uncertainty snapshot does not score pool "
+                f"sentences [{dropped}]") in capsys.readouterr().err
 
     def test_crash_before_a_snapshot_is_written_leaves_a_resumable_run(
         self, synth_dir, tmp_path, monkeypatch
@@ -1098,10 +1119,15 @@ class TestMalformedHistory:
             ("snapshots/checkpoint_0000.json", '{"scores": {}}', "malformed snapshot file"),
             ("snapshots/checkpoint_0000.json", '{"tokens": 400, "scores": [1.0]}',
              "malformed snapshot file"),
+            ("snapshots/checkpoint_0000.json", '{"tokens": 400, "scores": {"0": "x"}}',
+             "malformed snapshot file"),
+            ("snapshots/checkpoint_0000.json", '{"tokens": 400, "scores": {"0": true}}',
+             "malformed snapshot file"),
             ("refpred/checkpoint_0000.jsonl", '{"labels": ["O"]}\n',
              "reference prediction file"),
         ],
-        ids=["snapshot-no-tokens", "snapshot-scores-list", "refpred-no-sentence-id"],
+        ids=["snapshot-no-tokens", "snapshot-scores-list", "snapshot-score-string",
+             "snapshot-score-bool", "refpred-no-sentence-id"],
     )
     def test_resume_file(self, synth_dir, finished_run, tmp_path, capsys, name, text, message):
         run = tmp_path / "run"
@@ -1217,6 +1243,9 @@ from groupdecay.simlab import ReferenceTagger, tagger_predict
 from groupdecay.strategies import write_records
 
 train_path, input_path, output_path, want_logprobs = sys.argv[1:5]
+if len(sys.argv) > 5:  # a log file: one line per invocation
+    with open(sys.argv[5], "a", encoding="utf-8") as fh:
+        fh.write(" ".join(sys.argv[1:5]) + "\\n")
 train = parse_conll(open(train_path, encoding="utf-8"), role="train")
 data = parse_conll(open(input_path, encoding="utf-8"), role="input")
 tagger = ReferenceTagger(train)
@@ -1241,12 +1270,116 @@ with open(sys.argv[3], "w", encoding="utf-8") as fh:
 '''
 
 
+# sha256 over the files outside ``external/`` and ``manifest.json`` of
+# the external ``us`` run of ``test_one_label_call_per_checkpoint``, without
+# and with a pseudo-test set; recorded when every label request was an
+# invocation of its own
+RECORDED_EXTERNAL_RUNS = {
+    False: "9b396ed1298c22993e26d973bf9c811758ccd26a4fd107abd5b2994ac83bc47f",
+    True: "0adb3c4ffb0ef891b366e4df7ffecc7bb76703d8d244a8ba3496a79a7dd0e6e8",
+}
+
+
 class TestExternalPredictor:
     def _write_script(self, tmp_path):
         script = tmp_path / "tagger.py"
         src = str(Path(__file__).resolve().parents[1] / "src")
         script.write_text(EXTERNAL_TAGGER.format(src=src))
         return script
+
+    @pytest.mark.parametrize("pseudo_test", [False, True], ids=["test", "test-and-pseudo-test"])
+    def test_one_label_call_per_checkpoint(self, synth_dir, doc_synth_dir, tmp_path, pseudo_test):
+        script, log = self._write_script(tmp_path), tmp_path / "calls.log"
+        out = tmp_path / "run"
+        config = _sim_config(synth_dir, out, strategy="us", total_batches=4)
+        config["predictor"] = {
+            "type": "external",
+            "command": f"{sys.executable} {script} {{train}} {{input}} {{output}} {{logprobs}} {log}",
+            "logprobs": True,
+        }
+        label_files = [synth_dir / "valid.conll", synth_dir / "test.conll"]
+        if pseudo_test:
+            config["paths"]["pseudo_test"] = str(doc_synth_dir / "valid.conll")
+            label_files.append(doc_synth_dir / "valid.conll")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", cfg) == 0
+
+        # one label call per checkpoint, one log-prob call per pool scoring
+        flags = [line.split()[-1] for line in log.read_text().splitlines()]
+        checkpoints = len((out / "history.jsonl").read_text().splitlines())
+        scorings = len(list((out / "snapshots").glob("checkpoint_*.json")))
+        assert (checkpoints, scorings) == (7, 2)
+        assert sorted(flags) == ["0"] * checkpoints + ["1"] * scorings
+        assert _run_directory_digest(out, skip=("manifest.json", "external")) == (
+            RECORDED_EXTERNAL_RUNS[pseudo_test]
+        )
+        # the label call's input holds the sets in order, each with its own
+        # -DOCSTART- lines
+        merged = (out / "external" / "input_00001.conll").read_text()
+        texts = [path.read_text() for path in label_files]
+        assert merged.count("-DOCSTART-") == sum(t.count("-DOCSTART-") for t in texts)
+        assert [s.surfaces for s in parse_conll(merged).sentences] == [
+            s.surfaces for t in texts for s in parse_conll(t).sentences
+        ]
+
+    def test_input_files_hold_surfaces_only(self, synth_dir, tmp_path):
+        script = self._write_script(tmp_path)
+        out = tmp_path / "run"
+        config = _sim_config(synth_dir, out, strategy="us", total_batches=3)
+        config["predictor"] = {
+            "type": "external",
+            "command": f"{sys.executable} {script} {{train}} {{input}} {{output}} {{logprobs}}",
+            "logprobs": True,
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", cfg) == 0
+        inputs = sorted((out / "external").glob("input_*.conll"))
+        assert inputs
+        for path in inputs:
+            assert all(len(line.split()) <= 1 for line in path.read_text().splitlines())
+
+    def test_label_requests_map_back_by_position(self, synth_dir, tmp_path):
+        script, log = self._write_script(tmp_path), tmp_path / "calls.log"
+        template = cli._command_template(
+            f"{sys.executable} {script} {{train}} {{input}} {{output}} {{logprobs}} {log}"
+        )
+        pool, val, test = (
+            parse_conll((synth_dir / f"{name}.conll").read_text(), role=name)
+            for name in ("train", "valid", "test")
+        )
+        train = Dataset(pool.sentences[:150], pool.label_inventory, role="train")
+        predictor = cli.external_trainer(template, tmp_path / "external", [val, test])(train)
+        tagger = ReferenceTagger(train)
+
+        def calls():
+            return len(log.read_text().splitlines())
+
+        # validation and test ids both count from 0
+        assert {s.id for s in val.sentences} & {s.id for s in test.sentences}
+        for ds in (test, val):
+            got = predictor.predict(list(ds.sentences))
+            want = tagger_predict(tagger, ds)
+            assert {sid: r.labels for sid, r in got.items()} == {
+                sid: r.labels for sid, r in want.items()
+            }
+        assert calls() == 1
+        # other sentences, part of a set, an equal copy of one and log-prob
+        # requests are each an invocation of their own
+        copy = parse_conll((synth_dir / "valid.conll").read_text(), role="valid")
+        for request, logprobs in (
+            (pool.sentences[150:170], False),
+            (val.sentences[:5], False),
+            (copy.sentences, False),
+            (val.sentences, True),
+        ):
+            before = calls()
+            got = predictor.predict(request, want_logprobs=logprobs)
+            assert calls() == before + 1
+            assert {sid: r.labels for sid, r in got.items()} == {
+                sid: r.labels for sid, r in tagger_predict(tagger, request).items()
+            }
 
     def test_external_us_run(self, synth_dir, tmp_path):
         script = self._write_script(tmp_path)

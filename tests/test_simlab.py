@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter, defaultdict
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupdecay import simlab
-from groupdecay.corpus import Dataset, Sentence, Token, parse_conll
+from groupdecay.corpus import Dataset, Sentence, Token, parse_conll, serialize_conll
 from groupdecay.simlab import (
     ReferenceTagger,
     SynthSpec,
@@ -127,6 +128,45 @@ class TestGenSynthetic:
         docs = [s.doc_id for s in ds.sentences]
         assert docs[0] == 0 and all(d is not None for d in docs)
         assert max(Counter(docs).values()) <= 4
+
+
+# sha256 of serialize_conll(gen_synthetic(SynthSpec(seed=s), n, stream=s,
+# sentences_per_doc=d)), keyed by (n, s, d); recorded when every context
+# word was drawn by rng.choice
+RECORDED_SYNTHETIC = {
+    (10_000, 0, None): "890757b58f79633972d5734fd773e0b5dae53ec561ddc43353a44dd9420ebc00",
+    (10_000, 0, 5): "0b498dded9df313c9bd046a32509e35c8bcef0eafd6c723b3369e4b4bb6ff408",
+    (10_000, 1, None): "6a8069cbbf579b4451356ea9a325ea2453ea13fd0bbd97241d41337569d09aea",
+    (10_000, 1, 5): "c24dd6bf9d82d19d1f82e5303874780114fdba6fbb9f9384b88cc24c2e8aad87",
+    (10_000, 2, None): "9c72aee1dd7f5a24dd2facfac0dafcbd508542774cd9d724cb8cf39a74897d37",
+    (10_000, 2, 5): "3b41139ba8c95a9ca390aa7365ed11331007481b33fe4e3de5b7b84b89c6eb2d",
+    (10_000, 3, None): "c9a6dc4a1f261e3718f556ddde821842ced869ceff68f79289b8bfd2410caab6",
+    (10_000, 3, 5): "829aaa4d98d08a516604d63ab93ef0c5ab3ff103e2daf831a463327393d1d18d",
+    (10_000, 4, None): "ca0b3733d8e00169c08b4a2d077056d15bd731149623b935ed19b3790df3e306",
+    (10_000, 4, 5): "a06333789e7fa9ee710f61e6b3995879f0de2de698a6a85f1fd3af867547647d",
+    (10_000, 5, None): "fbf911d143b6e656c8a9f231f589e6e539f3df35248a8b440c00d6dbfc318d77",
+    (10_000, 5, 5): "0fc2dc29beead438390a0711c792c59bf5147629b51a23262be3729029ac9aa9",
+    (10_000, 6, None): "dde88f98e81d0aec57f0eed1ab4abd612167e7f29089635adf6458ef60e62fef",
+    (10_000, 6, 5): "240863dbfb20062014dd2d80d13c6f00d243e3c9ec970e16200f046b4bd309dd",
+    (10_000, 7, None): "d0f966c3edf715f6f555fa144ee2ac3e1722613181e72de1dcf7f9a84e65b5d0",
+    (10_000, 7, 5): "91558a19f932d29dfee7e99b6895d4ce1adb0b78f78d22eb320a201609583f0b",
+    (10_000, 8, None): "202ddbf72ff48b518cc39195b8c354ada23233befd9e9f3c82d692115559f7d0",
+    (10_000, 8, 5): "52120b6e4db7410df18299faf6d7af5c18048206734e5e6a2506215812522abc",
+    (10_000, 9, None): "ae2de90f4cadd91c3b58cb5cfffa3332b3b1d57628022ffa45748f2d91e1c2ba",
+    (10_000, 9, 5): "8616b954faa9dc10404f37753006ec29d596e8cd945b142496990364dbaafee7",
+    (100_000, 0, None): "f50c2972e7039b5622bff8f0b1385f3fa9e943d39bfea328aa4412843f9ba2e3",
+    (100_000, 0, 5): "1d71f9cb175cbdcde7526816a0f81337f2122213ebf603bd25e3c1342ae9fd10",
+    (100_000, 1, None): "a99bf4b50fe9be14da66394d24b9aa10e59d02a8030a17fa66076915e9413c6b",
+    (100_000, 1, 5): "4321eb0469467e0c6fecfe1d8b714e280509e06547538d4a2baadd319faef83f",
+}
+
+
+@pytest.mark.parametrize("n_tokens, seed, sentences_per_doc", RECORDED_SYNTHETIC)
+def test_generated_bytes_are_recorded(n_tokens, seed, sentences_per_doc):
+    ds = gen_synthetic(SynthSpec(seed=seed), n_tokens, stream=seed,
+                       sentences_per_doc=sentences_per_doc)
+    digest = hashlib.sha256(serialize_conll(ds).encode()).hexdigest()
+    assert digest == RECORDED_SYNTHETIC[n_tokens, seed, sentences_per_doc]
 
 
 class TestOneHotEmbeddings:
