@@ -272,12 +272,15 @@ class ExternalPredictor:
     substituted path stays one argument.  {logprobs} and {ensemble_k} are
     substituted with 0/1 and an integer.  Records in the output file are
     keyed by the 0-based position of the sentence in the input file.
+    The files of call ``k`` are ``input_{key}_{k:02d}.conll`` and
+    ``output_{key}_{k:02d}.jsonl`` in ``workdir``.
     """
 
-    def __init__(self, template: Sequence[str], train_path: Path, workdir: Path):
+    def __init__(self, template: Sequence[str], train_path: Path, workdir: Path, key: str):
         self.template = template
         self.train_path = train_path
         self.workdir = workdir
+        self.key = key
         self._counter = 0
 
     def predict(self, datasets, want_logprobs=False, ensemble_k=None):
@@ -286,8 +289,8 @@ class ExternalPredictor:
         dataset with its own ``-DOCSTART-`` lines."""
         datasets = [tuple(d) for d in datasets]
         self._counter += 1
-        input_path = self.workdir / f"input_{self._counter:05d}.conll"
-        output_path = self.workdir / f"output_{self._counter:05d}.jsonl"
+        input_path = self.workdir / f"input_{self.key}_{self._counter:02d}.conll"
+        output_path = self.workdir / f"output_{self.key}_{self._counter:02d}.jsonl"
         input_path.write_text(
             "\n".join(
                 serialize_conll(Dataset(d, frozenset(), role="input"), labels=False)
@@ -373,14 +376,20 @@ class _CheckpointPredictor:
 def external_trainer(template: Sequence[str], workdir: Path, label_sets=()):
     """Trainer whose predictors run ``template``; a checkpoint answers the
     label-only requests for ``label_sets`` (the datasets it is asked to
-    label at every checkpoint) with one invocation."""
+    label at every checkpoint) with one invocation.  A checkpoint's files
+    are keyed by its training token count, which grows at every checkpoint
+    and which a resumed run reproduces: ``train_{key}.conll`` and its
+    calls' input and output files."""
     workdir.mkdir(parents=True, exist_ok=True)
     label_sets = tuple(tuple(d) for d in label_sets)
 
     def train(train_ds: Dataset) -> _CheckpointPredictor:
-        train_path = workdir / "train_current.conll"
+        key = f"{train_ds.token_count:09d}"
+        train_path = workdir / f"train_{key}.conll"
         train_path.write_text(serialize_conll(train_ds), encoding="utf-8")
-        return _CheckpointPredictor(ExternalPredictor(template, train_path, workdir), label_sets)
+        return _CheckpointPredictor(
+            ExternalPredictor(template, train_path, workdir, key), label_sets
+        )
 
     return train
 

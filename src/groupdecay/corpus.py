@@ -226,11 +226,14 @@ def load_embeddings(source: Union[str, IO], normalize: bool = True) -> Embedding
     makes the squared distance between two entries twice their cosine
     distance.  Zero vectors are replaced by the out-of-vocabulary vector,
     itself the (normalized) mean of all stored vectors.  Duplicate surfaces
-    keep the last entry and bump ``duplicate_warnings``.
+    keep the last entry and bump ``duplicate_warnings``.  A component or a
+    norm that is not a finite number is a :class:`CorpusFormatError`
+    naming its line.
     """
-    raw: dict[str, np.ndarray] = {}
+    surfaces: list[str] = []
+    numbers: list[int] = []
+    rows: list[list[float]] = []
     dim: int | None = None
-    duplicates = 0
     for number, line in _iter_lines(source):
         if not line.strip():
             continue
@@ -244,22 +247,31 @@ def load_embeddings(source: Union[str, IO], normalize: bool = True) -> Embedding
                 f"dimension {len(cols) - 1} != {dim} of first entry", number
             )
         try:
-            vec = np.asarray([float(v) for v in cols[1:]], dtype=np.float64)
+            rows.append([float(v) for v in cols[1:]])
         except ValueError as exc:
             raise CorpusFormatError(f"non-numeric component: {exc}", number) from exc
-        if cols[0] in raw:
-            duplicates += 1
-        raw[cols[0]] = vec
+        surfaces.append(cols[0])
+        numbers.append(number)
     if dim is None:
         raise CorpusFormatError("empty embedding file", None)
+    values = np.asarray(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if len(bad):
+        raise CorpusFormatError(f"non-finite component in {surfaces[bad[0]]!r}", numbers[bad[0]])
+    raw = dict(zip(surfaces, values))
+    duplicates = len(surfaces) - len(raw)
+    line_of = dict(zip(surfaces, numbers))
 
     zero_keys = set()
-    for key, vec in raw.items():
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            zero_keys.add(key)
-        elif normalize:
-            raw[key] = vec / norm
+    with np.errstate(over="ignore"):  # an overflowing norm is reported as such
+        for key, vec in raw.items():
+            norm = float(np.linalg.norm(vec))
+            if not math.isfinite(norm):
+                raise CorpusFormatError("the vector's norm is not finite", line_of[key])
+            if norm == 0.0:
+                zero_keys.add(key)
+            elif normalize:
+                raw[key] = vec / norm
 
     kept = [v for k, v in raw.items() if k not in zero_keys]
     if kept:

@@ -442,13 +442,25 @@ def serialize_fit(params: DecayParams, objective: float | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
+def _coefficients(line: str, cells: Sequence[str]) -> list[float]:
+    """``cells`` as floats; a cell that is not a finite number is a
+    :class:`FitError` naming ``line``."""
+    try:
+        values = [float(v) for v in cells]
+    except ValueError as exc:
+        raise FitError(f"row {line!r}: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise FitError(f"row {line!r} holds a coefficient that is not a finite number")
+    return values
+
+
 def parse_fit(text: str) -> DecayParams:
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     if not lines or lines[0] != "a0,a_half,a1,a2,a3":
         raise FitError("not a decay-fit file")
     if len(lines) < 2:
         raise FitError("missing shared coefficient row")
-    a = [float(v) for v in lines[1].split(",")]
+    a = _coefficients(lines[1], lines[1].split(","))
     if len(a) != 5:
         raise FitError(f"expected 5 shared coefficients, got {len(a)}")
     if len(lines) < 3 or lines[2] != "group,b,c":
@@ -459,8 +471,9 @@ def parse_fit(text: str) -> DecayParams:
         cols = ln.split(",")
         if len(cols) != 3:
             raise FitError(f"group row {ln!r} needs 3 columns, got {len(cols)}")
-        b.append(float(cols[1]))
-        c.append(float(cols[2]))
+        b_value, c_value = _coefficients(ln, cols[1:])
+        b.append(b_value)
+        c.append(c_value)
     return DecayParams(
         a0=a[0], a_half=a[1], a1=a[2], a2=a[3], a3=a[4],
         b=np.asarray(b), c=np.asarray(c),

@@ -106,9 +106,15 @@ def one_hot_embeddings(spec: SynthSpec) -> EmbeddingTable:
 
 
 def _assign_types(
-    word_ids: list[int], spec: SynthSpec, likelihood: np.ndarray, rng: np.random.Generator
+    word_ids: list[int], spec: SynthSpec, likelihood: list[list[float]], rng: np.random.Generator
 ) -> list[str]:
-    """Per-token entity type (or 'O') for one generated sentence."""
+    """Per-token entity type (or 'O') for one generated sentence.
+
+    ``likelihood`` holds each context word's row, a list of floats.  A
+    context token takes the type of the largest mean of its context
+    neighbours' rows (its own row without any), the first on ties.  The
+    rows are added in neighbour order and the sum divided by their count,
+    as ``np.mean`` over axis 0 of the stacked rows computes it."""
     c2_start = spec.n_always_none
     c3_start = spec.n_always_none + spec.n_noise
     types = spec.types
@@ -120,15 +126,16 @@ def _assign_types(
             draw = int(rng.integers(spec.n_types + 1))
             out.append("O" if draw == spec.n_types else types[draw])
         else:
-            neighbors = []
-            for off in (-2, -1, 1, 2):
-                q = pos + off
-                if 0 <= q < len(word_ids) and word_ids[q] >= c3_start:
-                    neighbors.append(likelihood[word_ids[q] - c3_start])
-            if not neighbors:
-                neighbors = [likelihood[wid - c3_start]]
-            avg = np.mean(neighbors, axis=0)
-            out.append(types[int(np.argmax(avg))])
+            neighbors = [
+                likelihood[word_ids[q] - c3_start]
+                for q in (pos - 2, pos - 1, pos + 1, pos + 2)
+                if 0 <= q < len(word_ids) and word_ids[q] >= c3_start
+            ] or [likelihood[wid - c3_start]]
+            sums = list(neighbors[0])
+            for row in neighbors[1:]:
+                sums = [a + b for a, b in zip(sums, row)]
+            avg = [total / len(neighbors) for total in sums]
+            out.append(types[avg.index(max(avg))])
     return out
 
 
@@ -167,6 +174,7 @@ def gen_synthetic(
     if n_tokens < spec.min_length:
         raise ValueError(f"n_tokens must be at least {spec.min_length}")
     likelihood, weights = spec.word_tables()
+    rows = likelihood.tolist()
     rng = np.random.default_rng([spec.seed, 47, stream])
 
     c2_start = spec.n_always_none
@@ -181,6 +189,8 @@ def gen_synthetic(
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
     surfaces = spec.surfaces
+    # Token is frozen: one per (word, tag) pair serves every occurrence
+    interned: dict[tuple[int, str], Token] = {}
 
     def draw_from_category(cat: int) -> int:
         lo, hi = cat_ranges[cat]
@@ -211,13 +221,16 @@ def gen_synthetic(
                 others = [c for c in (1, 2, 3) if c != cur]
                 nxt = others[int(rng.integers(2))]
             word_ids.append(draw_from_category(nxt))
-        types = _assign_types(word_ids, spec, likelihood, rng)
+        types = _assign_types(word_ids, spec, rows, rng)
         tags = _types_to_bio(types)
-        tokens = tuple(
-            Token(surface=surfaces[w], gold_label=t) for w, t in zip(word_ids, tags)
-        )
+        tokens = []
+        for key in zip(word_ids, tags):
+            tok = interned.get(key)
+            if tok is None:
+                tok = interned[key] = Token(surfaces[key[0]], key[1])
+            tokens.append(tok)
         doc = sent_id // sentences_per_doc if sentences_per_doc else None
-        sentences.append(Sentence(id=sent_id, tokens=tokens, doc_id=doc))
+        sentences.append(Sentence(id=sent_id, tokens=tuple(tokens), doc_id=doc))
         sent_id += 1
         total += len(tokens)
     return Dataset(

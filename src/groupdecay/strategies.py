@@ -54,7 +54,7 @@ class PredictionRecord:
                 raise ValueError(f"sentence {self.sentence_id}: logprobs length mismatch")
             for i, lp in enumerate(self.logprobs):
                 total = sum(math.exp(v) for v in lp.values())
-                if abs(total - 1.0) > 1e-6:
+                if not abs(total - 1.0) <= 1e-6:  # NaN fails too
                     raise ValueError(
                         f"sentence {self.sentence_id} token {i}: probabilities sum to {total}"
                     )
@@ -185,6 +185,48 @@ def alternation_policy(batch_index: int) -> AlternationChoice:
 
 # -- filtered submodular selection (uncertainty filter + diversity) --------
 
+# rows of the similarity matrix built per block, and of a document refreshed
+# per 2-D pass
+_BLOCK_ROWS = 256
+
+
+def _similarity(Xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The shifted cosine matrix fl32(Xn @ Xn.T + 1), clamped at 0, of the
+    unit (or zero) float32 rows ``Xn``, and its float64 row sums.
+
+    Each block of rows is multiplied, shifted, clamped and summed while it
+    sits in cache.  A block's plain product (BLAS gemm) equals, byte for
+    byte, those rows of the symmetric product (syrk) numpy computes for
+    ``Xn @ Xn.T`` when BLAS runs both through one kernel over the same
+    split of the inner dimension.  The tests hold this for widths up to
+    448.  With OpenBLAS 0.3.31 on one thread, wider rows split differently
+    in gemm, and most widths above 448 then differ in last bits; on two
+    threads no width below 1,200 did.  A product of a few rows can take
+    another kernel (of one row, gemv) that sums in another order, so the
+    last block takes the rows left over, and a matrix of fewer than two
+    blocks is one product."""
+    m = len(Xn)
+    sim = np.empty((m, m), dtype=np.float32)
+    sums = np.empty(m)
+    edges = [*range(0, max(m // _BLOCK_ROWS, 1) * _BLOCK_ROWS, _BLOCK_ROWS), m]
+    for s, e in zip(edges, edges[1:]):
+        block = sim[s:e]
+        np.matmul(Xn[s:e], Xn.T, out=block)
+        block += np.float32(1)
+        np.maximum(block, np.float32(0), out=block)
+        np.add.reduce(block, axis=1, dtype=np.float64, out=sums[s:e])
+    return sim, sums
+
+
+def _uncovered(rows: np.ndarray, cover: np.ndarray, out: np.ndarray):
+    """The float64 sum of each of ``rows``' float32 terms
+    ``np.maximum(row - cover, 0)``, computed in ``out`` (``rows``' shape;
+    it may be ``rows``) as max(row, cover) - cover: where row > cover the
+    two are one rounded difference, elsewhere both are 0."""
+    np.maximum(rows, cover, out=out)
+    np.subtract(out, cover, out=out)
+    return np.add.reduce(out, axis=-1, dtype=np.float64)
+
 
 def fass_select(
     scores: np.ndarray | None,
@@ -200,21 +242,48 @@ def fass_select(
 
     ``ids`` are the candidates' sentence ids in ascending order; row ``k``
     of ``scores``, ``embeddings``, ``lengths`` and ``doc_ids`` belongs to
-    ``ids[k]``.  The filter keeps the top ``t_factor`` x (expected batch
-    sentence count) sentences by uncertainty; with ``scores=None`` (pure
-    diversification) it keeps a seeded uniform random candidate set of the
-    same size.  Selection greedily maximizes a facility-location coverage
-    function over shifted cosine similarities (cos + 1, keeping the
-    objective monotone submodular), until the token budget is met.  Each
-    step takes the unit of largest gain, the smallest on ties: a candidate,
-    by its gain over its length, or with ``doc_ids`` all of a document's
-    candidates, by the length-weighted mean of theirs.
+    ``ids[k]``.  A per-row input with another row count, and embeddings
+    (as float32) or scores that are not all finite, are a ValueError.  The
+    filter keeps the top ``t_factor`` x (expected batch sentence count)
+    sentences by uncertainty; with ``scores=None`` (pure diversification)
+    it keeps a seeded uniform random candidate set of the same size.
+    Selection greedily maximizes a facility-location coverage function over
+    shifted cosine similarities (cos + 1, keeping the objective monotone
+    submodular), until the token budget is met.  Each step takes the unit
+    of largest gain, the smallest on ties: a candidate, by its gain over
+    its length, or with ``doc_ids`` all of a document's candidates, by the
+    length-weighted mean of theirs.
+
+    Every gain is an exact sum.  Each entry of the similarity matrix is
+    fl32(c + 1) for a float32 cosine c, clamped at 0, so it is a multiple
+    of 2^-24 in [0, 2 + 2^-22]: if c + 1 >= 0.5 the rounded sum is a
+    float32 >= 0.5, and such floats are multiples of 2^-24; if c < -0.5, c
+    is itself one and c + 1 is exact.  ``cover``, 0 or an element-wise max
+    of rows, is such a vector too, and so is every fl32(row - cover) and
+    its clamp: a multiple of 2^-24 below 1 is a float32, and rounding at
+    or above 1 lands on multiples of 2^-23.  A float64 sum of fewer than
+    2^27 such terms is exact, so each gain and each bound is the real sum
+    of its terms, whatever the order or blocking of the additions and
+    whether or not the zero terms are included.  Hence the matrix and the
+    initial bounds are built per row block, and a document's rows are
+    refreshed by one 2-D row sum.
     """
     if t_factor < 1:
         raise ValueError("t_factor must be >= 1")
     n = len(ids)
     if not n:
         raise ValueError("empty candidate pool")
+    for name, rows in (
+        ("embeddings", embeddings), ("lengths", lengths), ("scores", scores), ("doc_ids", doc_ids)
+    ):
+        if rows is not None and len(rows) != n:
+            raise ValueError(f"{name} has {len(rows)} rows for {n} ids")
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        E = np.asarray(embeddings, dtype=np.float32)
+    if not np.isfinite(E).all():
+        raise ValueError("embeddings are not all finite as float32")
+    if scores is not None and not np.isfinite(np.asarray(scores, dtype=np.float64)).all():
+        raise ValueError("scores are not all finite")
     mean_len = float(np.sum(lengths)) / n
     expected = max(1, math.ceil(token_budget / max(mean_len, 1.0)))
     keep = min(n, t_factor * expected)
@@ -228,37 +297,31 @@ def fass_select(
         cand = np.sort(np.argsort(-np.asarray(scores), kind="stable")[:keep])
     cand_ids = np.asarray(ids)[cand].tolist()
 
-    X = np.asarray(embeddings[cand], dtype=np.float32)
+    X = E[cand]
     norms = np.linalg.norm(X, axis=1)
     norms[norms == 0] = 1.0
-    Xn = X / norms[:, None]
-    # shifted cosine in [0, 2], built in place; clamping at 0 changes no
-    # gain, because ``cover`` starts at 0 and only grows
-    sim = Xn @ Xn.T
-    sim += np.float32(1.0)
-    np.maximum(sim, 0.0, out=sim)
+    # shifted cosine in [0, 2]; clamping at 0 changes no gain, because
+    # ``cover`` starts at 0 and only grows
+    sim, sums = _similarity(X / norms[:, None])
     lens = np.asarray(lengths, dtype=np.float64)[cand]
+    lengths_of = lens.tolist()
+    bounds = sums / lens  # each row's gain at zero cover
     cover = np.zeros(len(cand_ids), dtype=np.float32)
-
-    def row_gain(row: int) -> float:
-        return float(
-            np.maximum(sim[row] - cover, 0.0).sum(dtype=np.float64) / lens[row]
-        )
-
-    def gain(rows) -> float:
-        if doc_ids is None:
-            return row_gain(rows[0])
-        row_gains = np.asarray([row_gain(row) for row in rows])
-        return float(document_means(row_gains, lens[rows], np.zeros_like(rows))[1][0])
-
-    # each row's gain at zero cover, equal to ``row_gain`` byte for byte
-    bounds = sim.sum(axis=1, dtype=np.float64) / lens
     if doc_ids is None:
-        units = [[row] for row in range(len(cand_ids))]
+        buf = np.empty(len(cand_ids), dtype=np.float32)
     else:
         docs = np.unique(np.asarray(doc_ids)[cand], return_inverse=True)[1]
         units = np.split(np.argsort(docs, kind="stable"), np.cumsum(np.bincount(docs))[:-1])
         bounds = document_means(bounds, lens, docs)[1]
+        buf = np.empty((min(max(map(len, units)), _BLOCK_ROWS), len(cand_ids)), dtype=np.float32)
+
+    def document_gain(rows: np.ndarray) -> float:
+        row_sums = np.empty(len(rows))
+        for s in range(0, len(rows), _BLOCK_ROWS):
+            part = rows[s:s + _BLOCK_ROWS]
+            block = np.take(sim, part, axis=0, out=buf[:len(part)])
+            row_sums[s:s + _BLOCK_ROWS] = _uncovered(block, cover, block)
+        return float(document_means(row_sums / lens[rows], lens[rows], np.zeros_like(rows))[1][0])
 
     # lazy greedy (Minoux 1978): a unit's gain only falls as ``cover`` grows,
     # so a heap top computed after the latest take (its last field counts
@@ -271,14 +334,18 @@ def fass_select(
     while heap and tokens < token_budget:
         _, unit, computed_at = heap[0]
         if computed_at < takes:
-            heapq.heapreplace(heap, (-gain(units[unit]), unit, takes))
+            if doc_ids is None:
+                gain = float(_uncovered(sim[unit], cover, buf)) / lengths_of[unit]
+            else:
+                gain = document_gain(units[unit])
+            heapq.heapreplace(heap, (-gain, unit, takes))
             continue
         heapq.heappop(heap)
         takes += 1
-        for row in units[unit]:
+        for row in (unit,) if doc_ids is None else units[unit]:
             np.maximum(cover, sim[row], out=cover)
             picked.append(cand_ids[row])
-            tokens += int(lens[row])
+            tokens += int(lengths_of[row])
     return Batch(tuple(picked), tokens, exhausted=tokens < token_budget)
 
 

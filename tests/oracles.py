@@ -842,3 +842,32 @@ def walk_burn_in(sentences, mode, seed, targets):
             raise RuntimeError("pool exhausted during burn-in")
         batches.append(tuple(selected))
     return batches
+
+
+# -- synthetic entity types before the running sum ----------------------------
+
+
+def mean_assign_types(word_ids, spec, likelihood, rng):
+    """``simlab._assign_types`` as it was: ``np.argmax`` of ``np.mean`` over
+    the stacked likelihood rows of a context token's neighbours."""
+    c2_start = spec.n_always_none
+    c3_start = spec.n_always_none + spec.n_noise
+    types = spec.types
+    out = []
+    for pos, wid in enumerate(word_ids):
+        if wid < c2_start:
+            out.append("O")
+        elif wid < c3_start:
+            draw = int(rng.integers(spec.n_types + 1))
+            out.append("O" if draw == spec.n_types else types[draw])
+        else:
+            neighbors = []
+            for off in (-2, -1, 1, 2):
+                q = pos + off
+                if 0 <= q < len(word_ids) and word_ids[q] >= c3_start:
+                    neighbors.append(likelihood[word_ids[q] - c3_start])
+            if not neighbors:
+                neighbors = [likelihood[wid - c3_start]]
+            avg = np.mean(neighbors, axis=0)
+            out.append(types[int(np.argmax(avg))])
+    return out

@@ -972,6 +972,21 @@ class TestSelectInputChecks:
         assert self._select(synth_dir, bad, fit, "--embeddings", embeddings) == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("file", ["embeddings", "fit"])
+    def test_non_finite_number_is_data_error(self, synth_dir, word_files, tmp_path, capsys, file):
+        embeddings, partition, fit = word_files
+        bad = tmp_path / "bad.txt"
+        if file == "embeddings":
+            lines = embeddings.read_text().splitlines()
+            lines[2] = lines[2].split()[0] + " nan" * 6
+            bad.write_text("\n".join(lines) + "\n")
+            embeddings, message = bad, "line 3: non-finite component"
+        else:
+            bad.write_text(fit.read_text().replace("0.2", "inf", 1))
+            fit, message = bad, "not a finite number"
+        assert self._select(synth_dir, partition, fit, "--embeddings", embeddings) == 3
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, groups",
         [("select", 7), ("select", 300), ("export-curves", 1)],
@@ -1315,8 +1330,9 @@ class TestExternalPredictor:
             RECORDED_EXTERNAL_RUNS[pseudo_test]
         )
         # the label call's input holds the sets in order, each with its own
-        # -DOCSTART- lines
-        merged = (out / "external" / "input_00001.conll").read_text()
+        # -DOCSTART- lines; the first checkpoint's first call is its label call
+        first = json.loads((out / "history.jsonl").read_text().splitlines()[0])
+        merged = (out / "external" / f"input_{first['train_tokens']:09d}_01.conll").read_text()
         texts = [path.read_text() for path in label_files]
         assert merged.count("-DOCSTART-") == sum(t.count("-DOCSTART-") for t in texts)
         assert [s.surfaces for s in parse_conll(merged).sentences] == [
@@ -1339,6 +1355,41 @@ class TestExternalPredictor:
         assert inputs
         for path in inputs:
             assert all(len(line.split()) <= 1 for line in path.read_text().splitlines())
+
+    def test_files_name_their_checkpoint_and_call(self, synth_dir, tmp_path):
+        # no checkpoint's files overwrite another's: each is keyed by the
+        # checkpoint's training tokens, and an input or output file by its call
+        script, log = self._write_script(tmp_path), tmp_path / "calls.log"
+        out = tmp_path / "run"
+        config = _sim_config(synth_dir, out, strategy="us", total_batches=5)
+        config["predictor"] = {
+            "type": "external",
+            "command": f"{sys.executable} {script} {{train}} {{input}} {{output}} {{logprobs}} {log}",
+            "logprobs": True,
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", cfg) == 0
+        history = [json.loads(line) for line in (out / "history.jsonl").read_text().splitlines()]
+        assert sum(rec["phase"] == "select" for rec in history) == 3
+        keys = [f"{rec['train_tokens']:09d}" for rec in history]
+        assert len(set(keys)) == len(keys)
+
+        calls = [[Path(arg).name for arg in line.split()[:3]]
+                 for line in log.read_text().splitlines()]
+        per_key: dict[str, list[int]] = {}
+        for train, inp, outp in calls:
+            key = train.removeprefix("train_").removesuffix(".conll")
+            number = inp.removeprefix(f"input_{key}_").removesuffix(".conll")
+            assert outp == f"output_{key}_{number}.jsonl"
+            per_key.setdefault(key, []).append(int(number))
+        assert sorted(per_key) == keys
+        assert all(numbers == list(range(1, len(numbers) + 1)) for numbers in per_key.values())
+        expected = {f"train_{key}.conll" for key in keys} | {name for call in calls for name in call}
+        assert sorted(p.name for p in (out / "external").iterdir()) == sorted(expected)
+        for key in keys:
+            train = parse_conll((out / "external" / f"train_{key}.conll").read_text())
+            assert train.token_count == int(key)
 
     def test_label_requests_map_back_by_position(self, synth_dir, tmp_path):
         script, log = self._write_script(tmp_path), tmp_path / "calls.log"

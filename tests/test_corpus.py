@@ -135,6 +135,18 @@ class TestLoadEmbeddings:
             load_embeddings("a 1 2\nb 1 2 3\n")
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [("w1 1 nan\n", 1), ("a 1 0\nb inf 1\n", 2), ("a 1 0\nb 1 1e400\n", 2),
+         ("a 1 0\nb 1e200 1e200\nc 0 1\n", 2), ("a 1 0\na -Infinity 0\n", 2)],
+        ids=["nan", "inf", "overflow", "norm-overflow", "duplicate"],
+    )
+    def test_non_finite_number_reports_line(self, text, line):
+        for normalize in (True, False):
+            with pytest.raises(CorpusFormatError) as err:
+                load_embeddings(text, normalize=normalize)
+            assert err.value.line_number == line
+
     def test_duplicate_surface_last_wins(self):
         table = load_embeddings("a 1 0\na 0 1\n", normalize=False)
         np.testing.assert_allclose(table.vectors["a"], [0, 1])

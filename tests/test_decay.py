@@ -346,3 +346,17 @@ class TestSerialization:
     def test_malformed_file_is_fit_error(self, text):
         with pytest.raises(FitError):
             parse_fit(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a0,a_half,a1,a2,a3\n1.0,nan,0.0,0.0,0.0\ngroup,b,c\n0,0.4,0.1\n",
+            "a0,a_half,a1,a2,a3\n1.0,0.5,0.0,0.0,0.0\ngroup,b,c\n0,0.4,0.1\n1,inf,0.1\n",
+            "a0,a_half,a1,a2,a3\n1.0,0.5,0.0,0.0,0.0\ngroup,b,c\n0,0.4,-1e999\n",
+            "a0,a_half,a1,a2,a3\n1.0,0.5,0.0,x,0.0\ngroup,b,c\n0,0.4,0.1\n",
+        ],
+        ids=["nan-shared", "inf-b", "overflow-c", "not-a-number"],
+    )
+    def test_non_finite_coefficient_is_fit_error(self, text):
+        with pytest.raises(FitError, match="row"):
+            parse_fit(text)

@@ -18,7 +18,9 @@ from groupdecay.simlab import (
     one_hot_embeddings,
     tagger_predict,
 )
-from oracles import PerSentenceTagger, per_round_pseudo_labels, per_sentence_predict
+from oracles import (
+    PerSentenceTagger, mean_assign_types, per_round_pseudo_labels, per_sentence_predict,
+)
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +169,23 @@ def test_generated_bytes_are_recorded(n_tokens, seed, sentences_per_doc):
                        sentences_per_doc=sentences_per_doc)
     digest = hashlib.sha256(serialize_conll(ds).encode()).hexdigest()
     assert digest == RECORDED_SYNTHETIC[n_tokens, seed, sentences_per_doc]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 50), st.booleans())
+def test_assign_types_equals_mean_argmax(seed, length, ties):
+    # the running sum over neighbour rows picks the type np.mean's argmax
+    # picked, on Dirichlet rows and on rows of few distinct values, which
+    # make equal means common
+    spec = SynthSpec()
+    rng = np.random.default_rng(seed)
+    likelihood = rng.dirichlet([1.0] * spec.n_types, size=spec.n_context)
+    if ties:
+        likelihood = rng.integers(0, 3, size=likelihood.shape) / 10.0
+    word_ids = rng.integers(0, spec.vocab_size, size=length).tolist()
+    got = simlab._assign_types(word_ids, spec, likelihood.tolist(), np.random.default_rng(seed))
+    want = mean_assign_types(word_ids, spec, likelihood, np.random.default_rng(seed))
+    assert got == want
 
 
 class TestOneHotEmbeddings:

@@ -33,6 +33,7 @@ from groupdecay.strategies import (
     score_us,
     write_records,
 )
+from groupdecay.strategies import _BLOCK_ROWS, _similarity, _uncovered
 from oracles import (
     dict_fass_select,
     heap_fass_select,
@@ -344,6 +345,118 @@ class TestFassSelect:
             fass_select(np.zeros(0), np.arange(0), np.zeros((0, 2)), np.arange(0),
                         token_budget=1)
 
+    @pytest.mark.parametrize("field", ["embeddings", "lengths", "scores", "doc_ids"])
+    def test_row_count_other_than_the_ids_rejected(self, field):
+        args = dict(scores=np.ones(6), ids=np.arange(6), embeddings=np.eye(6),
+                    lengths=np.full(6, 2), token_budget=4, doc_ids=np.arange(6))
+        args[field] = args[field][:5]
+        with pytest.raises(ValueError, match=f"{field} has 5 rows for 6 ids"):
+            fass_select(**args)
+
+    @pytest.mark.parametrize(
+        "embedding,score",
+        [(np.nan, 1.0), (np.inf, 1.0), (1e39, 1.0), (1.0, np.nan), (1.0, -np.inf)],
+        ids=["nan-component", "inf-component", "float32-overflow", "nan-score", "inf-score"],
+    )
+    def test_non_finite_input_rejected(self, embedding, score):
+        # a NaN component in row 2 once got that sentence picked second
+        emb = np.eye(6)
+        emb[2, 1] = embedding
+        scores = np.ones(6)
+        scores[3] = score
+        with pytest.raises(ValueError, match="not all finite"):
+            fass_select(scores, np.arange(6), emb, np.ones(6, dtype=int), token_budget=3)
+        if score == 1.0:
+            with pytest.raises(ValueError, match="not all finite"):
+                fass_select(None, np.arange(6), emb, np.ones(6, dtype=int), token_budget=3,
+                            rng=np.random.default_rng(0))
+
+
+def _unit_rows(rng, n, dim, signed, zero_share):
+    """``n`` float32 rows of width ``dim`` scaled to unit norm as
+    ``fass_select`` scales them, a ``zero_share`` of them zero."""
+    X = rng.normal(size=(n, dim)).astype(np.float32)
+    if not signed:
+        X = np.abs(X)
+    X[rng.random(n) < zero_share] = 0.0
+    norms = np.linalg.norm(X, axis=1)
+    norms[norms == 0] = 1.0
+    return X / norms[:, None]
+
+
+def _shifted(product):
+    product += np.float32(1.0)
+    np.maximum(product, 0.0, out=product)
+    return product
+
+
+class TestExactFacilityLocation:
+    """The block build and the buffered refresh of ``fass_select``, held
+    to the one-line expressions they replace, past the block size."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 1100), st.integers(1, 300), st.booleans(),
+           st.sampled_from([0.0, 0.1, 0.5]), st.integers(0, 2**32 - 1))
+    def test_block_build_equals_full_product(self, n, dim, signed, zero_share, seed):
+        Xn = _unit_rows(np.random.default_rng(seed), n, dim, signed, zero_share)
+        sim, sums = _similarity(Xn)
+        want = _shifted(Xn @ Xn.T)
+        assert sim.tobytes() == want.tobytes()
+        assert sums.tolist() == want.sum(axis=1, dtype=np.float64).tolist()
+
+    @pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   2 * _BLOCK_ROWS + 1, 1100])
+    @pytest.mark.parametrize("dim", [1, 7, 100, 300, 448])
+    def test_block_build_at_block_edges(self, n, dim):
+        Xn = _unit_rows(np.random.default_rng(n * dim), n, dim, True, 0.05)
+        sim, sums = _similarity(Xn)
+        want = _shifted(Xn @ Xn.T)
+        assert sim.tobytes() == want.tobytes()
+        assert sums.tolist() == want.sum(axis=1, dtype=np.float64).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10_000), st.integers(1, 300), st.booleans(),
+           st.integers(0, 6), st.integers(0, 2**32 - 1))
+    def test_buffered_refresh_equals_one_line(self, width, dim, signed, covered, seed):
+        # rows of the shifted cosine matrix and a cover made of such rows;
+        # widths past 8192 sum in buffered chunks
+        rng = np.random.default_rng(seed)
+        Xn = _unit_rows(rng, width, dim, signed, 0.05)
+        rows = _shifted(Xn[:8] @ Xn.T)
+        cover = np.zeros(width, dtype=np.float32)
+        for row in rng.choice(len(rows), size=min(covered, len(rows)), replace=False):
+            cover = np.maximum(cover, rows[row])
+        want = [np.maximum(row - cover, 0.0).sum(dtype=np.float64) for row in rows]
+        buf = np.empty(width, dtype=np.float32)
+        assert [_uncovered(row, cover, buf) for row in rows] == want
+        order = rng.permutation(width)
+        assert [_uncovered(row[order], cover[order], buf) for row in rows] == want
+        block = rows.copy()
+        assert _uncovered(block, cover, block).tolist() == want
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_heap_reference_past_the_block_size(self, seed):
+        # dense float candidates, with and without scores, in both modes,
+        # with budgets up to the whole pool; every candidate passes the filter
+        rng = np.random.default_rng([seed, 20])
+        n = int(rng.integers(300, 1101))
+        ids = np.sort(rng.choice(4 * n, size=n, replace=False))
+        emb = rng.normal(size=(n, int(rng.integers(2, 60))))
+        if seed % 3 == 0:
+            emb = np.abs(emb)
+        emb[rng.random(n) < 0.02] = 0.0
+        lengths = rng.integers(1, 30, size=n)
+        scores = None if seed % 2 else rng.random(n)
+        docs = np.repeat(np.arange(n), rng.integers(1, 13, size=n))[:n]
+        total = int(lengths.sum())
+        budget = [total, total + 1, int(rng.integers(total // 4, total))][seed % 3]
+        for dc in (None, docs):
+            got = fass_select(scores, ids, emb, lengths, budget, rng=np.random.default_rng(seed),
+                              doc_ids=dc)
+            want = heap_fass_select(scores, ids, emb, lengths, budget,
+                                    rng=np.random.default_rng(seed), doc_ids=dc)
+            assert got == want
+
 
 def _sent(i, words, labels=None):
     labels = labels or ["O"] * len(words)
@@ -541,11 +654,12 @@ class TestRecordIO:
             '{"sentence_id": 0, "labels": 5}',
             '{"sentence_id": 0, "labels": ["O"], "logprobs": [{"O": "x"}]}',
             '{"sentence_id": 0, "labels": ["O"], "logprobs": [{"O": 800}]}',
+            '{"sentence_id": 0, "labels": ["O"], "logprobs": [{"O": NaN, "B-X": NaN}]}',
             '{"sentence_id": 0, "labels": ["O"], "ensemble": [1, 2]}',
             '{"sentence_id": 0',
         ],
         ids=["no-sentence-id", "labels-number", "logprob-string", "logprob-overflow",
-             "ensemble-numbers", "not-json"],
+             "logprob-nan", "ensemble-numbers", "not-json"],
     )
     def test_malformed_line_is_value_error_naming_it(self, line):
         text = '{"sentence_id": 1, "labels": ["O"]}\n' + line + "\n"
