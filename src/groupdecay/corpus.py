@@ -226,14 +226,14 @@ def load_embeddings(source: Union[str, IO], normalize: bool = True) -> Embedding
     makes the squared distance between two entries twice their cosine
     distance.  Zero vectors are replaced by the out-of-vocabulary vector,
     itself the (normalized) mean of all stored vectors.  Duplicate surfaces
-    keep the last entry and bump ``duplicate_warnings``.  A component or a
-    norm that is not a finite number is a :class:`CorpusFormatError`
-    naming its line.
+    keep the last entry and bump ``duplicate_warnings``.  A kept entry
+    whose norm is not a finite number (a NaN or infinite component, or an
+    overflow) is a :class:`CorpusFormatError` naming its line.
     """
-    surfaces: list[str] = []
-    numbers: list[int] = []
-    rows: list[list[float]] = []
+    raw: dict[str, np.ndarray] = {}
+    line_of: dict[str, int] = {}
     dim: int | None = None
+    duplicates = 0
     for number, line in _iter_lines(source):
         if not line.strip():
             continue
@@ -247,27 +247,26 @@ def load_embeddings(source: Union[str, IO], normalize: bool = True) -> Embedding
                 f"dimension {len(cols) - 1} != {dim} of first entry", number
             )
         try:
-            rows.append([float(v) for v in cols[1:]])
+            vec = np.asarray([float(v) for v in cols[1:]], dtype=np.float64)
         except ValueError as exc:
             raise CorpusFormatError(f"non-numeric component: {exc}", number) from exc
-        surfaces.append(cols[0])
-        numbers.append(number)
+        if cols[0] in raw:
+            duplicates += 1
+        raw[cols[0]] = vec
+        line_of[cols[0]] = number
     if dim is None:
         raise CorpusFormatError("empty embedding file", None)
-    values = np.asarray(rows, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if len(bad):
-        raise CorpusFormatError(f"non-finite component in {surfaces[bad[0]]!r}", numbers[bad[0]])
-    raw = dict(zip(surfaces, values))
-    duplicates = len(surfaces) - len(raw)
-    line_of = dict(zip(surfaces, numbers))
 
     zero_keys = set()
-    with np.errstate(over="ignore"):  # an overflowing norm is reported as such
+    # a NaN or infinite component makes the norm NaN or infinite, and so do
+    # finite components whose norm overflows
+    with np.errstate(over="ignore"):
         for key, vec in raw.items():
             norm = float(np.linalg.norm(vec))
             if not math.isfinite(norm):
-                raise CorpusFormatError("the vector's norm is not finite", line_of[key])
+                raise CorpusFormatError(
+                    "non-finite component, or a norm that overflows", line_of[key]
+                )
             if norm == 0.0:
                 zero_keys.add(key)
             elif normalize:

@@ -185,8 +185,8 @@ def alternation_policy(batch_index: int) -> AlternationChoice:
 
 # -- filtered submodular selection (uncertainty filter + diversity) --------
 
-# rows of the similarity matrix built per block, and of a document refreshed
-# per 2-D pass
+# rows of the similarity matrix shifted and summed per block, and of a
+# document refreshed per 2-D pass
 _BLOCK_ROWS = 256
 
 
@@ -194,27 +194,18 @@ def _similarity(Xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The shifted cosine matrix fl32(Xn @ Xn.T + 1), clamped at 0, of the
     unit (or zero) float32 rows ``Xn``, and its float64 row sums.
 
-    Each block of rows is multiplied, shifted, clamped and summed while it
-    sits in cache.  A block's plain product (BLAS gemm) equals, byte for
-    byte, those rows of the symmetric product (syrk) numpy computes for
-    ``Xn @ Xn.T`` when BLAS runs both through one kernel over the same
-    split of the inner dimension.  The tests hold this for widths up to
-    448.  With OpenBLAS 0.3.31 on one thread, wider rows split differently
-    in gemm, and most widths above 448 then differ in last bits; on two
-    threads no width below 1,200 did.  A product of a few rows can take
-    another kernel (of one row, gemv) that sums in another order, so the
-    last block takes the rows left over, and a matrix of fewer than two
-    blocks is one product."""
-    m = len(Xn)
-    sim = np.empty((m, m), dtype=np.float32)
-    sums = np.empty(m)
-    edges = [*range(0, max(m // _BLOCK_ROWS, 1) * _BLOCK_ROWS, _BLOCK_ROWS), m]
-    for s, e in zip(edges, edges[1:]):
-        block = sim[s:e]
-        np.matmul(Xn[s:e], Xn.T, out=block)
+    The product is numpy's ``Xn @ Xn.T`` in one call, so its bits are those
+    of one symmetric BLAS product whatever the width.  The shift, the clamp
+    and the row sum are done per block of rows while it sits in cache: the
+    first two act on each entry alone, and the sum is exact (see
+    :func:`fass_select`), so blocking changes no bit."""
+    sim = Xn @ Xn.T
+    sums = np.empty(len(sim))
+    for s in range(0, len(sim), _BLOCK_ROWS):
+        block = sim[s:s + _BLOCK_ROWS]
         block += np.float32(1)
         np.maximum(block, np.float32(0), out=block)
-        np.add.reduce(block, axis=1, dtype=np.float64, out=sums[s:e])
+        np.add.reduce(block, axis=1, dtype=np.float64, out=sums[s:s + _BLOCK_ROWS])
     return sim, sums
 
 
@@ -264,9 +255,9 @@ def fass_select(
     or above 1 lands on multiples of 2^-23.  A float64 sum of fewer than
     2^27 such terms is exact, so each gain and each bound is the real sum
     of its terms, whatever the order or blocking of the additions and
-    whether or not the zero terms are included.  Hence the matrix and the
-    initial bounds are built per row block, and a document's rows are
-    refreshed by one 2-D row sum.
+    whether or not the zero terms are included.  Hence the initial bounds
+    are summed per row block, and a document's rows are refreshed by one
+    2-D row sum.
     """
     if t_factor < 1:
         raise ValueError("t_factor must be >= 1")
@@ -304,7 +295,6 @@ def fass_select(
     # ``cover`` starts at 0 and only grows
     sim, sums = _similarity(X / norms[:, None])
     lens = np.asarray(lengths, dtype=np.float64)[cand]
-    lengths_of = lens.tolist()
     bounds = sums / lens  # each row's gain at zero cover
     cover = np.zeros(len(cand_ids), dtype=np.float32)
     if doc_ids is None:
@@ -335,7 +325,7 @@ def fass_select(
         _, unit, computed_at = heap[0]
         if computed_at < takes:
             if doc_ids is None:
-                gain = float(_uncovered(sim[unit], cover, buf)) / lengths_of[unit]
+                gain = float(_uncovered(sim[unit], cover, buf) / lens[unit])
             else:
                 gain = document_gain(units[unit])
             heapq.heapreplace(heap, (-gain, unit, takes))
@@ -345,7 +335,7 @@ def fass_select(
         for row in (unit,) if doc_ids is None else units[unit]:
             np.maximum(cover, sim[row], out=cover)
             picked.append(cand_ids[row])
-            tokens += int(lengths_of[row])
+            tokens += int(lens[row])
     return Batch(tuple(picked), tokens, exhausted=tokens < token_budget)
 
 

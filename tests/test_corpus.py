@@ -147,6 +147,10 @@ class TestLoadEmbeddings:
                 load_embeddings(text, normalize=normalize)
             assert err.value.line_number == line
 
+    def test_non_finite_entry_replaced_by_a_later_one_is_ignored(self):
+        table = load_embeddings("a nan 0\na 0 1\n", normalize=False)
+        np.testing.assert_allclose(table.vectors["a"], [0, 1])
+
     def test_duplicate_surface_last_wins(self):
         table = load_embeddings("a 1 0\na 0 1\n", normalize=False)
         np.testing.assert_allclose(table.vectors["a"], [0, 1])

@@ -391,8 +391,9 @@ def _shifted(product):
 
 
 class TestExactFacilityLocation:
-    """The block build and the buffered refresh of ``fass_select``, held
-    to the one-line expressions they replace, past the block size."""
+    """The blocked shift and sum and the buffered refresh of
+    ``fass_select``, held to the one-line expressions they replace, past
+    the block size."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 1100), st.integers(1, 300), st.booleans(),
@@ -406,7 +407,7 @@ class TestExactFacilityLocation:
 
     @pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
                                    2 * _BLOCK_ROWS + 1, 1100])
-    @pytest.mark.parametrize("dim", [1, 7, 100, 300, 448])
+    @pytest.mark.parametrize("dim", [1, 7, 100, 300, 500, 768])
     def test_block_build_at_block_edges(self, n, dim):
         Xn = _unit_rows(np.random.default_rng(n * dim), n, dim, True, 0.05)
         sim, sums = _similarity(Xn)
@@ -455,6 +456,24 @@ class TestExactFacilityLocation:
                               doc_ids=dc)
             want = heap_fass_select(scores, ids, emb, lengths, budget,
                                     rng=np.random.default_rng(seed), doc_ids=dc)
+            assert got == want
+
+    @pytest.mark.parametrize("dim", [449, 500, 768])
+    def test_matches_heap_reference_on_wide_embeddings(self, dim):
+        # widths at which a row-block matrix product can differ from the
+        # symmetric one in last bits
+        rng = np.random.default_rng([dim, 20])
+        n = 1500
+        ids = np.arange(n)
+        emb = rng.normal(size=(n, dim))
+        lengths = rng.integers(1, 30, size=n)
+        docs = np.repeat(np.arange(n), rng.integers(1, 13, size=n))[:n]
+        budget = int(lengths.sum()) // 2
+        for dc in (None, docs):
+            got = fass_select(None, ids, emb, lengths, budget, rng=np.random.default_rng(dim),
+                              t_factor=100, doc_ids=dc)
+            want = heap_fass_select(None, ids, emb, lengths, budget,
+                                    rng=np.random.default_rng(dim), t_factor=100, doc_ids=dc)
             assert got == want
 
 
