@@ -17,7 +17,15 @@ alternates two exact block minimizations: a non-negative least-squares
 refresh of (b_j, c_j), then the four shared basis coefficients solved by
 enumerating the active sets of their 4-variable non-negative least-squares
 problem, with stacked solves per active-set size.  It restarts from several
-deterministic initializations.
+deterministic initializations, and the restarts advance together: their
+state carries a leading start axis, every outer iteration moves all starts
+still running in one pass, and a start that converges or reaches the
+iteration cap drops out with its state frozen.  The result is bitwise equal
+to running the starts one at a time; what numpy could compute with other
+bits for another shape (the einsums, products and scalar comparisons of
+the shared-coefficient solve) still runs per start.  Inputs that cannot be
+fitted (records of differing group counts, weights of the wrong shape,
+negative or not finite) are a FitError.
 """
 
 from __future__ import annotations
@@ -119,13 +127,18 @@ def default_weights(
 def _matrices(
     history: Sequence[GroupErrorRecord], weights: tuple[np.ndarray, np.ndarray] | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    shapes = {np.shape(x) for rec in history for x in (rec.train_mass, rec.val_error, rec.val_mass)}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+        raise FitError(f"records need one value per group in every field, got shapes {sorted(shapes)}")
     N = np.stack([rec.train_mass for rec in history]).astype(np.float64)
     Y = np.stack([rec.val_error for rec in history]).astype(np.float64)
-    if weights is None:
-        w, v = default_weights(history)
-    else:
-        w, v = weights
-    W = np.asarray(v, dtype=np.float64) * np.asarray(w, dtype=np.float64)[None, :]
+    w, v = default_weights(history) if weights is None else weights
+    w, v = np.asarray(w, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    if w.shape != N.shape[1:] or v.shape != N.shape:
+        raise FitError(f"weights need shapes {N.shape[1:]} and {N.shape}, got {w.shape} and {v.shape}")
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v)) and np.all(w >= 0) and np.all(v >= 0)):
+        raise FitError("weights must be finite and non-negative")
+    W = v * w[None, :]
     return N, Y, W
 
 
@@ -175,17 +188,19 @@ def objective_and_gradient(
 def _solve_bc(
     psi: np.ndarray, Y: np.ndarray, W: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-group minimization over b, c >= 0 with the basis fixed.
+    """Exact per-group minimization over b, c >= 0 with the basis fixed,
+    for every start (row of ``psi``, shape (S, T, J)) at once.
 
     The problem is a 2-variable weighted least squares per group; the
     non-negativity constraint is handled by case analysis over the active
     set (interior, b = 0, c = 0, both zero).
     """
+    Wpsi = W * psi
     sw = W.sum(axis=0)
-    sp = (W * psi).sum(axis=0)
-    spp = (W * psi * psi).sum(axis=0)
+    sp = Wpsi.sum(axis=1)
+    spp = (Wpsi * psi).sum(axis=1)
     sy = (W * Y).sum(axis=0)
-    spy = (W * psi * Y).sum(axis=0)
+    spy = (Wpsi * Y).sum(axis=1)
 
     tiny = 1e-300
 
@@ -200,18 +215,18 @@ def _solve_bc(
     c_only = np.where(sw > tiny, np.maximum(0.0, sy / np.where(sw > tiny, sw, 1.0)), 0.0)
     b_only = np.where(spp > tiny, np.maximum(0.0, spy / np.where(spp > tiny, spp, 1.0)), 0.0)
 
-    cand_b = np.stack([b_unc, np.zeros_like(sw), b_only, np.zeros_like(sw)])
-    cand_c = np.stack([c_unc, c_only, np.zeros_like(sw), np.zeros_like(sw)])
+    zero = np.zeros_like(spp)
+    cand_b = np.stack([b_unc, zero, b_only, zero])
+    cand_c = np.stack([c_unc, np.broadcast_to(c_only, zero.shape), zero, zero])
     cand_obj = obj(cand_b, cand_c)
     cand_obj[0] = np.where((b_unc >= 0) & (c_unc >= 0), cand_obj[0], np.inf)
 
     pick = np.argmin(cand_obj, axis=0)
-    cols = np.arange(sw.size)
-    b = cand_b[pick, cols]
-    c = cand_c[pick, cols]
+    b = np.choose(pick, cand_b)
+    c = np.choose(pick, cand_c)
     dead = sw <= tiny  # excluded groups (zero total weight)
-    b[dead] = 0.0
-    c[dead] = 0.0
+    b[:, dead] = 0.0
+    c[:, dead] = 0.0
     return b, c
 
 
@@ -224,54 +239,70 @@ _ACTIVE_SETS = tuple(
 )
 
 
+def _solve_systems(Gs: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """One start's KKT systems of one active-set size, stacked; with a
+    singular system among them, one at a time, by least squares where
+    singular."""
+    try:
+        return np.linalg.solve(Gs, hs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        sol = np.empty(hs.shape[:2])
+        for i in range(len(sol)):
+            try:
+                sol[i] = np.linalg.solve(Gs[i], hs[i, :, 0])
+            except np.linalg.LinAlgError:
+                sol[i], *_ = np.linalg.lstsq(Gs[i], hs[i, :, 0], rcond=None)
+        return sol
+
+
 def _solve_a(
     phi: np.ndarray, Y: np.ndarray, W: np.ndarray, b: np.ndarray, c: np.ndarray,
     current: np.ndarray,
 ) -> np.ndarray:
     """Exact minimization over the four shared basis coefficients (>= 0)
-    with amplitudes and floors fixed.
+    with amplitudes and floors fixed, for every start (row of ``b``, ``c``
+    and ``current``) at once.
 
     The problem is a 4-variable non-negative least squares; the optimum is
     found by enumerating active sets and taking the best feasible solution,
     which can never be worse than ``current``.  The KKT systems of the 15
-    non-empty active sets are solved as stacked solves per active-set size
-    (4, 6, 4 and 1 systems); a size with a singular system falls back to
-    solving its systems one at a time, by least squares where singular.
-    Candidates are compared in active-set mask order, the empty set first,
-    so ties go to the smallest mask.
+    non-empty active sets are solved as one stacked solve per active-set
+    size over all starts (4, 6, 4 and 1 systems per start); a size with a
+    singular system falls back to each start's stacked solve, then to its
+    systems one at a time.  Candidates are compared in active-set mask
+    order, the empty set first, so ties go to the smallest mask.  The
+    einsums, the residual sum and the comparisons run per start: their bits
+    can depend on the shape numpy is given.
     """
-    X = phi * b[None, None, :]  # (4, T, J)
-    r = Y - c[None, :]
-    WX = W[None, :, :] * X
-    G = np.einsum("ptj,qtj->pq", WX, X)
-    h = np.einsum("ptj,tj->p", WX, r)
-    base = float(np.sum(W * r * r))
+    X = phi * b[:, None, None, :]  # (S, 4, T, J)
+    r = Y - c[:, None, :]
+    WX = W * X
+    G = [np.einsum("ptj,qtj->pq", wx, x) for wx, x in zip(WX, X)]
+    h = [np.einsum("ptj,tj->p", wx, rs) for wx, rs in zip(WX, r)]
+    base = [float(np.sum(W * rs * rs)) for rs in r]
 
-    def quad(a: np.ndarray) -> float:
-        return base - 2.0 * float(a @ h) + float(a @ G @ a)
-
-    cand = np.zeros((15, 4))
+    G_all, h_all = np.stack(G), np.stack(h)
+    cand = np.zeros((len(current), 15, 4))
     for rows, free in _ACTIVE_SETS:
-        Gs = G[free[:, :, None], free[:, None, :]]
-        hs = h[free][:, :, None]
+        Gs = G_all[:, free[:, :, None], free[:, None, :]]
+        hs = h_all[:, free, None]
         try:
-            sol = np.linalg.solve(Gs, hs)[:, :, 0]
+            sol = np.linalg.solve(Gs, hs)[..., 0]
         except np.linalg.LinAlgError:
-            sol = np.empty(free.shape)
-            for i in range(len(free)):
-                try:
-                    sol[i] = np.linalg.solve(Gs[i], hs[i, :, 0])
-                except np.linalg.LinAlgError:
-                    sol[i], *_ = np.linalg.lstsq(Gs[i], hs[i, :, 0], rcond=None)
-        cand[rows[:, None], free] = sol
-    feasible = np.all((cand >= 0) & np.isfinite(cand), axis=1)
+            sol = np.stack([_solve_systems(g, v) for g, v in zip(Gs, hs)])
+        cand[:, rows[:, None], free] = sol
+    feasible = np.all((cand >= 0) & np.isfinite(cand), axis=2)
+
+    def quad(s: int, a: np.ndarray) -> float:
+        return base[s] - 2.0 * float(a @ h[s]) + float(a @ G[s] @ a)
 
     best = current.copy()
-    best_obj = quad(current)
-    for a in (np.zeros(4), *cand[feasible]):
-        obj = quad(a)
-        if obj < best_obj:
-            best_obj, best = obj, a
+    for s in range(len(best)):
+        best_obj = quad(s, current[s])
+        for a in (np.zeros(4), *cand[s][feasible[s]]):
+            obj = quad(s, a)
+            if obj < best_obj:
+                best_obj, best[s] = obj, a
     return best
 
 
@@ -328,6 +359,25 @@ def _spec_init(N: np.ndarray, Y: np.ndarray, W: np.ndarray) -> tuple[np.ndarray,
     return a_bar, b, c
 
 
+def _psi(a_bar: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The basis a_bar . phi of every start, (S, T, J): per start the one
+    (1, 4) x (4, T*J) product that ``np.tensordot(a, phi, axes=1)`` makes,
+    as the bits of a stacked product can depend on its shape."""
+    flat = phi.reshape(4, -1)
+    return np.stack([np.dot(a.reshape(1, 4), flat) for a in a_bar]).reshape(-1, *phi.shape[1:])
+
+
+def _objectives(
+    psi: np.ndarray, b: np.ndarray, c: np.ndarray, Y: np.ndarray, W: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced objective of every start and each start's first group whose
+    contribution is not finite (-1 where there is none)."""
+    e = c[:, None, :] + b[:, None, :] * psi
+    per_group = np.sum(W * (e - Y) ** 2, axis=1)
+    bad = ~np.isfinite(per_group)
+    return per_group.sum(axis=1), np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
+
+
 def fit(
     history: Sequence[GroupErrorRecord],
     weights: tuple[np.ndarray, np.ndarray] | None = None,
@@ -357,66 +407,65 @@ def fit(
         )
         raise DecayNumericalError(int(np.flatnonzero(bad)[0]))
 
-    def reduced_objective(psi, b, c) -> float:
-        e = c[None, :] + b[None, :] * psi
-        per_group = np.sum(W * (e - Y) ** 2, axis=0)
-        if not np.all(np.isfinite(per_group)):
-            raise DecayNumericalError(int(np.flatnonzero(~np.isfinite(per_group))[0]))
-        return float(per_group.sum())
-
-    a_init, b_init, c_init = _spec_init(N, Y, W)
+    # every start's state on a leading start axis; the perturbations are
+    # drawn start by start, a then b then c
+    S = cfg.restarts
+    a_bar, b, c = (np.tile(x, (S, 1)) for x in _spec_init(N, Y, W))
     rng = np.random.default_rng(cfg.seed)
+    for start in range(1, S):
+        a_bar[start] *= np.exp(rng.normal(0.0, 1.0, size=4))
+        b[start] *= np.exp(rng.normal(0.0, 0.5, size=J))
+        c[start] *= np.exp(rng.normal(0.0, 0.5, size=J))
+    # psi always holds the basis of the current a_bar
+    psi = _psi(a_bar, phi)
+    obj, bad = _objectives(psi, b, c, Y, W)
+    start_objs = obj.tolist()
+    traces = [[o] for o in start_objs]
+    converged = np.zeros(S, dtype=bool)
+    failed: dict[int, int] = {}  # start -> its first group with a non-finite objective
 
-    best: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    best_obj = np.inf
-    best_trace: list[float] = []
-    best_converged = False
-    start_objs: list[float] = []
+    # the starts still iterating (live) and their a_bar, psi and objective
+    live, la, lpsi, stop = np.arange(S), a_bar, psi, np.zeros(S, dtype=bool)
+    for step in range(cfg.max_outer + 1):
+        failed.update(zip(live[bad >= 0].tolist(), bad[bad >= 0].tolist()))
+        # a start that fails ends the fit: no start after it matters
+        stop |= (bad >= 0) | (live > min(failed, default=S))
+        if stop.any():
+            a_bar[live[stop]], psi[live[stop]] = la[stop], lpsi[stop]
+            live, la, lpsi, obj = live[~stop], la[~stop], lpsi[~stop], obj[~stop]
+        if step == cfg.max_outer or not live.size:
+            break
+        b, c = _solve_bc(lpsi, Y, W)
+        la = _solve_a(phi, Y, W, b, c, la)
+        lpsi = _psi(la, phi)
+        obj_new, bad = _objectives(lpsi, b, c, Y, W)
+        for start, o in zip(live.tolist(), obj_new.tolist()):
+            traces[start].append(o)
+        stop = obj - obj_new <= cfg.rel_tol * np.maximum(obj, 1e-12)
+        converged[live] = stop
+        obj = obj_new
+    a_bar[live], psi[live] = la, lpsi
 
-    for start in range(cfg.restarts):
-        a_bar, b, c = a_init.copy(), b_init.copy(), c_init.copy()
-        if start > 0:
-            a_bar *= np.exp(rng.normal(0.0, 1.0, size=4))
-            b *= np.exp(rng.normal(0.0, 0.5, size=J))
-            c *= np.exp(rng.normal(0.0, 0.5, size=J))
-        # psi always holds the basis of the current a_bar
-        psi = np.tensordot(a_bar, phi, axes=1)
-        obj = reduced_objective(psi, b, c)
-        start_objs.append(obj)
-        trace = [obj]
-        converged = False
-        for _ in range(cfg.max_outer):
-            b, c = _solve_bc(psi, Y, W)
-            a_bar = _solve_a(phi, Y, W, b, c, a_bar)
-            psi = np.tensordot(a_bar, phi, axes=1)
-            obj_new = reduced_objective(psi, b, c)
-            trace.append(obj_new)
-            if obj - obj_new <= cfg.rel_tol * max(obj, 1e-12):
-                converged = True
-                obj = obj_new
-                break
-            obj = obj_new
-        # final amplitude/floor refresh so stored params are block-optimal
-        b, c = _solve_bc(psi, Y, W)
-        obj = reduced_objective(psi, b, c)
-        trace.append(obj)
-        if obj < best_obj:
-            best_obj = obj
-            best = (a_bar.copy(), b.copy(), c.copy())
-            best_trace = trace
-            best_converged = converged
-
-    a_bar, b, c = best
+    # final amplitude/floor refresh so stored params are block-optimal, for
+    # the starts before the first failing one
+    n_ran = min(failed, default=S)
+    if n_ran:
+        b, c = _solve_bc(psi[:n_ran], Y, W)
+        obj, bad = _objectives(psi[:n_ran], b, c, Y, W)
+        failed.update(zip(np.flatnonzero(bad >= 0).tolist(), bad[bad >= 0].tolist()))
+    if failed:
+        raise DecayNumericalError(failed[min(failed)])
+    best = int(np.argmin(obj))  # the earliest start on ties
     params = DecayParams(
-        a0=1.0, a_half=float(a_bar[0]), a1=float(a_bar[1]),
-        a2=float(a_bar[2]), a3=float(a_bar[3]), b=b, c=c,
+        a0=1.0, a_half=float(a_bar[best, 0]), a1=float(a_bar[best, 1]),
+        a2=float(a_bar[best, 2]), a3=float(a_bar[best, 3]), b=b[best].copy(), c=c[best].copy(),
     )
     return DecayFit(
         params=params,
         history=list(history),
-        objective_value=best_obj,
-        converged=best_converged,
-        objective_trace=best_trace,
+        objective_value=float(obj[best]),
+        converged=bool(converged[best]),
+        objective_trace=traces[best] + [float(obj[best])],
         start_objectives=start_objs,
     )
 

@@ -161,15 +161,19 @@ def minibatch_kmeans(
     centers = _kmeans_pp_init(X, k, rng)
     counts = np.zeros(k, dtype=np.float64)
 
-    m = min(batch_size, n)
+    m, d = min(batch_size, n), X.shape[1]
+    # the bincount's index buffer, filled in place: a fresh one per iteration
+    # raised the process's peak RSS
+    cols, flat = np.arange(d), np.empty((m, d), dtype=np.intp)
     for _ in range(iterations):
         batch_idx = rng.choice(n, size=m, replace=False)
         B = X[batch_idx]
         assign = _nearest(centers, B)
         # sequential 1/count running-mean updates collapse to a closed form:
         # new center = (old_count * old + sum(batch members)) / (old_count + m_c)
-        sums = np.zeros_like(centers)
-        np.add.at(sums, assign, B)
+        # per-centre sums in row order, as np.add.at adds, in one bincount
+        np.add(assign[:, None] * d, cols, out=flat)
+        sums = np.bincount(flat.ravel(), weights=B.ravel(), minlength=k * d).reshape(k, d)
         batch_counts = np.bincount(assign, minlength=k).astype(np.float64)
         nonzero = batch_counts > 0
         new_counts = counts + batch_counts

@@ -10,7 +10,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from groupdecay.corpus import _BIO_RE, Dataset, Sentence, Token, entity_type, shape_class
-from groupdecay.decay import curve_values
+from groupdecay.decay import (
+    _ACTIVE_SETS,
+    DecayFit,
+    DecayNumericalError,
+    DecayParams,
+    FitConfig,
+    FitError,
+    _basis,
+    _matrices,
+    _spec_init,
+    curve_values,
+)
 from groupdecay.partition import (
     N_SHAPES,
     AlignmentError,
@@ -465,6 +476,163 @@ def per_mask_solve_a(phi, Y, W, b, c, current):
         if obj < best_obj:
             best_obj, best = obj, a
     return best
+
+
+# -- per-start decay fit --------------------------------------------------------
+#
+# ``decay.fit`` as it ran before its restarts were stacked on a leading start
+# axis: each start runs to convergence (or ``max_outer``) before the next one
+# begins, and the first non-finite objective raises at once.  The library
+# must reproduce its DecayFit, and the error it raises, bit for bit.
+
+
+def per_start_solve_bc(psi, Y, W):
+    sw = W.sum(axis=0)
+    sp = (W * psi).sum(axis=0)
+    spp = (W * psi * psi).sum(axis=0)
+    sy = (W * Y).sum(axis=0)
+    spy = (W * psi * Y).sum(axis=0)
+
+    tiny = 1e-300
+
+    def obj(bv, cv):
+        return spp * bv**2 + sw * cv**2 + 2 * sp * bv * cv - 2 * spy * bv - 2 * sy * cv
+
+    det = spp * sw - sp * sp
+    safe_det = np.where(np.abs(det) > tiny, det, 1.0)
+    b_unc = np.where(np.abs(det) > tiny, (spy * sw - sy * sp) / safe_det, -1.0)
+    c_unc = np.where(np.abs(det) > tiny, (sy * spp - spy * sp) / safe_det, -1.0)
+
+    c_only = np.where(sw > tiny, np.maximum(0.0, sy / np.where(sw > tiny, sw, 1.0)), 0.0)
+    b_only = np.where(spp > tiny, np.maximum(0.0, spy / np.where(spp > tiny, spp, 1.0)), 0.0)
+
+    cand_b = np.stack([b_unc, np.zeros_like(sw), b_only, np.zeros_like(sw)])
+    cand_c = np.stack([c_unc, c_only, np.zeros_like(sw), np.zeros_like(sw)])
+    cand_obj = obj(cand_b, cand_c)
+    cand_obj[0] = np.where((b_unc >= 0) & (c_unc >= 0), cand_obj[0], np.inf)
+
+    pick = np.argmin(cand_obj, axis=0)
+    cols = np.arange(sw.size)
+    b = cand_b[pick, cols]
+    c = cand_c[pick, cols]
+    dead = sw <= tiny  # excluded groups (zero total weight)
+    b[dead] = 0.0
+    c[dead] = 0.0
+    return b, c
+
+
+def per_start_solve_a(phi, Y, W, b, c, current):
+    X = phi * b[None, None, :]  # (4, T, J)
+    r = Y - c[None, :]
+    WX = W[None, :, :] * X
+    G = np.einsum("ptj,qtj->pq", WX, X)
+    h = np.einsum("ptj,tj->p", WX, r)
+    base = float(np.sum(W * r * r))
+
+    def quad(a):
+        return base - 2.0 * float(a @ h) + float(a @ G @ a)
+
+    cand = np.zeros((15, 4))
+    for rows, free in _ACTIVE_SETS:
+        Gs = G[free[:, :, None], free[:, None, :]]
+        hs = h[free][:, :, None]
+        try:
+            sol = np.linalg.solve(Gs, hs)[:, :, 0]
+        except np.linalg.LinAlgError:
+            sol = np.empty(free.shape)
+            for i in range(len(free)):
+                try:
+                    sol[i] = np.linalg.solve(Gs[i], hs[i, :, 0])
+                except np.linalg.LinAlgError:
+                    sol[i], *_ = np.linalg.lstsq(Gs[i], hs[i, :, 0], rcond=None)
+        cand[rows[:, None], free] = sol
+    feasible = np.all((cand >= 0) & np.isfinite(cand), axis=1)
+
+    best = current.copy()
+    best_obj = quad(current)
+    for a in (np.zeros(4), *cand[feasible]):
+        obj = quad(a)
+        if obj < best_obj:
+            best_obj, best = obj, a
+    return best
+
+
+def per_start_fit(history, weights=None, config=None):
+    if len(history) < 2:
+        raise FitError(f"need at least 2 checkpoints, got {len(history)}")
+    cfg = config or FitConfig()
+    N, Y, W = _matrices(history, weights)
+    J = N.shape[1]
+    if not np.any(W > 0):
+        raise FitError("all groups have zero weight")
+
+    phi = np.stack(_basis(1.0, N))  # (4, T, J)
+    if not np.all(np.isfinite(phi)) or not np.all(np.isfinite(Y)):
+        bad = ~np.all(np.isfinite(Y), axis=0) if np.any(~np.isfinite(Y)) else ~np.all(
+            np.isfinite(phi), axis=(0, 1)
+        )
+        raise DecayNumericalError(int(np.flatnonzero(bad)[0]))
+
+    def reduced_objective(psi, b, c):
+        e = c[None, :] + b[None, :] * psi
+        per_group = np.sum(W * (e - Y) ** 2, axis=0)
+        if not np.all(np.isfinite(per_group)):
+            raise DecayNumericalError(int(np.flatnonzero(~np.isfinite(per_group))[0]))
+        return float(per_group.sum())
+
+    a_init, b_init, c_init = _spec_init(N, Y, W)
+    rng = np.random.default_rng(cfg.seed)
+
+    best = None
+    best_obj = np.inf
+    best_trace = []
+    best_converged = False
+    start_objs = []
+
+    for start in range(cfg.restarts):
+        a_bar, b, c = a_init.copy(), b_init.copy(), c_init.copy()
+        if start > 0:
+            a_bar *= np.exp(rng.normal(0.0, 1.0, size=4))
+            b *= np.exp(rng.normal(0.0, 0.5, size=J))
+            c *= np.exp(rng.normal(0.0, 0.5, size=J))
+        psi = np.tensordot(a_bar, phi, axes=1)
+        obj = reduced_objective(psi, b, c)
+        start_objs.append(obj)
+        trace = [obj]
+        converged = False
+        for _ in range(cfg.max_outer):
+            b, c = per_start_solve_bc(psi, Y, W)
+            a_bar = per_start_solve_a(phi, Y, W, b, c, a_bar)
+            psi = np.tensordot(a_bar, phi, axes=1)
+            obj_new = reduced_objective(psi, b, c)
+            trace.append(obj_new)
+            if obj - obj_new <= cfg.rel_tol * max(obj, 1e-12):
+                converged = True
+                obj = obj_new
+                break
+            obj = obj_new
+        b, c = per_start_solve_bc(psi, Y, W)
+        obj = reduced_objective(psi, b, c)
+        trace.append(obj)
+        if obj < best_obj:
+            best_obj = obj
+            best = (a_bar.copy(), b.copy(), c.copy())
+            best_trace = trace
+            best_converged = converged
+
+    a_bar, b, c = best
+    params = DecayParams(
+        a0=1.0, a_half=float(a_bar[0]), a1=float(a_bar[1]),
+        a2=float(a_bar[2]), a3=float(a_bar[3]), b=b, c=c,
+    )
+    return DecayFit(
+        params=params,
+        history=list(history),
+        objective_value=best_obj,
+        converged=best_converged,
+        objective_trace=best_trace,
+        start_objectives=start_objs,
+    )
 
 
 # -- eager EDG gains -----------------------------------------------------------

@@ -17,7 +17,7 @@ from groupdecay.decay import (
     serialize_fit,
 )
 from groupdecay.partition import GroupErrorRecord
-from oracles import per_mask_solve_a
+from oracles import per_mask_solve_a, per_start_fit
 
 
 def _params(a0=1.0, a_half=0.0, a1=0.0, a2=0.0, a3=0.0, b=(1.0,), c=(0.0,)):
@@ -235,10 +235,12 @@ class TestFitConfig:
 
 
 def _solve_a_inputs(data, case):
-    """Random inputs of the shared-coefficient solve for one test case."""
+    """Random inputs of the shared-coefficient solve for one test case,
+    with 1-8 starts on the leading axis of b, c and current."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     T = data.draw(st.integers(2, 6), label="T")
     J = 1 if case == "single_group" else data.draw(st.integers(1, 8), label="J")
+    S = data.draw(st.integers(1, 8), label="starts")
     # masses at most 1 make every basis column equal, so G has rank 1 and
     # every system with more than one free coefficient is singular
     high = 1.0 if case == "masses_below_one" else 500.0
@@ -249,12 +251,20 @@ def _solve_a_inputs(data, case):
     W = rng.uniform(0.0, 100.0, (T, J))
     if case == "zero_weight_groups":
         W[:, rng.random(J) < 0.5] = 0.0
-    b = np.zeros(J) if case == "zero_amplitudes" else rng.uniform(0.0, 1.0, J)
-    c = rng.uniform(0.0, 0.5, J)
-    current = rng.uniform(0.0, 2.0, 4) * (rng.random(4) < 0.7)
+    b = rng.uniform(0.0, 1.0, (S, J))
+    if case == "zero_amplitudes":
+        # the first start and some others: their systems are all singular
+        b[(rng.random(S) < 0.5) | (np.arange(S) == 0)] = 0.0
+    c = rng.uniform(0.0, 0.5, (S, J))
+    current = rng.uniform(0.0, 2.0, (S, 4)) * (rng.random((S, 4)) < 0.7)
     if case == "optimal_current":
-        current = per_mask_solve_a(phi, Y, W, b, c, current)
+        current = _stacked_per_mask_solve_a(phi, Y, W, b, c, current)
     return phi, Y, W, b, c, current
+
+
+def _stacked_per_mask_solve_a(phi, Y, W, b, c, current):
+    """``decay._solve_a``'s stacked signature over the per-mask oracle."""
+    return np.stack([per_mask_solve_a(phi, Y, W, *row) for row in zip(b, c, current)])
 
 
 class TestStackedSolveA:
@@ -267,10 +277,12 @@ class TestStackedSolveA:
         ),
     )
     def test_bit_identical_to_per_mask_solve(self, data, case):
-        args = _solve_a_inputs(data, case)
-        got = decay._solve_a(*args)
-        want = per_mask_solve_a(*args)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        phi, Y, W, b, c, current = _solve_a_inputs(data, case)
+        got = decay._solve_a(phi, Y, W, b, c, current)
+        assert got.shape == current.shape and got.dtype == np.float64
+        for s in range(len(current)):
+            want = per_mask_solve_a(phi, Y, W, b[s], c[s], current[s])
+            assert got[s].tobytes() == want.tobytes()
 
     # one zero-weight group each; scale 0.01 puts most masses below 1
     @pytest.mark.parametrize("seed, mass_scale", [(11, 1.0), (12, 1.0), (13, 0.01)])
@@ -285,13 +297,141 @@ class TestStackedSolveA:
         ]
         cfg = FitConfig(max_outer=60)
         got = fit(recs, config=cfg)
-        monkeypatch.setattr(decay, "_solve_a", per_mask_solve_a)
+        monkeypatch.setattr(decay, "_solve_a", _stacked_per_mask_solve_a)
         want = fit(recs, config=cfg)
-        assert got.params.to_vector().tobytes() == want.params.to_vector().tobytes()
-        assert got.objective_value == want.objective_value
-        assert got.objective_trace == want.objective_trace
-        assert got.start_objectives == want.start_objectives
-        assert got.converged == want.converged
+        _assert_same_fit(got, want)
+
+
+def _assert_same_fit(got, want):
+    assert got.params.to_vector().tobytes() == want.params.to_vector().tobytes()
+    assert np.float64(got.objective_value).tobytes() == np.float64(want.objective_value).tobytes()
+    assert np.array(got.objective_trace).tobytes() == np.array(want.objective_trace).tobytes()
+    assert len(got.objective_trace) == len(want.objective_trace)
+    assert np.array(got.start_objectives).tobytes() == np.array(want.start_objectives).tobytes()
+    assert got.converged is want.converged
+
+
+def _outcome(fitter, *args, **kwargs):
+    """A fit, or the class and group of the DecayNumericalError it raised."""
+    try:
+        return fitter(*args, **kwargs)
+    except decay.DecayNumericalError as exc:
+        return type(exc), exc.group
+
+
+class TestStackedStarts:
+    """The starts advance together, bit for bit as when they ran one at a
+    time (``per_start_fit``), including which start's error is raised."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        J=st.sampled_from([1, 1, 2, 5, 12]),
+        T=st.sampled_from([2, 3, 7, 8, 9, 17, 30]),
+        restarts=st.integers(1, 8),
+        max_outer=st.integers(0, 60),
+        rel_tol=st.sampled_from([0, 1e-12, 1e-6]),
+        masses=st.sampled_from(["spread", "at_most_one"]),
+        zero_groups=st.booleans(),
+        weight_scale=st.sampled_from([1.0, 1.0, 1e300, 2e306]),
+    )
+    def test_bit_identical_to_per_start_fit(
+        self, seed, J, T, restarts, max_outer, rel_tol, masses, zero_groups, weight_scale
+    ):
+        rng = np.random.default_rng(seed)
+        high = 1.0 / T if masses == "at_most_one" else 300.0
+        N = np.cumsum(rng.uniform(0.0, high, (T, J)), axis=0)
+        Y = rng.uniform(0.0, 1.0, (T, J))
+        val_mass = rng.uniform(1.0, 200.0, J)
+        if zero_groups:
+            val_mass[rng.random(J) < 0.4] = 0.0
+        val_mass[rng.integers(J)] = 50.0  # at least one group has weight
+        recs = [GroupErrorRecord(t, N[t], Y[t], val_mass) for t in range(T)]
+        w, v = default_weights(recs)
+        weights = (w if weight_scale == 1.0 else np.where(w > 0, weight_scale, 0.0), v)
+        cfg = FitConfig(restarts=restarts, max_outer=max_outer, rel_tol=rel_tol, seed=seed % 7)
+        with np.errstate(all="ignore"):
+            got = _outcome(fit, recs, weights=weights, config=cfg)
+            want = _outcome(per_start_fit, recs, weights=weights, config=cfg)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            _assert_same_fit(got, want)
+
+    # at restarts 8 some later start overflows: at 2e306 start 4 of history
+    # 0, and at 1e307 several, in different groups: starts 4, 5 and 7 of
+    # history 0 (groups 3, 0, 3), starts 5 and 7 of history 2 (groups 0, 3);
+    # at 1e308 start 0 already does
+    @pytest.mark.parametrize(
+        "history_seed, scale", [(0, 1e308), (0, 2e306), (0, 1e307), (2, 1e307)]
+    )
+    @pytest.mark.parametrize("restarts", [1, 8])
+    def test_overflow_raises_the_per_start_error(self, history_seed, scale, restarts):
+        rng = np.random.default_rng(history_seed)
+        _, _, _, recs = _synth_records(rng, J=4, noise=0.03)
+        weights = (np.full(4, scale), default_weights(recs)[1])
+        cfg = FitConfig(restarts=restarts)
+        with np.errstate(all="ignore"):
+            want = _outcome(per_start_fit, recs, weights=weights, config=cfg)
+            got = _outcome(fit, recs, weights=weights, config=cfg)
+        if restarts == 8 or scale == 1e308:
+            assert want[0] is decay.DecayNumericalError
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            _assert_same_fit(got, want)
+
+
+class TestFitInputs:
+    """Inputs the fit cannot use are a FitError before any arithmetic."""
+
+    def _recs(self):
+        _, _, _, recs = _synth_records(np.random.default_rng(14), J=4, T=5)
+        return recs
+
+    @pytest.mark.parametrize(
+        "shapes", [((3,), (5, 4)), ((4,), (5, 3)), ((4,), (4,)), ((1,), (5, 4))],
+        ids=["short_w", "short_v", "flat_v", "broadcast_w"],
+    )
+    def test_weights_of_the_wrong_shape(self, shapes):
+        w_shape, v_shape = shapes
+        with pytest.raises(FitError, match="weights need shapes"):
+            fit(self._recs(), weights=(np.ones(w_shape), np.ones(v_shape)))
+
+    def test_records_of_different_group_counts(self):
+        recs = self._recs()
+        r = recs[2]
+        recs[2] = GroupErrorRecord(r.checkpoint_index, r.train_mass[:3], r.val_error[:3], r.val_mass[:3])
+        with pytest.raises(FitError, match="one value per group"):
+            fit(recs)
+
+    def test_negative_group_weight(self):
+        recs = self._recs()
+        w, v = default_weights(recs)
+        w[1] = -1.0
+        with pytest.raises(FitError, match="non-negative"):
+            fit(recs, weights=(w, v))
+
+    def test_negative_validation_mass(self):
+        recs = self._recs()
+        r = recs[-1]
+        recs[-1] = GroupErrorRecord(r.checkpoint_index, r.train_mass, r.val_error,
+                                    np.array([50.0, -5.0, 50.0, 50.0]))
+        with pytest.raises(FitError, match="non-negative"):
+            fit(recs)
+
+    def test_nan_group_weight(self):
+        recs = self._recs()
+        w, v = default_weights(recs)
+        w[2] = np.nan
+        with pytest.raises(FitError, match="finite"):
+            fit(recs, weights=(w, v))
+
+    def test_all_nan_weights(self):
+        recs = self._recs()
+        _, v = default_weights(recs)
+        with pytest.raises(FitError, match="finite"):
+            fit(recs, weights=(np.full(4, np.nan), v))
 
 
 class TestGradient:
