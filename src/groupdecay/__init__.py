@@ -19,6 +19,7 @@ from .corpus import (
     load_embeddings,
     parse_conll,
     sentence_embedding,
+    sentence_embeddings,
     serialize_conll,
     shape_class,
 )
@@ -38,6 +39,7 @@ from .loop import (
     run_active_loop,
 )
 from .partition import (
+    Clusterings,
     GroupErrorRecord,
     Partition,
     PartitionConfig,

@@ -48,6 +48,7 @@ from .loop import (
 )
 from .partition import (
     AlignmentError,
+    Clusterings,
     GroupErrorRecord,
     ParameterError,
     Partition,
@@ -589,7 +590,10 @@ def _build_partitions(
         return [build_identity_partition(union)]
     if table is None:
         raise ConfigError(_NEEDS_EMBEDDINGS)
-    return [build_partition(union, table, PartitionKind(k), settings.partitions)
+    # one clustering per corpus: the kinds share their k-means
+    clusters = Clusterings(union, table, settings.partitions)
+    return [build_partition(union, table, PartitionKind(k), settings.partitions,
+                            clusters=clusters)
             for k in settings.kinds]
 
 

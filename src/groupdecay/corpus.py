@@ -21,6 +21,7 @@ __all__ = [
     "serialize_conll",
     "load_embeddings",
     "sentence_embedding",
+    "sentence_embeddings",
     "shape_class",
     "entity_type",
 ]
@@ -292,12 +293,42 @@ def load_embeddings(source: Union[str, IO], normalize: bool = True) -> Embedding
     )
 
 
+def sentence_embeddings(sentences: Iterable[Sentence], table: EmbeddingTable) -> np.ndarray:
+    """Each sentence's :func:`sentence_embedding`, one float64 row per
+    sentence in input order; ``(0, dim)`` for no sentences.
+
+    Every row adds its token vectors in token order, as a running sum from
+    zero, and only then divides by the length: the rows are sorted by length,
+    longest first, so the sentences with a token at position p are a prefix,
+    and each position is one gather-add over that prefix.
+    (``np.add.reduceat`` adds in another order and gives other bits.)
+    """
+    sentences = list(sentences)
+    lengths = np.asarray([len(s) for s in sentences], dtype=np.intp)
+    slot: dict[str, int] = {}
+    ids = np.asarray(
+        [slot.setdefault(t.surface, len(slot)) for s in sentences for t in s.tokens],
+        dtype=np.intp,
+    )
+    if not slot:
+        return np.zeros((0, table.dim), dtype=np.float64)
+    vectors = np.stack([table.get(w) for w in slot])
+    order = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    # live[p]: how many rows have a token at position p
+    live = len(sentences) - np.cumsum(np.bincount(lengths, minlength=lengths.max() + 1))
+    acc = np.zeros((len(sentences), table.dim), dtype=np.float64)
+    for p, n in enumerate(live[:-1].tolist()):
+        acc[:n] += vectors[ids[starts[:n] + p]]
+    out = np.empty_like(acc)
+    out[order] = acc / lengths[order, None]
+    return out
+
+
 def sentence_embedding(sentence: Sentence, table: EmbeddingTable) -> np.ndarray:
-    """Unweighted mean of the token vectors; the mean is not re-normalized."""
-    acc = np.zeros(table.dim, dtype=np.float64)
-    for token in sentence.tokens:
-        acc += table.get(token.surface)
-    return acc / len(sentence)
+    """Unweighted mean of the token vectors; the mean is not re-normalized.
+    The one-row view of :func:`sentence_embeddings`."""
+    return sentence_embeddings([sentence], table)[0]
 
 
 class ShapeClass(enum.IntEnum):

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, EmbeddingTable, _is_finite, _is_int, sentence_embedding
+from .corpus import Dataset, EmbeddingTable, _is_finite, _is_int, sentence_embeddings
 from .decay import DecayFit, FitConfig, fit
 # group_error, group_mass and sentence_group_delta stay bound for bench/tracing.py
 from .partition import (  # noqa: F401
@@ -391,9 +391,7 @@ def run_active_loop(
     da_mass = [ix.mass() for ix in index]
     pool_embeddings = None
     if strategy.needs_embeddings:  # in float32, the precision fass_select computes in
-        pool_embeddings = np.empty((len(pool.sentences), table.dim), dtype=np.float32)
-        for row, s in enumerate(pool.sentences):
-            pool_embeddings[row] = sentence_embedding(s, table)
+        pool_embeddings = sentence_embeddings(pool.sentences, table).astype(np.float32)
     val_index = [ix.take(slice(len(pool.sentences), None)) for ix in index]
     epsilon = (
         config.epsilon

@@ -12,6 +12,7 @@ mismatches between two labelings.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -26,7 +27,7 @@ from .corpus import (
     _is_finite,
     _is_int,
     entity_type,
-    sentence_embedding,
+    sentence_embeddings,
     shape_class,
 )
 
@@ -41,6 +42,7 @@ __all__ = [
     "ParameterError",
     "AlignmentError",
     "minibatch_kmeans",
+    "Clusterings",
     "build_partition",
     "build_identity_partition",
     "build_group_index",
@@ -104,9 +106,20 @@ class Group:
     exemplar_surfaces: tuple[str, ...] = ()
 
 
+# rows of X per block of _sq_dists: its rows x k x d temporary stays small
+_BLOCK_ROWS = 64
+
+
 def _sq_dists(centers: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Squared distance of every row of X to every center, (n, k)."""
-    return ((centers[None, :, :] - X[:, None, :]) ** 2).sum(axis=2)
+    """Squared distance of every row of X to every center, (n, k): the
+    broadcast difference, squared and summed over the last axis, one block
+    of rows at a time."""
+    out = np.empty((X.shape[0], centers.shape[0]), dtype=np.result_type(centers, X))
+    for s in range(0, X.shape[0], _BLOCK_ROWS):
+        D = centers[None, :, :] - X[s : s + _BLOCK_ROWS, None, :]
+        np.multiply(D, D, out=D)
+        np.add.reduce(D, axis=2, out=out[s : s + _BLOCK_ROWS])
+    return out
 
 
 def _nearest(centers: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -151,9 +164,13 @@ def minibatch_kmeans(
     X = np.asarray(vectors, dtype=np.float64)
     if X.ndim != 2:
         raise ParameterError("vectors must be a 2-D array")
+    if not np.isfinite(X).all():
+        raise ParameterError("vectors must be finite numbers")
     n = X.shape[0]
     if k < 1:
         raise ParameterError("k must be >= 1")
+    if batch_size < 1:
+        raise ParameterError(f"batch_size must be >= 1, got {batch_size!r}")
     if n < k:
         raise ParameterError(f"need at least k={k} vectors, got {n}")
 
@@ -193,8 +210,10 @@ def minibatch_kmeans(
     return centers, _nearest(centers, X)
 
 
-def _cosine_to_centers(vec: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(centers, axis=1) * np.linalg.norm(vec)
+def _cosine_to_centers(
+    vec: np.ndarray, centers: np.ndarray, center_norms: np.ndarray
+) -> np.ndarray:
+    norms = center_norms * np.linalg.norm(vec)
     out = np.zeros(centers.shape[0], dtype=np.float64)
     ok = norms > 0
     out[ok] = (centers[ok] @ vec) / norms[ok]
@@ -230,6 +249,10 @@ class Partition:
     ):
         self.kind = PartitionKind(kind)
         self.soft = self.kind == PartitionKind.SENTENCE
+        if not (_is_finite(temperature) and temperature > 0):
+            raise ParameterError(
+                f"partition temperature must be a finite number > 0, got {temperature!r}"
+            )
         self.temperature = float(temperature)
         self.seed = int(seed)
         self.sentence_centers = sentence_centers
@@ -245,9 +268,9 @@ class Partition:
             self._check_centers()
 
     def _check_centers(self) -> None:
-        """The centers this kind reads are 2-D arrays of at least one row and
-        one width; WORD has one sub-center array per word center, none with
-        more rows than ``sub_slots``."""
+        """The centers this kind reads are 2-D arrays of finite numbers with
+        at least one row and one width; WORD has one sub-center array per
+        word center, none with more rows than ``sub_slots``."""
         reads = {
             PartitionKind.SENTENCE: ("sentence_centers",),
             PartitionKind.WORD: ("word_centers",),
@@ -263,6 +286,8 @@ class Partition:
                 raise ParameterError(
                     f"a {self.kind.value} partition needs {name} as a 2-D array of rows"
                 )
+            if not np.isfinite(c).all():
+                raise ParameterError(f"partition {name} holds a value that is not finite")
         widths = sorted({c.shape[1] for c in arrays.values()})
         if len(widths) > 1:
             raise ParameterError(f"partition centers differ in width: {widths}")
@@ -291,8 +316,15 @@ class Partition:
     # -- membership ------------------------------------------------------
 
     def sentence_group_scores(self, sentence: Sentence, table: EmbeddingTable) -> np.ndarray:
-        emb = sentence_embedding(sentence, table)
-        return _cosine_to_centers(emb, self.sentence_centers)
+        return self._embedding_scores(sentence_embeddings([sentence], table))[0]
+
+    def _embedding_scores(self, S: np.ndarray) -> list[np.ndarray]:
+        """:meth:`sentence_group_scores` of each row of sentence embeddings
+        ``S``: the centre norms once, each row's own norm and product
+        (``S @ C.T`` has other bits)."""
+        C = self.sentence_centers
+        norms = np.linalg.norm(C, axis=1)
+        return [_cosine_to_centers(vec, C, norms) for vec in S]
 
     def sentence_membership(self, sentence: Sentence, table: EmbeddingTable) -> np.ndarray:
         """Soft membership over sentence groups (sums to 1)."""
@@ -354,11 +386,82 @@ def build_identity_partition(sentences: Sequence[Sentence]) -> Partition:
     return part
 
 
+class Clusterings:
+    """The clusterings that partitions of one corpus read, each computed on
+    first use and then shared by every kind built with them.
+
+    The four kinds come from two clusterings: the sentence k-means (SENTENCE,
+    and WORD_SENTENCE's second level) and the vocabulary word k-means (the
+    word kinds), with WORD's sub k-means inside each word cluster.  Pass one
+    instance as ``clusters=`` to every :func:`build_partition` call over the
+    same ``sentences``, ``table`` and ``config`` to run each k-means once.
+    """
+
+    def __init__(
+        self,
+        sentences: Sequence[Sentence] | Dataset,
+        table: EmbeddingTable,
+        config: PartitionConfig | None = None,
+    ):
+        self.sentences = list(sentences)
+        self.table = table
+        self.config = config or PartitionConfig()
+
+    @functools.cached_property
+    def sentence_vectors(self) -> np.ndarray:
+        """Each sentence's embedding, checked for enough distinct rows."""
+        S = sentence_embeddings(self.sentences, self.table)
+        if np.unique(S, axis=0).shape[0] < self.config.sentence_groups:
+            raise ParameterError(
+                f"fewer distinct sentence embeddings than {self.config.sentence_groups} clusters"
+            )
+        return S
+
+    @functools.cached_property
+    def sentence_centers(self) -> np.ndarray:
+        cfg = self.config
+        return minibatch_kmeans(self.sentence_vectors, cfg.sentence_groups, cfg.kmeans_batch,
+                                cfg.kmeans_iters, seed=cfg.seed * 7 + 1)[0]
+
+    @functools.cached_property
+    def word_vectors(self) -> tuple[list[str], np.ndarray]:
+        """The sorted vocabulary and its vectors, checked for enough distinct rows."""
+        vocab, X = _unique_word_vectors(self.sentences, self.table)
+        if np.unique(X, axis=0).shape[0] < self.config.word_groups:
+            raise ParameterError(
+                f"fewer distinct word vectors than {self.config.word_groups} clusters"
+            )
+        return vocab, X
+
+    @functools.cached_property
+    def word_clusters(self) -> tuple[np.ndarray, np.ndarray]:
+        """The word centers and each vocabulary word's cluster."""
+        cfg = self.config
+        return minibatch_kmeans(self.word_vectors[1], cfg.word_groups, cfg.kmeans_batch,
+                                cfg.kmeans_iters, seed=cfg.seed * 7 + 2)
+
+    @functools.cached_property
+    def sub_centers(self) -> list[np.ndarray]:
+        """WORD's sub-centers, one array per word cluster."""
+        cfg = self.config
+        X, assign = self.word_vectors[1], self.word_clusters[1]
+        out = []
+        for top in range(cfg.word_groups):
+            Xm = X[assign == top]
+            k2 = min(cfg.word_subgroups, max(1, np.unique(Xm, axis=0).shape[0]))
+            out.append(minibatch_kmeans(
+                Xm, k2, cfg.kmeans_batch, cfg.kmeans_iters, seed=cfg.seed * 7 + 100 + top
+            )[0])
+        return out
+
+
 def build_partition(
     sentences: Sequence[Sentence] | Dataset,
     table: EmbeddingTable,
     kind: PartitionKind | str,
     config: PartitionConfig | None = None,
+    *,
+    clusters: Clusterings | None = None,
 ) -> Partition:
     """Cluster the corpus union into a frozen partition of the given kind.
 
@@ -366,39 +469,29 @@ def build_partition(
     that group statistics approximate the test distribution.  Each group is
     described by the vocabulary words :meth:`Partition._surface_groups`
     puts in it (for WORD_SENTENCE, the words of its word cluster), nearest
-    first to its word cluster's center (WORD: its sub-center).
+    first to its word cluster's center (WORD: its sub-center).  The
+    clusterings come from ``clusters`` (made for these sentences, table and
+    config; a ``ValueError`` otherwise), or from a :class:`Clusterings` of
+    this call's own.
     """
     sentences = list(sentences)
     kind = PartitionKind(kind)
     cfg = config or PartitionConfig()
+    if clusters is None:
+        clusters = Clusterings(sentences, table, cfg)
+    elif not (clusters.table is table and clusters.config == cfg
+              and clusters.sentences == sentences):
+        raise ValueError("clusters were made for other sentences, another table or "
+                         "another config")
 
     sentence_centers = word_centers = sub_centers = None
     if kind in (PartitionKind.SENTENCE, PartitionKind.WORD_SENTENCE):
-        S = np.stack([sentence_embedding(s, table) for s in sentences])
-        if np.unique(S, axis=0).shape[0] < cfg.sentence_groups:
-            raise ParameterError(
-                f"fewer distinct sentence embeddings than {cfg.sentence_groups} clusters"
-            )
-        sentence_centers, _ = minibatch_kmeans(
-            S, cfg.sentence_groups, cfg.kmeans_batch, cfg.kmeans_iters, seed=cfg.seed * 7 + 1
-        )
+        sentence_centers = clusters.sentence_centers
     if kind != PartitionKind.SENTENCE:
-        vocab, X = _unique_word_vectors(sentences, table)
-        if np.unique(X, axis=0).shape[0] < cfg.word_groups:
-            raise ParameterError(
-                f"fewer distinct word vectors than {cfg.word_groups} clusters"
-            )
-        word_centers, assign = minibatch_kmeans(
-            X, cfg.word_groups, cfg.kmeans_batch, cfg.kmeans_iters, seed=cfg.seed * 7 + 2
-        )
+        vocab, X = clusters.word_vectors
+        word_centers = clusters.word_clusters[0]
     if kind == PartitionKind.WORD:
-        sub_centers = []
-        for top in range(cfg.word_groups):
-            Xm = X[assign == top]
-            k2 = min(cfg.word_subgroups, max(1, np.unique(Xm, axis=0).shape[0]))
-            sub_centers.append(minibatch_kmeans(
-                Xm, k2, cfg.kmeans_batch, cfg.kmeans_iters, seed=cfg.seed * 7 + 100 + top
-            )[0])
+        sub_centers = clusters.sub_centers
     part = Partition(
         kind,
         # the word kinds read no temperature and record the default
@@ -414,7 +507,7 @@ def build_partition(
         sent_names = [" ".join(s.surfaces[:8]) for s in sentences]
         part.groups = [
             Group(j, {"sentence_cluster": j},
-                  _nearest_exemplars(sentence_centers[j], sent_names, S))
+                  _nearest_exemplars(sentence_centers[j], sent_names, clusters.sentence_vectors))
             for j in range(cfg.sentence_groups)
         ]
         return part
@@ -529,12 +622,16 @@ def build_group_index(
 ) -> GroupIndex:
     """Each sentence's group contributions under ``partition``: hard
     partitions look up every distinct surface once, the soft one stacks
-    :meth:`Partition.sentence_membership` rows."""
+    one :meth:`Partition.sentence_membership` row per sentence, computed
+    from one :func:`~groupdecay.corpus.sentence_embeddings` matrix."""
     sentences = list(sentences)
     lengths = np.asarray([len(s) for s in sentences], dtype=np.intp)
     J = partition.n_groups
+    scores = []
+    if sentences and partition.kind in (PartitionKind.SENTENCE, PartitionKind.WORD_SENTENCE):
+        scores = partition._embedding_scores(sentence_embeddings(sentences, table))
     if partition.soft:
-        rows = [partition.sentence_membership(s, table) for s in sentences]
+        rows = [_softmax(z / partition.temperature) for z in scores]
         membership = np.stack(rows) if rows else np.zeros((0, J))
         pairs = (
             _offsets(np.full(len(sentences), J)),
@@ -549,10 +646,7 @@ def build_group_index(
     )
     gids = partition._surface_groups(list(slot), table)[tokens] if slot else tokens
     if partition.kind == PartitionKind.WORD_SENTENCE:
-        sentence_groups = np.asarray(
-            [int(np.argmax(partition.sentence_group_scores(s, table))) for s in sentences],
-            dtype=np.intp,
-        )
+        sentence_groups = np.asarray([int(np.argmax(z)) for z in scores], dtype=np.intp)
         gids = gids * partition.sentence_centers.shape[0] + np.repeat(sentence_groups, lengths)
     # one sort for the whole sequence: (row, group) keys, each row's groups ascending
     keys, counts = np.unique(np.repeat(np.arange(len(sentences)), lengths) * J + gids,

@@ -168,6 +168,54 @@ def membership(partition, unit, table=None):
     return vec
 
 
+# -- distances and sentence embeddings ---------------------------------------
+#
+# The one-expression forms the library computed before it blocked distances
+# by rows and embedded all sentences of a sequence in one matrix.  Its
+# results must equal these bit for bit.
+
+
+def one_expression_sq_dists(centers, X):
+    """Squared distance of every row of X to every center, (n, k), as one
+    broadcast expression."""
+    return ((centers[None, :, :] - X[:, None, :]) ** 2).sum(axis=2)
+
+
+def loop_sentence_embedding(sentence, table):
+    """Unweighted mean of the token vectors: a running sum in token order,
+    then one division by the length."""
+    acc = np.zeros(table.dim, dtype=np.float64)
+    for token in sentence.tokens:
+        acc += table.get(token.surface)
+    return acc / len(sentence)
+
+
+def stacked_sentence_embeddings(sentences, table):
+    """One :func:`loop_sentence_embedding` row per sentence."""
+    if not sentences:
+        return np.zeros((0, table.dim), dtype=np.float64)
+    return np.stack([loop_sentence_embedding(s, table) for s in sentences])
+
+
+def per_sentence_scores(partition, sentence, table):
+    """Cosine of one sentence's embedding to every sentence center (0 where
+    either norm is 0)."""
+    emb = loop_sentence_embedding(sentence, table)
+    centers = partition.sentence_centers
+    norms = np.linalg.norm(centers, axis=1) * np.linalg.norm(emb)
+    out = np.zeros(centers.shape[0], dtype=np.float64)
+    ok = norms > 0
+    out[ok] = (centers[ok] @ emb) / norms[ok]
+    return out
+
+
+def per_sentence_membership(partition, sentence, table):
+    """Temperature softmax of :func:`per_sentence_scores`."""
+    z = per_sentence_scores(partition, sentence, table) / partition.temperature
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
 # -- per-sentence group contributions ---------------------------------------
 #
 # The computations below are the per-sentence loops the library ran before it
@@ -190,14 +238,14 @@ def per_sentence_token_group_ids(partition, sentence, table):
         elif partition.kind == PartitionKind.WORD_SHAPE:
             out[i] = top * N_SHAPES + int(shape_class(tok.surface))
         else:
-            sent_group = int(np.argmax(partition.sentence_group_scores(sentence, table)))
+            sent_group = int(np.argmax(per_sentence_scores(partition, sentence, table)))
             out[i] = top * partition.sentence_centers.shape[0] + sent_group
     return out
 
 
 def per_sentence_delta(partition, sentence, table):
     if partition.soft:
-        memb = partition.sentence_membership(sentence, table)
+        memb = per_sentence_membership(partition, sentence, table)
         return np.arange(partition.n_groups, dtype=np.intp), memb * len(sentence)
     gids = per_sentence_token_group_ids(partition, sentence, table)
     uniq, counts = np.unique(gids, return_counts=True)
@@ -208,7 +256,7 @@ def per_sentence_mass(partition, sentences, table):
     masses = np.zeros(partition.n_groups, dtype=np.float64)
     for s in sentences:
         if partition.soft:
-            masses += partition.sentence_membership(s, table) * len(s)
+            masses += per_sentence_membership(partition, s, table) * len(s)
         else:
             gids = per_sentence_token_group_ids(partition, s, table)
             masses += np.bincount(gids, minlength=partition.n_groups)
@@ -278,7 +326,7 @@ def per_sentence_rates(partition, sentences, first, second, table, class_weights
     for s in sentences:
         losses = _token_losses(first[s.id], second[s.id], class_weights)
         if partition.soft:
-            memb = partition.sentence_membership(s, table)
+            memb = per_sentence_membership(partition, s, table)
             err += memb * losses.sum()
             mass += memb * len(s)
         else:

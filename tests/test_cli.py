@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groupdecay import cli
+from groupdecay import cli, partition
 from groupdecay.cli import main
 from groupdecay.corpus import Dataset, parse_conll
 from groupdecay.decay import DecayParams, serialize_fit
@@ -286,6 +286,25 @@ class TestSimulate:
         cfg.write_text(json.dumps(config))
         assert run_cli("simulate", "--config", cfg) == 0
         assert _run_directory_digest(out) == RECORDED_RUN_DIRECTORIES[name, kinds]
+
+    def test_four_kinds_run_each_k_means_once(self, synth_dir, tmp_path, monkeypatch):
+        calls = []
+        real = partition.minibatch_kmeans
+        monkeypatch.setattr(partition, "minibatch_kmeans",
+                            lambda *a, **kw: calls.append(kw["seed"]) or real(*a, **kw))
+        out = tmp_path / "run"
+        config = _sim_config(synth_dir, out)
+        config["partitions"]["kinds"] = ["SENTENCE", "WORD", "WORD_SHAPE", "WORD_SENTENCE"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", cfg) == 0
+        # seed 3: the sentence k-means (7 * 3 + 1), the word k-means (+ 2) and
+        # WORD's ten sub k-means (+ 100 + top); building each kind on its own
+        # made 15 calls for the same run directory, recorded with numpy 2.4.6
+        assert sorted(calls) == [22, 23] + list(range(121, 131))
+        assert _run_directory_digest(out) == (
+            "56f3d2f79da297095d8965fcfb53ca28e34cbc8ba0d95e7dd91f686ae01d6751"
+        )
 
     def test_resume_completes_interrupted_run(self, synth_dir, tmp_path):
         _assert_resume_reproduces(tmp_path, lambda out: _sim_config(synth_dir, out), 3)
@@ -972,6 +991,30 @@ class TestSelectInputChecks:
         assert self._select(synth_dir, bad, fit, "--embeddings", embeddings) == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"temperature": -1.0}, "temperature must be a finite number > 0, got -1.0"),
+            ({"temperature": 0}, "temperature must be a finite number > 0, got 0"),
+            ("nan-center", "word_centers holds a value that is not finite"),
+            ("inf-center", "word_centers holds a value that is not finite"),
+        ],
+        ids=["temperature-negative", "temperature-zero", "center-nan", "center-inf"],
+    )
+    def test_partition_file_with_invalid_value_is_data_error(
+        self, synth_dir, word_files, tmp_path, capsys, edit, message
+    ):
+        embeddings, partition, fit = word_files
+        payload = json.loads(partition.read_text())
+        if isinstance(edit, dict):
+            payload.update(edit)
+        else:
+            payload["word_centers"][1][2] = float(edit.split("-")[0])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert self._select(synth_dir, bad, fit, "--embeddings", embeddings) == 3
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("file", ["embeddings", "fit"])
     def test_non_finite_number_is_data_error(self, synth_dir, word_files, tmp_path, capsys, file):
         embeddings, partition, fit = word_files
@@ -1031,6 +1074,24 @@ class TestRunFileCounts:
             assert run_cli(*command, "--partitions", small) == 3
             err = capsys.readouterr().err
             assert f"partition file {small} has 3 groups, its partition {n_groups}" in err
+        assert not (tmp_path / "f").exists() and not (tmp_path / "curves.csv").exists()
+
+    @pytest.mark.parametrize("command", ["fit-decay", "export-curves"])
+    def test_partition_file_with_invalid_temperature_is_data_error(
+        self, finished_run, tmp_path, capsys, command
+    ):
+        payload = json.loads((finished_run / "partitions" / "p0.json").read_text())
+        payload["temperature"] = -1.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        history = finished_run / "history.jsonl"
+        args = {
+            "fit-decay": ["--out-dir", tmp_path / "f"],
+            "export-curves": ["--out", tmp_path / "curves.csv",
+                              "--fits", finished_run / "fits" / "final_p0.txt"],
+        }[command]
+        assert run_cli(command, "--history", history, *args, "--partitions", bad) == 3
+        assert "temperature must be a finite number > 0" in capsys.readouterr().err
         assert not (tmp_path / "f").exists() and not (tmp_path / "curves.csv").exists()
 
     @pytest.mark.parametrize(

@@ -13,9 +13,11 @@ from groupdecay.corpus import (
     load_embeddings,
     parse_conll,
     sentence_embedding,
+    sentence_embeddings,
     serialize_conll,
     shape_class,
 )
+from oracles import stacked_sentence_embeddings
 
 
 class TestParseConll:
@@ -177,6 +179,38 @@ class TestSentenceEmbedding:
         np.testing.assert_allclose(
             sentence_embedding(_sentence("a", "b"), table), [0.8, 0.4]
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        lengths=st.lists(st.integers(1, 40), max_size=30),
+        dim=st.integers(1, 9),
+    )
+    def test_matrix_equals_the_stacked_loop(self, seed, lengths, dim):
+        # vectors of mixed magnitudes, so another order of adding gives other
+        # bits; surfaces outside the table read its OOV vector; one-token
+        # rows and no rows at all
+        rng = np.random.default_rng(seed)
+        known = [f"w{i}" for i in range(6)]
+        table = load_embeddings(
+            "".join(
+                w + " " + " ".join(repr(float(v)) for v in rng.normal(size=dim) * 10.0 ** e)
+                + "\n"
+                for w, e in zip(known, rng.integers(-3, 4, size=len(known)))
+            ),
+            normalize=False,
+        )
+        surfaces = known + ["oov1", "oov2"]
+        sentences = [
+            _sentence(*(surfaces[i] for i in rng.integers(len(surfaces), size=n)))
+            for n in lengths
+        ]
+        got = sentence_embeddings(sentences, table)
+        want = stacked_sentence_embeddings(sentences, table)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        for s, row in zip(sentences, got):
+            assert sentence_embedding(s, table).tobytes() == row.tobytes()
 
 
 class TestShapeClass:

@@ -1,14 +1,18 @@
 import functools
 import hashlib
+import itertools
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupdecay.corpus import Dataset, Sentence, Token, load_embeddings
+from groupdecay import partition as partition_module
 from groupdecay.partition import (
     AlignmentError,
+    Clusterings,
     ParameterError,
     PartitionConfig,
     PartitionKind,
@@ -25,10 +29,12 @@ from groupdecay.partition import (
     sentence_group_delta,
     tag_codes,
     token_losses,
+    _sq_dists,
 )
 from groupdecay.simlab import SynthSpec, gen_synthetic
 from oracles import (
     membership,
+    one_expression_sq_dists,
     per_sentence_delta,
     per_sentence_mass,
     per_sentence_rates,
@@ -92,6 +98,47 @@ class TestMinibatchKmeans:
         X = rng.normal(size=(30, 3))
         _, assign = minibatch_kmeans(X, 8, batch_size=4, iterations=5, seed=0)
         assert len(set(assign.tolist())) == 8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vectors_are_parameter_error(self, bad):
+        X = np.eye(4)
+        X[2, 1] = bad
+        with pytest.raises(ParameterError, match="vectors must be finite"):
+            minibatch_kmeans(X, 2)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_parameter_error(self, batch_size):
+        with pytest.raises(ParameterError, match=f"batch_size must be >= 1, got {batch_size}"):
+            minibatch_kmeans(np.eye(4), 2, batch_size=batch_size)
+
+    def test_zero_iterations_seed_and_assign(self):
+        X = np.random.default_rng(6).normal(size=(20, 3))
+        centers, assign = minibatch_kmeans(X, 3, iterations=0, seed=4)
+        assert all((X == c).all(axis=1).any() for c in centers)  # k-means++ picks rows
+        assert np.array_equal(assign, np.argmin(one_expression_sq_dists(centers, X), axis=1))
+
+
+class TestBlockedDistances:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.sampled_from([0, 1, 63, 64, 65, 128]) | st.integers(0, 300),
+        k=st.integers(1, 12),
+        d=st.integers(1, 130),
+    )
+    @example(seed=0, n=63, k=1, d=1)
+    @example(seed=1, n=64, k=1, d=1)
+    @example(seed=2, n=65, k=1, d=1)
+    @example(seed=3, n=128, k=1, d=1)
+    def test_equal_to_the_one_expression(self, seed, n, k, d):
+        # rows across the block edges; mixed magnitudes, so any other order
+        # of adding would show in the bits
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        centers = rng.normal(size=(k, d)) * 10.0 ** rng.integers(-3, 4, size=(k, 1))
+        got, want = _sq_dists(centers, X), one_expression_sq_dists(centers, X)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +251,114 @@ class TestBuildPartition:
                 token_group_ids(part, s, table), token_group_ids(clone, s, table)
             )
         assert save_partition(clone) == text
+
+
+_READS_SENTENCES = (PartitionKind.SENTENCE, PartitionKind.WORD_SENTENCE)
+_SHARED_CONFIG = PartitionConfig(sentence_groups=4, word_groups=3, word_subgroups=3,
+                                 kmeans_iters=10, seed=3)
+
+
+class TestSharedClusterings:
+    def test_every_order_of_kinds_equals_each_kind_alone(self, small_corpus, monkeypatch):
+        sentences, table = small_corpus
+        cfg = _SHARED_CONFIG
+        alone = {k: save_partition(build_partition(sentences, table, k, cfg))
+                 for k in PartitionKind}
+        calls = []
+        real = partition_module.minibatch_kmeans
+        monkeypatch.setattr(partition_module, "minibatch_kmeans",
+                            lambda *a, **kw: calls.append(kw["seed"]) or real(*a, **kw))
+        for r in range(1, len(PartitionKind) + 1):
+            for kinds in itertools.permutations(PartitionKind, r):
+                calls.clear()
+                clusters = Clusterings(sentences, table, cfg)
+                for k in kinds:
+                    part = build_partition(sentences, table, k, cfg, clusters=clusters)
+                    assert save_partition(part) == alone[k]
+                # each k-means at most once: the sentence one (seed 7 * 3 + 1),
+                # the word one (+ 2) and WORD's three sub k-means (+ 100 + top)
+                want = [22] if set(kinds) & set(_READS_SENTENCES) else []
+                want += [23] if set(kinds) - {PartitionKind.SENTENCE} else []
+                want += [121, 122, 123] if PartitionKind.WORD in kinds else []
+                assert sorted(calls) == want
+
+    def test_clusterings_of_other_inputs_are_value_error(self, small_corpus):
+        sentences, table = small_corpus
+        clusters = Clusterings(sentences, table, _SHARED_CONFIG)
+        other_table = _table(sorted(table.vectors), 6, np.random.default_rng(1))
+        other_config = PartitionConfig(sentence_groups=4, word_groups=3, word_subgroups=3,
+                                       kmeans_iters=10, seed=4)
+        for args in ((sentences[:-1], table, _SHARED_CONFIG),
+                     (sentences, other_table, _SHARED_CONFIG),
+                     (sentences, table, other_config),
+                     (sentences, table, None)):
+            with pytest.raises(ValueError, match="clusters were made for other"):
+                build_partition(args[0], args[1], "WORD", args[2], clusters=clusters)
+        build_partition(tuple(sentences), table, "WORD", PartitionConfig(**vars(_SHARED_CONFIG)),
+                        clusters=clusters)
+
+    @pytest.mark.parametrize("few", ["words", "sentences", "both"])
+    def test_too_few_distinct_vectors_fail_at_the_same_kind(self, few):
+        # few words: 3 distinct word vectors for 5 word groups; few sentences:
+        # one sentence repeated, 1 distinct embedding for 3 sentence groups
+        rng = np.random.default_rng(8)
+        words = ["a", "b", "c"] if few != "sentences" else [f"w{i}" for i in range(8)]
+        table = _table(words, 4, rng)
+        if few == "words":
+            sentences = _random_sentences(rng, 30, words)
+        else:
+            sentences = [_sent(i, *[(w, "O") for w in words]) for i in range(12)]
+        cfg = PartitionConfig(sentence_groups=3, word_groups=5 if few != "sentences" else 3,
+                              word_subgroups=2, kmeans_iters=5)
+        message = {"words": "fewer distinct word vectors than 5 clusters",
+                   "sentences": "fewer distinct sentence embeddings than 3 clusters"}
+
+        def first_failure(kinds, build):
+            for i, k in enumerate(kinds):
+                try:
+                    build(k)
+                except ParameterError as exc:
+                    return i, str(exc)
+            return None
+
+        for kinds in itertools.permutations(PartitionKind):
+            want = None
+            for i, k in enumerate(kinds):
+                if few != "words" and k in _READS_SENTENCES:
+                    want = i, message["sentences"]
+                elif few != "sentences" and k != PartitionKind.SENTENCE:
+                    want = i, message["words"]
+                if want:
+                    break
+            alone = first_failure(kinds, lambda k: build_partition(sentences, table, k, cfg))
+            clusters = Clusterings(sentences, table, cfg)
+            shared = first_failure(
+                kinds, lambda k: build_partition(sentences, table, k, cfg, clusters=clusters)
+            )
+            assert alone == shared == want
+
+
+class TestLoadedPartitionChecks:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("temperature", -1.0, "temperature must be a finite number > 0, got -1.0"),
+            ("temperature", 0, "temperature must be a finite number > 0, got 0"),
+            ("sentence_centers", float("nan"), "sentence_centers holds a value that is not"),
+            ("sentence_centers", float("inf"), "sentence_centers holds a value that is not"),
+        ],
+        ids=["temperature-negative", "temperature-zero", "center-nan", "center-inf"],
+    )
+    def test_invalid_value_is_parameter_error(self, small_corpus, field, value, message):
+        sentences, table = small_corpus
+        part = build_partition(sentences, table, PartitionKind.SENTENCE, _SHARED_CONFIG)
+        payload = json.loads(save_partition(part))
+        if field == "temperature":
+            payload["temperature"] = value
+        else:
+            payload[field][1][0] = value
+        with pytest.raises(ParameterError, match=message):
+            load_partition(json.dumps(payload))
 
 
 class TestGroupMass:
