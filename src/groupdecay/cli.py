@@ -54,13 +54,14 @@ from .partition import (
     Partition,
     PartitionConfig,
     PartitionKind,
+    build_group_index,
     build_identity_partition,
     build_partition,
     load_partition,
     save_partition,
 )
 from .scoring import export_decay_curves, gold_phrases, micro_f1
-from .selection import SelectionState, select_batch
+from .selection import SelectionState, default_epsilon, select_batch
 from .simlab import SynthSpec, builtin_trainer, gen_synthetic, one_hot_embeddings
 from .strategies import (
     CapabilityError,
@@ -185,6 +186,16 @@ def _read_input(path: str, what: str, parse=None):
         raise ConfigError(f"{what} file is a directory: {path}") from exc
     with fh:
         return fh.read() if parse is None else parse(fh)
+
+
+def _output_dir(path: str) -> Path:
+    """``path`` as a directory to write into; a file at it or at one of its
+    parents is a ConfigError naming both."""
+    out = Path(path)
+    blocker = next(p for p in (out, *out.parents) if p.exists())
+    if not blocker.is_dir():
+        raise ConfigError(f"output {out}: {blocker} exists and is not a directory")
+    return out
 
 
 def _read_dataset(path: str, role: str) -> Dataset:
@@ -477,7 +488,7 @@ _GEN_SYNTH_KEYS = (
 
 def cmd_gen_synth(args) -> int:
     config = _options(load_config(args.config, args.set or []), "gen-synth", _GEN_SYNTH_KEYS)
-    out_dir = Path(args.output)
+    out_dir = _output_dir(args.output)
     if out_dir.exists() and not args.force:
         raise ConfigError(f"output directory {out_dir} exists (use --force)")
     spec = _synth_spec(config, "gen-synth")
@@ -702,7 +713,7 @@ def cmd_simulate(args) -> int:
     strategy_name, paths, loop_cfg = settings.strategy, settings.paths, settings.loop
     predictor_cfg = settings.predictor
 
-    run_dir = Path(paths["output"])
+    run_dir = _output_dir(paths["output"])
     if run_dir.exists() and any(run_dir.iterdir()) and not args.resume and not args.force:
         raise ConfigError(f"run directory {run_dir} exists (use --resume or --force)")
 
@@ -836,20 +847,22 @@ def cmd_select(args) -> int:
     if not args.embeddings and any(p.identity_vocab is None for p in run.partitions):
         raise ConfigError(_NEEDS_EMBEDDINGS)
     table = _read_embeddings(args.embeddings) if args.embeddings else None
-    train_sentences = list(train.sentences) if train else []
-    da = list(pool.sentences) + train_sentences + (
-        list(validation.sentences) if validation else []
-    )
-    state = SelectionState.create(
-        run.partitions,
-        run.fits,
-        train_sentences,
-        da,
+    # one index per partition over the union; rows: pool, then train, then validation
+    pool_rows = slice(0, len(pool))
+    train_rows = slice(len(pool), len(pool) + (len(train) if train else 0))
+    da = [s for d in (pool, train, validation) if d is not None for s in d.sentences]
+    index = [build_group_index(p, da, table) for p in run.partitions]
+    state = SelectionState(
+        partitions=run.partitions,
+        fits=run.fits,
+        train_mass=[ix.take(train_rows).mass() for ix in index],
+        da_mass=[ix.mass() for ix in index],
         token_budget=args.budget,
-        epsilon=args.epsilon,
+        epsilon=default_epsilon(sum(map(len, da))) if args.epsilon is None else args.epsilon,
         table=table,
     )
-    batch = select_batch(state, list(pool.sentences), mode=args.mode)
+    batch = select_batch(state, list(pool.sentences), args.mode,
+                         [ix.take(pool_rows) for ix in index])
     text = json.dumps(dataclasses.asdict(batch), sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

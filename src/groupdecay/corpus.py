@@ -67,6 +67,20 @@ class Token:
             raise ValueError(f"not a BIO tag: {self.gold_label!r}")
 
 
+class _TokenTable(dict):
+    """One :class:`Token` per (surface, tag) key, made at the key's first
+    lookup, so that the BIO rule is checked once per key.  Tokens are frozen:
+    each serves every occurrence.  Made per call, never kept."""
+
+    def __missing__(self, key: tuple[str, str | None]) -> Token:
+        token = self[key] = Token(*key)
+        return token
+
+    def entity_types(self) -> frozenset[str]:
+        """The entity types of the tags among the keys."""
+        return frozenset(entity_type(tag) for _, tag in self if tag not in (None, "O"))
+
+
 @dataclass(frozen=True)
 class Sentence:
     id: int
@@ -115,12 +129,16 @@ class Dataset:
 
 
 def _iter_lines(source: Union[str, IO]) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, decoded line) from str, text, or byte streams."""
+    """Yield (1-based line number, line without its end) from str, text, or
+    byte streams.  A str splits where iterating a text file splits it: at
+    CR LF, CR and LF alone, not at the other line boundaries of
+    ``str.splitlines``."""
     if isinstance(source, str):
-        lines: Iterable = source.splitlines()
-    else:
-        lines = source
-    for number, raw in enumerate(lines, start=1):
+        # no copy of a text without CR: replace then returns the str itself
+        source = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if not source[-1]:  # a final line end opens no line
+            source.pop()
+    for number, raw in enumerate(source, start=1):
         if isinstance(raw, bytes):
             try:
                 raw = raw.decode("utf-8")
@@ -139,47 +157,40 @@ def parse_conll(source: Union[str, IO], role: str = "pool") -> Dataset:
     """
     sentences: list[Sentence] = []
     tokens: list[Token] = []
-    inventory: set[str] = set()
+    table = _TokenTable()
     warnings = 0
     doc_counter = -1
-    sent_id = 0
 
     def flush():
-        nonlocal tokens, sent_id
         if tokens:
             doc = doc_counter if doc_counter >= 0 else None
-            sentences.append(Sentence(id=sent_id, tokens=tuple(tokens), doc_id=doc))
-            sent_id += 1
-            tokens = []
+            sentences.append(Sentence(id=len(sentences), tokens=tuple(tokens), doc_id=doc))
+            tokens.clear()
 
     for number, line in _iter_lines(source):
-        stripped = line.strip()
-        if not stripped:
+        cols = line.split()
+        if not cols:
             flush()
             continue
-        cols = stripped.split()
         if cols[0].startswith(_DOCSTART):
             flush()
             doc_counter += 1
             continue
-        surface = cols[0]
         tag = cols[-1] if len(cols) >= 2 else None
-        if tag is not None:
-            if not _BIO_RE.match(tag):
-                raise CorpusFormatError(f"not a BIO tag: {tag!r}", number)
-            if tag != "O":
-                inventory.add(entity_type(tag))
-                if tag.startswith("I-"):
-                    prev = tokens[-1].gold_label if tokens else None
-                    inside = entity_type(tag)
-                    if prev is None or prev == "O" or entity_type(prev) != inside:
-                        warnings += 1
-        tokens.append(Token(surface=surface, gold_label=tag))
+        try:
+            token = table[cols[0], tag]
+        except ValueError as exc:
+            raise CorpusFormatError(str(exc), number) from exc
+        if tag is not None and tag.startswith("I-"):
+            prev = tokens[-1].gold_label if tokens else None
+            if prev is None or prev == "O" or entity_type(prev) != entity_type(tag):
+                warnings += 1
+        tokens.append(token)
     flush()
 
     return Dataset(
         sentences=tuple(sentences),
-        label_inventory=frozenset(inventory),
+        label_inventory=table.entity_types(),
         role=role,
         bio_warnings=warnings,
     )

@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
-from .corpus import _is_int
+from .corpus import _is_int, _iter_lines
 from .partition import GroupErrorRecord
 
 __all__ = [
@@ -503,8 +503,8 @@ def _coefficients(line: str, cells: Sequence[str]) -> list[float]:
     return values
 
 
-def parse_fit(text: str) -> DecayParams:
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+def parse_fit(text: str | IO[str]) -> DecayParams:
+    lines = [ln for _, ln in _iter_lines(text) if ln and not ln.startswith("#")]
     if not lines or lines[0] != "a0,a_half,a1,a2,a3":
         raise FitError("not a decay-fit file")
     if len(lines) < 2:

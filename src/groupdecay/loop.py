@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import IO, Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, EmbeddingTable, _is_finite, _is_int, sentence_embeddings
+from .corpus import Dataset, EmbeddingTable, _is_finite, _is_int, _iter_lines, sentence_embeddings
 from .decay import DecayFit, FitConfig, fit
 # group_error, group_mass and sentence_group_delta stay bound for bench/tracing.py
 from .partition import (  # noqa: F401
@@ -231,11 +231,11 @@ class RunHistory:
         return "".join(rec.to_json() + "\n" for rec in self.checkpoints)
 
     @classmethod
-    def from_jsonl(cls, text: str) -> "RunHistory":
+    def from_jsonl(cls, text: str | IO[str]) -> "RunHistory":
         """The history of ``text``, one checkpoint per non-blank line.  Every
         line with group records has the first such line's partition count
         and group counts; a line that differs is a ValueError naming it."""
-        checkpoints = [CheckpointRecord.from_json(line) for line in text.splitlines()
+        checkpoints = [CheckpointRecord.from_json(line) for _, line in _iter_lines(text)
                        if line.strip()]
         shapes = [
             (c.index, [len(r.train_mass) for r in c.group_records])
@@ -369,6 +369,9 @@ def run_active_loop(
         )
     if strategy.needs_embeddings and table is None:
         raise CapabilityError(f"strategy {strategy.name!r} requires an embedding table")
+    if strategy.select in ("edg", "edg_ext1") and not validation.sentences:
+        raise ValueError(f"strategy {strategy.name!r} fits its curves on the validation set, "
+                         f"which has no tokens")
 
     partitions = list(partitions)
     # per-run pool arrays, one row per pool sentence in dataset order

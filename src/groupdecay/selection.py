@@ -22,7 +22,6 @@ from .partition import (
     Partition,
     _ranges,
     build_group_index,
-    group_mass,
     sentence_group_delta,
 )
 
@@ -70,31 +69,6 @@ class SelectionState:
     epsilon: float
     table: EmbeddingTable | None = None
     numeric_faults: int = 0
-
-    @classmethod
-    def create(
-        cls,
-        partitions: Sequence[Partition],
-        fits: Sequence[DecayFit],
-        train_sentences: Sequence[Sentence],
-        da_sentences: Sequence[Sentence],
-        token_budget: int,
-        epsilon: float | None = None,
-        table: EmbeddingTable | None = None,
-    ) -> "SelectionState":
-        train_mass = [group_mass(p, train_sentences, table) for p in partitions]
-        da_mass = [group_mass(p, da_sentences, table) for p in partitions]
-        if epsilon is None:
-            epsilon = default_epsilon(sum(len(s) for s in da_sentences))
-        return cls(
-            partitions=list(partitions),
-            fits=list(fits),
-            train_mass=train_mass,
-            da_mass=da_mass,
-            token_budget=token_budget,
-            epsilon=epsilon,
-            table=table,
-        )
 
     def add_sentence(self, sentence: Sentence) -> None:
         for idx, p in enumerate(self.partitions):

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, EmbeddingTable, Sentence, Token, _is_finite, _is_int, entity_type
+from .corpus import Dataset, EmbeddingTable, Sentence, _is_finite, _is_int, _TokenTable
 from .strategies import PredictionRecord
 
 __all__ = [
@@ -189,8 +189,7 @@ def gen_synthetic(
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
     surfaces = spec.surfaces
-    # Token is frozen: one per (word, tag) pair serves every occurrence
-    interned: dict[tuple[int, str], Token] = {}
+    table = _TokenTable()
 
     def draw_from_category(cat: int) -> int:
         lo, hi = cat_ranges[cat]
@@ -223,14 +222,9 @@ def gen_synthetic(
             word_ids.append(draw_from_category(nxt))
         types = _assign_types(word_ids, spec, rows, rng)
         tags = _types_to_bio(types)
-        tokens = []
-        for key in zip(word_ids, tags):
-            tok = interned.get(key)
-            if tok is None:
-                tok = interned[key] = Token(surfaces[key[0]], key[1])
-            tokens.append(tok)
+        tokens = tuple(map(table.__getitem__, zip(map(surfaces.__getitem__, word_ids), tags)))
         doc = sent_id // sentences_per_doc if sentences_per_doc else None
-        sentences.append(Sentence(id=sent_id, tokens=tuple(tokens), doc_id=doc))
+        sentences.append(Sentence(id=sent_id, tokens=tokens, doc_id=doc))
         sent_id += 1
         total += len(tokens)
     return Dataset(
@@ -420,17 +414,14 @@ def relabel(dataset: Dataset, predictions: dict[int, PredictionRecord]) -> Datas
 
 def _with_labels(dataset: Dataset, label_lists: Sequence[Sequence[str]]) -> Dataset:
     """``dataset`` with each sentence's labels replaced, in sentence order."""
-    sentences = []
-    types: set[str] = set()
-    for s, labels in zip(dataset.sentences, label_lists):
-        tokens = tuple(
-            Token(surface=t.surface, gold_label=l) for t, l in zip(s.tokens, labels)
-        )
-        types.update(entity_type(l) for l in labels if l != "O")
-        sentences.append(Sentence(id=s.id, tokens=tokens, doc_id=s.doc_id))
+    table = _TokenTable()
+    sentences = tuple(
+        Sentence(s.id, tuple([table[t.surface, l] for t, l in zip(s.tokens, labels)]), s.doc_id)
+        for s, labels in zip(dataset.sentences, label_lists)
+    )
     return Dataset(
-        sentences=tuple(sentences),
-        label_inventory=frozenset(types) | dataset.label_inventory,
+        sentences=sentences,
+        label_inventory=table.entity_types() | dataset.label_inventory,
         role=dataset.role,
     )
 

@@ -18,6 +18,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
+from .corpus import _iter_lines
 from .partition import GroupErrorRecord, GroupIndex, mismatch_rates
 from .selection import Batch, document_means
 
@@ -88,9 +89,8 @@ def write_records(records: Iterable[PredictionRecord], fh: IO[str]) -> None:
 def read_records(fh: IO[str] | str, validate: bool = True) -> dict[int, PredictionRecord]:
     """The records of the JSON lines in ``fh``, keyed by sentence id; a line
     that holds no record is a ValueError naming it."""
-    lines = fh.splitlines() if isinstance(fh, str) else fh
     out: dict[int, PredictionRecord] = {}
-    for line in lines:
+    for _, line in _iter_lines(fh):
         line = line.strip()
         if not line:
             continue

@@ -9,7 +9,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from groupdecay.corpus import _BIO_RE, Dataset, Sentence, Token, entity_type, shape_class
+from groupdecay.corpus import (
+    _BIO_RE, CorpusFormatError, Dataset, Sentence, Token, entity_type, shape_class,
+)
 from groupdecay.decay import (
     _ACTIVE_SETS,
     DecayFit,
@@ -35,6 +37,46 @@ from groupdecay.partition import (
 from groupdecay.scoring import Phrase, ScoreReport
 from groupdecay.selection import Batch, take_units
 from groupdecay.strategies import PredictionRecord
+
+
+def per_token_parse_conll(source, role="pool"):
+    """CoNLL parsing as it ran before the token table: one ``Token`` per
+    token, each tag checked against ``_BIO_RE`` and again by ``Token``, a
+    string split by ``str.splitlines``.  Text free of the other line
+    boundaries of ``splitlines`` reads as the library reads it."""
+    lines = source.splitlines() if isinstance(source, str) else source
+    sentences, tokens, inventory = [], [], set()
+    warnings, doc_counter = 0, -1
+
+    def flush():
+        if tokens:
+            doc = doc_counter if doc_counter >= 0 else None
+            sentences.append(Sentence(id=len(sentences), tokens=tuple(tokens), doc_id=doc))
+            tokens.clear()
+
+    for number, line in enumerate(lines, start=1):
+        stripped = line.rstrip("\n").rstrip("\r").strip()
+        if not stripped:
+            flush()
+            continue
+        cols = stripped.split()
+        if cols[0].startswith("-DOCSTART-"):
+            flush()
+            doc_counter += 1
+            continue
+        tag = cols[-1] if len(cols) >= 2 else None
+        if tag is not None:
+            if not _BIO_RE.match(tag):
+                raise CorpusFormatError(f"not a BIO tag: {tag!r}", number)
+            if tag != "O":
+                inventory.add(entity_type(tag))
+                if tag.startswith("I-"):
+                    prev = tokens[-1].gold_label if tokens else None
+                    if prev is None or prev == "O" or entity_type(prev) != entity_type(tag):
+                        warnings += 1
+        tokens.append(Token(surface=cols[0], gold_label=tag))
+    flush()
+    return Dataset(tuple(sentences), frozenset(inventory), role, warnings)
 
 
 def brute_force_phrases(tags, sentence_id=0):

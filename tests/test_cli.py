@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -10,14 +11,18 @@ import pytest
 from groupdecay import cli, partition
 from groupdecay.cli import main
 from groupdecay.corpus import Dataset, parse_conll
-from groupdecay.decay import DecayParams, serialize_fit
+from groupdecay.decay import DecayFit, DecayParams, parse_fit, serialize_fit
 from groupdecay.loop import LoopConfig, burn_in_checkpoints
 from groupdecay.partition import (
-    PartitionConfig, build_identity_partition, build_partition, load_partition, save_partition,
+    PartitionConfig, build_identity_partition, build_partition, group_mass, load_partition,
+    save_partition,
 )
+from groupdecay.selection import SelectionState, default_epsilon, select_batch
 from groupdecay.simlab import ReferenceTagger, SynthSpec, tagger_predict
 
 pytestmark = pytest.mark.filterwarnings("ignore")
+
+_KIND_NAMES = [k.value for k in partition.PartitionKind]
 
 
 def run_cli(*args):
@@ -160,6 +165,18 @@ class TestGenSynth:
         code = run_cli("gen-synth", "--output", synth_dir)
         assert code == 2
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+    def test_output_naming_a_file_is_config_error(self, tmp_path, capsys, below):
+        blocker = tmp_path / "corpus"
+        blocker.write_text("not a directory")
+        out = blocker / below if below else blocker
+        assert run_cli("gen-synth", "--output", out, "--force", "--set", "train_tokens=50",
+                       "--set", "val_tokens=50", "--set", "test_tokens=50") == 2
+        err = capsys.readouterr().err
+        assert f"config error: output {out}: {blocker} exists and is not a directory" in err
+        assert blocker.read_text() == "not a directory"
+        assert sorted(tmp_path.iterdir()) == [blocker]
+
     def test_byte_identical_regeneration(self, synth_dir, tmp_path):
         out2 = tmp_path / "again"
         code = run_cli(
@@ -228,6 +245,19 @@ class TestSimulate:
         assert run_cli("simulate", "--config", cfg) == 0
         assert run_cli("simulate", "--config", cfg) == 2
         assert run_cli("simulate", "--config", cfg, "--force") == 0
+
+    @pytest.mark.parametrize("flag", [(), ("--force",), ("--resume",)],
+                             ids=["plain", "force", "resume"])
+    def test_output_naming_a_file_is_config_error(self, synth_dir, tmp_path, capsys, flag):
+        out = tmp_path / "run_file"
+        out.write_text("not a directory")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_sim_config(synth_dir, out, strategy="rnd")))
+        assert run_cli("simulate", "--config", cfg, *flag) == 2
+        err = capsys.readouterr().err
+        assert f"config error: output {out}: {out} exists and is not a directory" in err
+        assert out.read_text() == "not a directory"
+        assert sorted(tmp_path.iterdir()) == [cfg, out]
 
     def test_force_starts_from_a_clean_run_directory(self, synth_dir, tmp_path):
         out, fresh = tmp_path / "run_force", tmp_path / "run_fresh"
@@ -748,6 +778,14 @@ class TestScoreCommand:
         out = capsys.readouterr().out
         assert "f1 1.000000" in out
 
+    def test_file_scored_against_itself_scores_one(self, tmp_path, capsys):
+        # a form feed inside a line, which str.splitlines would take for a line end
+        gold = tmp_path / "gold.conll"
+        gold.write_text("Ann\x0cx B-PER\nran O\n\nin O\nParis B-LOC\n")
+        code = run_cli("score", "--gold", gold, "--predictions", gold, "--pred-format", "conll")
+        assert code == 0
+        assert "f1 1.000000" in capsys.readouterr().out
+
     def test_weighted_report_alongside(self, synth_dir, tmp_path, capsys):
         weights = tmp_path / "weights.json"
         weights.write_text(json.dumps({"E1": 0.9, "E2": 0.9, "E3": 0.1, "E4": 0.1}))
@@ -950,6 +988,77 @@ def word_files(synth_dir, tmp_path_factory):
 def _params(n_groups):
     return DecayParams(a0=1.0, a_half=0.5, a1=0.0, a2=0.0, a3=0.0,
                        b=np.full(n_groups, 0.2), c=np.full(n_groups, 0.01))
+
+
+@pytest.fixture(scope="module")
+def select_files(doc_synth_dir, tmp_path_factory):
+    """An embeddings file over the synthetic vocabulary, and a partition file
+    and a fit file per partition kind and for identity, each partition built
+    over the pool (train.conll) and the validation set."""
+    tmp = tmp_path_factory.mktemp("select_kinds")
+    rng = np.random.default_rng(5)
+    embeddings = tmp / "emb.txt"
+    embeddings.write_text("".join(
+        w + " " + " ".join(repr(float(v)) for v in rng.normal(size=6)) + "\n"
+        for w in SynthSpec().surfaces
+    ))
+    table = cli._read_embeddings(str(embeddings))
+    union = [s for name in ("train", "valid")
+             for s in parse_conll((doc_synth_dir / f"{name}.conll").read_text()).sentences]
+    cfg = PartitionConfig(sentence_groups=3, word_groups=3, word_subgroups=2, kmeans_iters=5)
+    parts = {k.value: build_partition(union, table, k, cfg) for k in partition.PartitionKind}
+    parts["identity"] = build_identity_partition(union)
+    files = {}
+    for name, part in parts.items():
+        J = part.n_groups
+        params = DecayParams(a0=1.0, a_half=0.5, a1=0.2, a2=0.0, a3=0.0,
+                             b=rng.uniform(0.1, 1.0, J), c=rng.uniform(0.0, 0.1, J))
+        files[name] = (tmp / f"{name}.json", tmp / f"{name}_fit.txt")
+        files[name][0].write_text(save_partition(part))
+        files[name][1].write_text(serialize_fit(params))
+    return embeddings, files
+
+
+class TestSelectReadsTheUnionOnce:
+    """``select`` builds one index per partition over pool, train and
+    validation; its batch is the library's over group masses of each."""
+
+    @pytest.mark.parametrize("mode", ["SENTENCE", "DOCUMENT"])
+    @pytest.mark.parametrize("kind", [*_KIND_NAMES, "identity", "all"])
+    def test_batch_equals_the_library_path(self, doc_synth_dir, select_files, tmp_path,
+                                           kind, mode):
+        embeddings, files = select_files
+        names = [*_KIND_NAMES, "identity"] if kind == "all" else [kind]
+        out = tmp_path / "batch.json"
+        code = run_cli(
+            "select",
+            "--pool", doc_synth_dir / "train.conll",
+            "--train", doc_synth_dir / "test.conll",
+            "--validation", doc_synth_dir / "valid.conll",
+            "--partitions", *(files[n][0] for n in names),
+            "--fits", *(files[n][1] for n in names),
+            "--embeddings", embeddings,
+            "--budget", 300,
+            "--mode", mode,
+            "--out", out,
+        )
+        assert code == 0
+        pool, train, validation = (parse_conll((doc_synth_dir / f"{n}.conll").read_text())
+                                   for n in ("train", "test", "valid"))
+        table = cli._read_embeddings(str(embeddings))
+        parts = [load_partition(files[n][0].read_text()) for n in names]
+        da = [*pool.sentences, *train.sentences, *validation.sentences]
+        state = SelectionState(
+            partitions=parts,
+            fits=[DecayFit(parse_fit(files[n][1].read_text()), [], 0.0, True) for n in names],
+            train_mass=[group_mass(p, train, table) for p in parts],
+            da_mass=[group_mass(p, da, table) for p in parts],
+            token_budget=300,
+            epsilon=default_epsilon(sum(map(len, da))),
+            table=table,
+        )
+        batch = select_batch(state, list(pool.sentences), mode)
+        assert out.read_text() == json.dumps(dataclasses.asdict(batch), sort_keys=True) + "\n"
 
 
 class TestSelectInputChecks:

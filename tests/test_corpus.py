@@ -1,10 +1,12 @@
 import io
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupdecay import corpus
 from groupdecay.corpus import (
     CorpusFormatError,
     Sentence,
@@ -17,7 +19,11 @@ from groupdecay.corpus import (
     serialize_conll,
     shape_class,
 )
-from oracles import stacked_sentence_embeddings
+from groupdecay.loop import RunHistory
+from groupdecay.decay import DecayParams, parse_fit, serialize_fit
+from groupdecay.simlab import ReferenceTagger, SynthSpec, gen_synthetic, relabel, tagger_predict
+from groupdecay.strategies import read_records
+from oracles import per_token_parse_conll, stacked_sentence_embeddings
 
 
 class TestParseConll:
@@ -72,6 +78,148 @@ class TestParseConll:
     def test_bad_tag_is_format_error(self):
         with pytest.raises(CorpusFormatError):
             parse_conll("a NOTATAG\n")
+
+
+@st.composite
+def conll_texts(draw):
+    """CoNLL text of valid and invalid tags, middle columns, -DOCSTART-
+    lines, runs of blank and whitespace lines, orphan I- tags and
+    unlabelled lines, with LF, CR LF or CR line ends."""
+    tags = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC", "I-X-Y", "PER", "B-", "b-LOC", "X"]
+    lines = []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["token"] * 6 + ["unlabelled", "blank", "docstart"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t "])))
+            continue
+        surface = draw(st.text(alphabet="abXY.0", min_size=1, max_size=3))
+        if kind == "docstart":
+            lines.append(draw(st.sampled_from(["-DOCSTART-", "-DOCSTART- O", "-DOCSTART-x"])))
+        elif kind == "unlabelled":
+            lines.append(surface)
+        else:
+            middle = draw(st.sampled_from(["", " NNP", " NNP I-NP"]))
+            # valid tags mostly, so that a text often parses to its end
+            tag = draw(st.sampled_from(tags[:5] * 8 + tags[5:]))
+            lines.append(f"{surface}{middle} {tag}")
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except CorpusFormatError as exc:
+        return ("error", str(exc), exc.line_number)
+
+
+class TestTokenTable:
+    @settings(max_examples=300, deadline=None)
+    @given(conll_texts())
+    def test_parse_equals_the_per_token_parse(self, text):
+        # Dataset equality covers sentences, label_inventory, role and bio_warnings
+        assert _parse_outcome(parse_conll, text) == _parse_outcome(per_token_parse_conll, text)
+
+    def test_first_bad_tag_names_its_line(self):
+        text = "a O\nb NOTATAG\n\nc NOTATAG\n"
+        with pytest.raises(CorpusFormatError, match="^line 2: not a BIO tag: 'NOTATAG'$"):
+            parse_conll(text)
+
+    @staticmethod
+    def _one_token_per_key(dataset):
+        tokens = [t for s in dataset.sentences for t in s.tokens]
+        keys = {(t.surface, t.gold_label) for t in tokens}
+        return len({id(t) for t in tokens}) == len(keys)
+
+    def test_one_token_per_surface_and_tag(self):
+        spec = SynthSpec(seed=4)
+        generated = gen_synthetic(spec, 2000)
+        parsed = parse_conll(serialize_conll(generated))
+        predictions = tagger_predict(ReferenceTagger(generated), parsed)
+        relabelled = relabel(parsed, predictions)
+        for dataset in (generated, parsed, relabelled):
+            assert self._one_token_per_key(dataset)
+        assert relabelled.sentences[0].labels == predictions[0].labels
+
+    def test_bio_rule_checked_once_per_key(self, monkeypatch):
+        matched, rule = [], corpus._BIO_RE
+
+        class Counting:
+            @staticmethod
+            def match(tag):
+                matched.append(tag)
+                return rule.match(tag)
+
+        monkeypatch.setattr(corpus, "_BIO_RE", Counting)
+        ds = parse_conll("a O\nb B-PER\na O\n\nb B-PER\nc I-PER\nd\n")
+        assert ds.token_count == 6
+        assert sorted(matched) == ["B-PER", "I-PER", "O"]
+
+
+# characters that str.splitlines takes for line ends and a text file does not
+_INLINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+_FIT_PARAMS = DecayParams(a0=1.0, a_half=0.5, a1=0.0, a2=0.0, a3=0.0,
+                          b=np.array([0.2, 0.3]), c=np.array([0.01, 0.0]))
+
+
+def _history_line(c):
+    return ('{"batch_index": null, "index": 0, "partitions": null, "phase": "burn' + c
+            + 'in", "selected_ids": [3, 1], "train_tokens": 7}')
+
+
+# each reader, a text holding ``c`` inside a line, and a comparable form of the result
+_READERS = {
+    "conll": (parse_conll,
+              lambda c: f"-DOCSTART- O\r\n\r\nEU{c}x B-ORG\nrejects O\r\nc{c}\n", None),
+    "embeddings": (lambda src: load_embeddings(src, normalize=False),
+                   lambda c: f"a 1{c}0\r\nb 0 1\n",
+                   lambda t: (t.dim, sorted((k, v.tolist()) for k, v in t.vectors.items()),
+                              t.oov_vector.tolist(), t.duplicate_warnings)),
+    "records": (read_records,
+                lambda c: json.dumps({"sentence_id": 0, "labels": ["O"]}) + "\r\n" + (
+                    '{"labels": ["B-x' + c + 'y", "O"], "sentence_id": 1}\n'), None),
+    "history": (RunHistory.from_jsonl, lambda c: _history_line("") + "\r" + _history_line(c),
+                lambda h: h.to_jsonl()),
+    "fit": (parse_fit, lambda c: f"# note {c} x\r\n" + serialize_fit(_FIT_PARAMS), serialize_fit),
+}
+
+
+class TestOneLineRule:
+    """A string and a text stream of the same text read alike."""
+
+    @staticmethod
+    def _outcome(reader, normalize, source):
+        try:
+            result = reader(source)
+        except ValueError as exc:
+            return type(exc).__name__, str(exc)
+        return result if normalize is None else normalize(result)
+
+    @pytest.mark.parametrize("newline", ["", None], ids=["untranslated", "universal"])
+    @pytest.mark.parametrize("char", _INLINE_BREAKS,
+                             ids=[f"U+{ord(c):04X}" for c in _INLINE_BREAKS])
+    @pytest.mark.parametrize("name", list(_READERS))
+    def test_string_reads_as_stream(self, tmp_path, name, char, newline):
+        reader, make, normalize = _READERS[name]
+        text = make(char)
+        path = tmp_path / "input.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            from_stream = self._outcome(reader, normalize, fh)
+        assert self._outcome(reader, normalize, text) == from_stream
+
+    def test_records_hold_raw_line_separators(self):
+        text = '{"labels": ["B-x\u2028y", "O"], "sentence_id": 1}\n'
+        assert read_records(text)[1].labels == ("B-x\u2028y", "O")
+
+    @pytest.mark.parametrize("text", ["", "\n", "a O", "a O\n", "a O\r", "a O\r\n\r\n", "\r\r\n"])
+    def test_line_numbers_follow_the_stream(self, text):
+        lines = list(corpus._iter_lines(text))
+        assert lines == list(corpus._iter_lines(io.StringIO(text, newline="")))
 
 
 @st.composite

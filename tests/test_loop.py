@@ -202,6 +202,22 @@ class TestRunLoop:
         assert final.val_f1 is not None and final.test_f1 is not None
         assert final.group_records is not None
 
+    @pytest.mark.parametrize("strategy", ["edg", "edg_ext1"])
+    def test_empty_validation_set_is_refused_before_training(self, lab, strategy):
+        spec, pool, val, test, partition, table = lab
+        calls = []
+
+        def trainer(train):
+            calls.append(train.token_count)
+            return builtin_trainer()(train)
+
+        empty = Dataset(sentences=(), label_inventory=frozenset(), role="validation")
+        with pytest.raises(ValueError) as err:
+            run_active_loop(_config(), [partition], trainer, pool, empty, strategy=strategy,
+                            table=table)
+        assert calls == []
+        assert "validation set, which has no tokens" in str(err.value)
+
     def test_deterministic_history(self, lab):
         spec, pool, val, test, partition, table = lab
         h1 = run_active_loop(

@@ -37,13 +37,22 @@ def _sent(i, words, doc=None):
     )
 
 
+def _mass_state(partitions, fits, train, da, budget, epsilon, table=None):
+    """The selection state whose masses are the group masses of ``train``
+    and of ``da``."""
+    return SelectionState(
+        partitions=list(partitions), fits=list(fits),
+        train_mass=[group_mass(p, train, table) for p in partitions],
+        da_mass=[group_mass(p, da, table) for p in partitions],
+        token_budget=budget, epsilon=epsilon, table=table,
+    )
+
+
 def _identity_setup(words, sentences, fits, budget, epsilon=1e-3, train=()):
     part = build_identity_partition(
         [_sent(999, list(words))] + list(sentences) + list(train)
     )
-    state = SelectionState.create(
-        [part], fits, list(train), list(sentences) + list(train), budget, epsilon
-    )
+    state = _mass_state([part], fits, list(train), list(sentences) + list(train), budget, epsilon)
     return part, state
 
 
@@ -360,7 +369,7 @@ class TestVectorizedScorerAgreement:
                 J, a_half=rng.uniform(0.5, 1.5), a1=rng.uniform(0, 0.5),
                 b=rng.uniform(0.1, 1, J), c=rng.uniform(0, 0.2, J),
             )))
-        state = SelectionState.create(parts, fits, pool[:5], pool, 10, 1e-3, table)
+        state = _mass_state(parts, fits, pool[:5], pool, 10, 1e-3, table)
         scorer = _PoolScorer(state, pool)
         vectorized = scorer.scores()
         for k, s in enumerate(scorer.pool):
