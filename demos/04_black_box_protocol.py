@@ -36,12 +36,11 @@ print(f"\n{len(records)} records, {len(payload)} bytes; first line starts:")
 print(payload.splitlines()[0][:110], "...")
 
 # -- the harness side: read records back and score them -------------------
+# the records arrive as one batch; each score is an array in batch order
 received = read_records(payload)
-by_confidence = sorted(received.values(), key=score_us, reverse=True)
+us, bald = score_us(received), score_bald(received)
 print("\nmost uncertain sentences (least-confidence score, disagreement):")
-for rec in by_confidence[:3]:
-    surfaces = [t.surface for t in input_ds.sentences[rec.sentence_id].tokens]
-    print(
-        f"  sentence {rec.sentence_id}: us={score_us(rec):.3f} "
-        f"bald={score_bald(rec):.3f} tokens={surfaces[:6]}..."
-    )
+for row in sorted(range(len(received)), key=us.__getitem__, reverse=True)[:3]:
+    sid = int(received.ids[row])
+    surfaces = [t.surface for t in input_ds.sentences[sid].tokens]
+    print(f"  sentence {sid}: us={us[row]:.3f} bald={bald[row]:.3f} tokens={surfaces[:6]}...")

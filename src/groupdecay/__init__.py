@@ -64,6 +64,7 @@ from .simlab import (
 )
 from .strategies import (
     CapabilityError,
+    PredictionBatch,
     PredictionRecord,
     UncertaintySnapshot,
     alternation_policy,

@@ -22,6 +22,8 @@ import sys
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from . import __version__
 from .corpus import (
     CorpusFormatError,
@@ -42,6 +44,7 @@ from .loop import (
     RunHistory,
     STRATEGY_NAMES,
     check_epsilon,
+    check_run_inputs,
     check_weights,
     make_strategy,
     run_active_loop,
@@ -296,9 +299,9 @@ class ExternalPredictor:
         self._counter = 0
 
     def predict(self, datasets, want_logprobs=False, ensemble_k=None):
-        """Each of ``datasets``' records by position, from one invocation
-        whose input file holds the datasets in order: surfaces only, each
-        dataset with its own ``-DOCSTART-`` lines."""
+        """Each of ``datasets``' prediction batch, keyed by position in the
+        input file of one invocation that holds the datasets in order:
+        surfaces only, each dataset with its own ``-DOCSTART-`` lines."""
         datasets = [tuple(d) for d in datasets]
         self._counter += 1
         input_path = self.workdir / f"input_{self.key}_{self._counter:02d}.conll"
@@ -339,17 +342,13 @@ class ExternalPredictor:
             raise ExternalPredictorError(
                 f"external predictor wrote malformed records: {exc}"
             ) from exc
-        total = sum(map(len, datasets))
-        missing = [pos for pos in range(total) if pos not in records]
-        if missing:
+        bounds = np.cumsum([0] + [len(d) for d in datasets]).tolist()
+        missing = np.setdiff1d(np.arange(bounds[-1]), records.ids)
+        if len(missing):
             raise ExternalPredictorError(
-                f"external predictor omitted input positions {missing[:5]}..."
+                f"external predictor omitted input positions {missing[:5].tolist()}..."
             )
-        out, start = [], 0
-        for d in datasets:
-            out.append([records[pos] for pos in range(start, start + len(d))])
-            start += len(d)
-        return out
+        return [records.take(range(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
 class _CheckpointPredictor:
@@ -379,10 +378,7 @@ class _CheckpointPredictor:
             if self._labels is None:
                 self._labels = self.external.predict(self.label_sets)
             records = self._labels[known]
-        return {
-            s.id: dataclasses.replace(rec, sentence_id=s.id)
-            for s, rec in zip(sentences, records)
-        }
+        return records.with_ids([s.id for s in sentences])
 
 
 def external_trainer(template: Sequence[str], workdir: Path, label_sets=()):
@@ -724,13 +720,14 @@ def cmd_simulate(args) -> int:
 
     has_table = "embeddings" in paths or settings.one_hot
     check_capabilities(strategy_name, predictor_cfg, validation, has_table)
-    strategy = make_strategy(strategy_name)
 
     table = None
     if "embeddings" in paths:
         table = _read_embeddings(paths["embeddings"])
     elif settings.one_hot:
         table = one_hot_embeddings(settings.spec)
+    # the loop's own refusals, before anything is written
+    strategy = check_run_inputs(loop_cfg, strategy_name, pool, validation, table)
 
     if loop_cfg.class_weights is not None:
         missing = (pool.label_inventory | validation.label_inventory) - set(loop_cfg.class_weights)

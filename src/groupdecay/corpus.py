@@ -128,23 +128,37 @@ class Dataset:
         )
 
 
+def _split_lines(text):
+    """The lines of ``text`` (a str or bytes) without their ends, cut where
+    iterating a text file cuts them: at CR LF, CR and LF alone, not at the
+    other line boundaries of ``str.splitlines``."""
+    cr, lf = ("\r", "\n") if isinstance(text, str) else (b"\r", b"\n")
+    # no copy of a text without CR: replace then returns the text itself
+    lines = text.replace(cr + lf, lf).replace(cr, lf).split(lf)
+    if not lines[-1]:  # a final line end opens no line
+        lines.pop()
+    return lines
+
+
 def _iter_lines(source: Union[str, IO]) -> Iterator[tuple[int, str]]:
     """Yield (1-based line number, line without its end) from str, text, or
-    byte streams.  A str splits where iterating a text file splits it: at
-    CR LF, CR and LF alone, not at the other line boundaries of
-    ``str.splitlines``."""
+    byte streams, all cut by one rule (see :func:`_split_lines`): a byte
+    stream, which iterates by LF, has each of its lines cut again."""
     if isinstance(source, str):
-        # no copy of a text without CR: replace then returns the str itself
-        source = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        if not source[-1]:  # a final line end opens no line
-            source.pop()
-    for number, raw in enumerate(source, start=1):
-        if isinstance(raw, bytes):
+        source = _split_lines(source)
+    number = 0
+    for raw in source:
+        if not isinstance(raw, bytes):
+            number += 1
+            yield number, raw.rstrip("\n").rstrip("\r")
+            continue
+        for piece in _split_lines(raw):
+            number += 1
             try:
-                raw = raw.decode("utf-8")
+                line = piece.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CorpusFormatError(f"not valid UTF-8: {exc}", number) from exc
-        yield number, raw.rstrip("\n").rstrip("\r")
+            yield number, line
 
 
 def parse_conll(source: Union[str, IO], role: str = "pool") -> Dataset:

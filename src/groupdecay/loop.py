@@ -32,6 +32,7 @@ from .selection import (
 from .strategies import (
     AlternationChoice,
     CapabilityError,
+    PredictionBatch,
     PredictionRecord,
     UncertaintySnapshot,
     alternation_policy,
@@ -51,6 +52,7 @@ __all__ = [
     "STRATEGY_NAMES",
     "make_strategy",
     "burn_in_checkpoints",
+    "check_run_inputs",
     "run_active_loop",
 ]
 
@@ -58,12 +60,17 @@ log = logging.getLogger(__name__)
 
 
 class Predictor(Protocol):
+    """Prediction records of any dataset, keyed by sentence id.  With
+    ``ensemble_k`` every record carries that many ensemble passes.  A
+    :class:`PredictionBatch` is scored as it is; another mapping is turned
+    into one first."""
+
     def predict(
         self,
         dataset,
         want_logprobs: bool = False,
         ensemble_k: int | None = None,
-    ) -> dict[int, PredictionRecord]: ...
+    ) -> Mapping[int, PredictionRecord]: ...
 
 
 Trainer = Callable[[Dataset], Predictor]
@@ -330,6 +337,40 @@ def _labels_map(records: Mapping[int, PredictionRecord]) -> dict[int, tuple[str,
     return {sid: rec.labels for sid, rec in records.items()}
 
 
+def check_run_inputs(
+    config: LoopConfig,
+    strategy: Strategy | str | None,
+    pool: Dataset,
+    validation: Dataset,
+    table: EmbeddingTable | None = None,
+) -> Strategy:
+    """The strategy of a run (``edg`` by default), once its inputs are
+    checked: a CapabilityError if the strategy needs validation labels or
+    an embedding table the run lacks, and a ValueError if ``edg`` or
+    ``edg_ext1`` gets a validation set with no tokens, if pool sentence ids
+    repeat or if the pool has fewer tokens than burn-in takes."""
+    if strategy is None:
+        strategy = _STRATEGIES["edg"]
+    elif isinstance(strategy, str):
+        strategy = make_strategy(strategy)
+    if strategy.needs_val_labels and not validation.has_labels:
+        raise CapabilityError(
+            f"strategy {strategy.name!r} requires validation labels"
+        )
+    if strategy.needs_embeddings and table is None:
+        raise CapabilityError(f"strategy {strategy.name!r} requires an embedding table")
+    if strategy.select in ("edg", "edg_ext1") and not validation.sentences:
+        raise ValueError(f"strategy {strategy.name!r} fits its curves on the validation set, "
+                         f"which has no tokens")
+    ids = np.sort(np.asarray([s.id for s in pool.sentences], dtype=np.int64))
+    if (ids[1:] == ids[:-1]).any():
+        raise ValueError("pool sentence ids must be unique")
+    burn_in = burn_in_checkpoints(config)[-1]
+    if burn_in > pool.token_count:
+        raise ValueError(f"burn-in takes {burn_in} tokens; the pool has {pool.token_count}")
+    return strategy
+
+
 def run_active_loop(
     config: LoopConfig,
     partitions: Sequence[Partition],
@@ -354,24 +395,11 @@ def run_active_loop(
     ``resume_snapshots`` and ``resume_reference`` hold, by checkpoint index,
     the pool scores and validation predictions the replayed checkpoints
     recorded, and one that is missing raises ``ValueError`` naming it.
-    A pool with fewer tokens than burn-in takes raises ``ValueError``
-    before anything is trained.
+    Inputs that :func:`check_run_inputs` refuses raise before anything is
+    trained.
     """
-    if strategy is None:
-        strategy = _STRATEGIES["edg"]
-    elif isinstance(strategy, str):
-        strategy = make_strategy(strategy)
-
+    strategy = check_run_inputs(config, strategy, pool, validation, table)
     have_val_labels = validation.has_labels
-    if strategy.needs_val_labels and not have_val_labels:
-        raise CapabilityError(
-            f"strategy {strategy.name!r} requires validation labels"
-        )
-    if strategy.needs_embeddings and table is None:
-        raise CapabilityError(f"strategy {strategy.name!r} requires an embedding table")
-    if strategy.select in ("edg", "edg_ext1") and not validation.sentences:
-        raise ValueError(f"strategy {strategy.name!r} fits its curves on the validation set, "
-                         f"which has no tokens")
 
     partitions = list(partitions)
     # per-run pool arrays, one row per pool sentence in dataset order
@@ -380,11 +408,7 @@ def run_active_loop(
     pool_docs = document_ids(pool.sentences) if config.mode == "DOCUMENT" else None
     by_id = np.argsort(pool_ids, kind="stable")  # the rows in ascending id order
     sorted_ids = pool_ids[by_id]
-    if (sorted_ids[1:] == sorted_ids[:-1]).any():
-        raise ValueError("pool sentence ids must be unique")
     grid = burn_in_checkpoints(config)
-    if grid[-1] > pool_lengths.sum():
-        raise ValueError(f"burn-in takes {grid[-1]} tokens; the pool has {int(pool_lengths.sum())}")
     taken = np.zeros(len(pool_ids), dtype=bool)  # rows in the training set
     train_tokens = 0
     train_mass = [np.zeros(p.n_groups) for p in partitions]
@@ -541,15 +565,17 @@ def run_active_loop(
 
         snapshot = None
         if scores_pool(step_idx):
-            pool_records = predictor.predict(
+            predictions = predictor.predict(
                 [pool.sentences[r] for r in remaining_rows()],
                 want_logprobs=strategy.needs_logprobs,
                 ensemble_k=config.ensemble_k if strategy.needs_ensemble else None,
             )
+            if not isinstance(predictions, PredictionBatch):
+                predictions = PredictionBatch.from_records(predictions)
             score = score_us if strategy.score == "us" else score_bald
             snapshot = UncertaintySnapshot(
                 checkpoint_tokens=train_tokens,
-                scores={sid: score(rec) for sid, rec in pool_records.items()},
+                scores=dict(zip(predictions, score(predictions).tolist())),
             )
             snapshots.append(snapshot)
 

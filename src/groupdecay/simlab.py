@@ -14,12 +14,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import Dataset, EmbeddingTable, Sentence, _is_finite, _is_int, _TokenTable
-from .strategies import PredictionRecord
+from .strategies import PredictionBatch, PredictionRecord
 
 __all__ = [
     "SynthSpec",
@@ -285,21 +285,31 @@ class ReferenceTagger:
     def _fit(self, surfaces, tags, lengths, smoothing_alpha, weights=None) -> None:
         """Count the flat tokens of the sentences ``lengths`` delimits, each
         token ``weights`` times (once by default)."""
-        self.smoothing_alpha = float(smoothing_alpha)
-        self._train = (surfaces, tags, lengths)
-        self.labels: tuple[str, ...] = tuple(sorted(set(tags)))
         vocab = sorted(set(surfaces))
         self.surface_index = {w: i for i, w in enumerate(vocab)}
+        self.vocab_size = len(vocab) + 1
+        labels = tuple(sorted(set(tags)))
+        label_index = {l: i for i, l in enumerate(labels)}
+        label_ids = np.fromiter(map(label_index.__getitem__, tags), np.intp, len(tags))
+        self._count(self._rows(surfaces), label_ids, lengths, len(vocab), labels,
+                    smoothing_alpha, weights)
+
+    def _count(self, rows, label_ids, lengths, n_surfaces, labels, smoothing_alpha,
+               weights=None) -> None:
+        """Count the flat tokens of surface rows ``rows`` (below
+        ``n_surfaces``) and codes ``label_ids`` into ``labels`` (sorted) of
+        the sentences ``lengths`` delimits, each token ``weights`` times."""
+        self.smoothing_alpha = float(smoothing_alpha)
+        self._train = (rows, label_ids, lengths)
+        self.labels: tuple[str, ...] = labels
         # the pad row follows the vocabulary and has no surface key, so a
         # token spelled like the pad sentinel is an ordinary surface
-        self._pad = len(vocab)
-        self.vocab_size = len(vocab) + 1
-        label_index = {l: i for i, l in enumerate(self.labels)}
-        label_ids = np.fromiter(map(label_index.__getitem__, tags), np.intp, len(tags))
+        self._pad = n_surfaces
+        self.vocab_size = n_surfaces + 1
         L, V = len(self.labels), self.vocab_size
         self.token_counts, *self.context_counts = [
             np.bincount(w * L + label_ids, weights, minlength=V * L).reshape(V, L).astype(float)
-            for w in _windows(self._rows(surfaces), lengths, self._pad)
+            for w in _windows(rows, lengths, self._pad)
         ]
         self.label_totals = np.bincount(label_ids, weights, minlength=L).astype(float)
         a = self.smoothing_alpha
@@ -314,9 +324,10 @@ class ReferenceTagger:
         index, unseen = self.surface_index, self.vocab_size
         return np.fromiter((index.get(w, unseen) for w in surfaces), np.intp, len(surfaces))
 
-    def _log_probs(self, surfaces: Sequence[str], lengths: np.ndarray) -> np.ndarray:
-        """(tokens, L) log-probabilities of the flat tokens."""
-        windows = _windows(self._rows(surfaces), lengths, self._pad)
+    def _log_probs(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """(tokens, L) log-probabilities of the flat tokens of count-table
+        rows ``rows``."""
+        windows = _windows(rows, lengths, self._pad)
         score = self._log_token[next(windows)]
         score -= 4.0 * self._log_denom
         for table, ctx in zip(self._log_ctx, windows):
@@ -331,13 +342,13 @@ class ReferenceTagger:
 
     def _label_names(self, surfaces: Sequence[str], lengths: np.ndarray) -> list[str]:
         """The most probable label of every flat token."""
-        ids = self._log_probs(surfaces, lengths).argmax(axis=1)
+        ids = self._log_probs(self._rows(surfaces), lengths).argmax(axis=1)
         return [self.labels[i] for i in ids.tolist()]
 
     def scores(self, sentences: Sequence[Sentence]) -> list[np.ndarray]:
         """Per-sentence (length, L) log-probability matrices."""
         surfaces, lengths = _flatten(sentences)
-        flat = self._log_probs(surfaces, lengths)
+        flat = self._log_probs(self._rows(surfaces), lengths)
         return [flat[a:b] for a, b in _spans(lengths)]
 
     def predict_labels(self, sentences: Sequence[Sentence]) -> list[list[str]]:
@@ -350,7 +361,7 @@ class ReferenceTagger:
         dataset: Dataset | Sequence[Sentence],
         want_logprobs: bool = False,
         ensemble_k: int | None = None,
-    ) -> dict[int, PredictionRecord]:
+    ) -> PredictionBatch:
         """The predictor protocol of the active-learning loop."""
         return tagger_predict(self, dataset, want_logprobs, ensemble_k, self.seed)
 
@@ -366,48 +377,61 @@ def tagger_predict(
     want_logprobs: bool = False,
     ensemble_k: int | None = None,
     seed: int = 0,
-) -> dict[int, PredictionRecord]:
-    """Predictions as exchange records; optional per-token log-probabilities
-    and an optional ensemble of K bootstrap-retrained taggers.  A member
-    counts each training sentence as many times as its bootstrap drew it."""
+) -> PredictionBatch:
+    """Predictions as a batch in the tagger's label vocabulary; optional
+    per-token log-probabilities and an optional ensemble of K bootstrap-
+    retrained taggers.  A member counts each training sentence as many
+    times as its bootstrap drew it, and tags with its own labels, the
+    tagger's labels that it drew."""
     sentences = list(dataset)
     surfaces, lengths = _flatten(sentences)
-    flat = tagger._log_probs(surfaces, lengths)
-    labels = [tagger.labels[i] for i in flat.argmax(axis=1).tolist()]
+    rows = tagger._rows(surfaces)
+    flat = tagger._log_probs(rows, lengths)
 
-    members: list[list[str]] = []
+    ensemble = None
     if ensemble_k is not None:
         if ensemble_k < 2:
             raise ValueError("ensemble_k must be >= 2")
-        train_surfaces, train_tags, train_lengths = tagger._train
+        train_rows, train_labels, train_lengths = tagger._train
         n = len(train_lengths)
+        ensemble = np.empty((ensemble_k, len(rows)), dtype=np.intp)
         for k in range(ensemble_k):
             rng = np.random.default_rng([seed, 71, k])
             draws = np.bincount(rng.integers(0, n, size=n), minlength=n)
             drawn = np.repeat(draws > 0, train_lengths)
+            member_rows, member_labels = train_rows[drawn], train_labels[drawn]
+            # the member's vocabulary and labels are the drawn ones, in the
+            # tagger's (sorted) order
+            has_row = np.zeros(tagger._pad, dtype=bool)
+            has_row[member_rows] = True
+            has_label = np.zeros(len(tagger.labels), dtype=bool)
+            has_label[member_labels] = True
+            row_code = np.cumsum(has_row) - 1
             member = object.__new__(ReferenceTagger)
-            member._fit(
-                list(itertools.compress(train_surfaces, drawn)),
-                list(itertools.compress(train_tags, drawn)),
+            member._count(
+                row_code[member_rows],
+                (np.cumsum(has_label) - 1)[member_labels],
                 train_lengths[draws > 0],
+                int(has_row.sum()),
+                tuple(itertools.compress(tagger.labels, has_label)),
                 tagger.smoothing_alpha,
                 np.repeat(draws, train_lengths)[drawn],
             )
-            members.append(member._label_names(surfaces, lengths))
+            # a surface the member did not draw takes its unseen row
+            member_row = np.full(tagger.vocab_size + 1, member.vocab_size)
+            member_row[:tagger._pad][has_row] = row_code[has_row]
+            codes = member._log_probs(member_row[rows], lengths).argmax(axis=1)
+            ensemble[k] = np.flatnonzero(has_label)[codes]
 
-    records: dict[int, PredictionRecord] = {}
-    for s, (a, b) in zip(sentences, _spans(lengths)):
-        logprobs = None
-        if want_logprobs:
-            logprobs = tuple(dict(zip(tagger.labels, row)) for row in flat[a:b].tolist())
-        ensemble = tuple(tuple(member[a:b]) for member in members) if members else None
-        records[s.id] = PredictionRecord(
-            sentence_id=s.id, labels=tuple(labels[a:b]), logprobs=logprobs, ensemble=ensemble
-        )
-    return records
+    offsets = np.zeros(len(sentences) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    return PredictionBatch(
+        [s.id for s in sentences], offsets, tagger.labels, flat.argmax(axis=1),
+        flat if want_logprobs else None, ensemble,
+    )
 
 
-def relabel(dataset: Dataset, predictions: dict[int, PredictionRecord]) -> Dataset:
+def relabel(dataset: Dataset, predictions: Mapping[int, PredictionRecord]) -> Dataset:
     """Replace gold labels with predicted ones (structure preserved)."""
     return _with_labels(dataset, [predictions[s.id].labels for s in dataset.sentences])
 

@@ -1,10 +1,12 @@
 """Sampling strategies over black-box prediction records.
 
-Every strategy consumes :class:`PredictionRecord` objects (the predictor
-exchange unit: predicted tags, optional per-token log-probabilities,
-optional ensemble passes) and produces a sentence batch.  Uncertainty-based
-scores are oriented so that the most uncertain sentence has the largest
-score and every strategy is argmax-select.
+Every strategy consumes predictions as a :class:`PredictionBatch`, a
+read-only mapping from sentence id to :class:`PredictionRecord` (the
+predictor exchange unit: predicted tags, optional per-token
+log-probabilities, optional ensemble passes) held in arrays, and produces a
+sentence batch.  Uncertainty-based scores are oriented so that the most
+uncertain sentence has the largest score and every strategy is
+argmax-select.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from itertools import chain
+from typing import IO
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from .selection import Batch, document_means
 
 __all__ = [
     "PredictionRecord",
+    "PredictionBatch",
     "UncertaintySnapshot",
     "CapabilityError",
     "AlternationChoice",
@@ -50,99 +55,309 @@ class PredictionRecord:
     ensemble: tuple[tuple[str, ...], ...] | None = None
 
     def validate(self) -> None:
+        """ValueError if the record breaks a rule of
+        :meth:`PredictionBatch.validate`."""
+        PredictionBatch.from_records({self.sentence_id: self}).validate()
+
+
+class PredictionBatch(Mapping[int, PredictionRecord]):
+    """The prediction records of a list of sentences, held in arrays.
+
+    ``ids`` are the sentence ids in input order, unique.  Sentence ``i``'s
+    tokens are the entries ``offsets[i]:offsets[i + 1]`` of ``label_ids``
+    (codes into the label vocabulary ``vocab``), the rows of the optional
+    (tokens, len(vocab)) float64 ``logprobs`` and the columns of the
+    optional (K, tokens) ``ensemble`` of each pass's label codes.  A
+    log-probability of ``-inf`` stands for a tag the predictor gave no
+    value.  ``batch[sid]`` builds that sentence's record at each lookup and
+    keeps none.
+    """
+
+    def __init__(self, ids, offsets, vocab: Sequence[str], label_ids,
+                 logprobs: np.ndarray | None = None, ensemble: np.ndarray | None = None):
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.offsets = np.asarray(offsets, dtype=np.intp)
+        self.vocab = tuple(vocab)
+        self.label_ids = np.asarray(label_ids, dtype=np.intp)
+        self.logprobs = None if logprobs is None else np.asarray(logprobs, dtype=np.float64)
+        self.ensemble = None if ensemble is None else np.asarray(ensemble, dtype=np.intp)
+        n, tokens = len(self.ids), len(self.label_ids)
+        if not (
+            self.ids.ndim == 1 and self.offsets.shape == (n + 1,) and self.offsets[0] == 0
+            and self.offsets[-1] == tokens and (self.offsets[1:] >= self.offsets[:-1]).all()
+        ):
+            raise ValueError(f"offsets must rise from 0 to the {tokens} tokens, one per "
+                             f"sentence of {n} and one more")
+        if self.logprobs is not None and self.logprobs.shape != (tokens, len(self.vocab)):
+            raise ValueError(f"logprobs has shape {self.logprobs.shape}, not "
+                             f"({tokens}, {len(self.vocab)})")
+        if self.ensemble is not None and (
+            self.ensemble.ndim != 2 or self.ensemble.shape[1] != tokens
+        ):
+            raise ValueError(f"ensemble has shape {self.ensemble.shape}, not (K, {tokens})")
+        self._keys = self.ids.tolist()
+        self._rows = dict(zip(self._keys, range(n)))
+        if len(self._rows) < n:
+            seen = set()
+            repeated = next(sid for sid in self._keys if sid in seen or seen.add(sid))
+            raise ValueError(f"sentence id {repeated} repeats")
+
+    @classmethod
+    def from_records(cls, records: Mapping[int, PredictionRecord]) -> "PredictionBatch":
+        """The batch of ``records``, keyed and ordered as the mapping is.  A
+        record that does not fit the others is a ValueError naming its
+        sentence: see :func:`read_records`."""
+        builder = _BatchBuilder()
+        for sid, rec in records.items():
+            try:
+                builder.add(sid, rec.labels, rec.logprobs, rec.ensemble)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"prediction record of sentence {sid}: {exc}") from exc
+        return builder.build()
+
+    def __getitem__(self, sid: int) -> PredictionRecord:
+        row = self._rows[sid]
+        a, b = self.offsets[row:row + 2].tolist()
+        tag = self.vocab.__getitem__
+        logprobs = ensemble = None
         if self.logprobs is not None:
-            if len(self.logprobs) != len(self.labels):
-                raise ValueError(f"sentence {self.sentence_id}: logprobs length mismatch")
-            for i, lp in enumerate(self.logprobs):
-                total = sum(math.exp(v) for v in lp.values())
-                if not abs(total - 1.0) <= 1e-6:  # NaN fails too
-                    raise ValueError(
-                        f"sentence {self.sentence_id} token {i}: probabilities sum to {total}"
-                    )
-                best = max(lp.values())
-                if lp.get(self.labels[i], -math.inf) < best - 1e-9:
-                    raise ValueError(
-                        f"sentence {self.sentence_id} token {i}: label {self.labels[i]!r} "
-                        f"is not an argmax tag"
-                    )
+            logprobs = tuple(dict(zip(self.vocab, lp)) for lp in self.logprobs[a:b].tolist())
         if self.ensemble is not None:
-            if len(self.ensemble) < 2:
-                raise ValueError(f"sentence {self.sentence_id}: ensemble needs >= 2 passes")
-            for pass_tags in self.ensemble:
-                if len(pass_tags) != len(self.labels):
-                    raise ValueError(
-                        f"sentence {self.sentence_id}: ensemble pass length mismatch"
-                    )
+            ensemble = tuple(tuple(map(tag, p)) for p in self.ensemble[:, a:b].tolist())
+        labels = tuple(map(tag, self.label_ids[a:b].tolist()))
+        return PredictionRecord(self._keys[row], labels, logprobs, ensemble)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __contains__(self, sid) -> bool:
+        return sid in self._rows
+
+    def take(self, ids: Iterable[int]) -> "PredictionBatch":
+        """The sentences of ``ids``, in that order; a missing id is a
+        KeyError."""
+        rows = np.fromiter(map(self._rows.__getitem__, ids), dtype=np.intp)
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        offsets = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=offsets[1:])
+        tokens = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
+        return PredictionBatch(
+            self.ids[rows], offsets, self.vocab, self.label_ids[tokens],
+            None if self.logprobs is None else self.logprobs[tokens],
+            None if self.ensemble is None else self.ensemble[:, tokens],
+        )
+
+    def with_ids(self, ids: Iterable[int]) -> "PredictionBatch":
+        """The same predictions keyed by ``ids``, one per sentence in order."""
+        return PredictionBatch(list(ids), self.offsets, self.vocab, self.label_ids,
+                               self.logprobs, self.ensemble)
+
+    def validate(self) -> None:
+        """ValueError naming the first sentence and token that break a rule:
+        a token's probabilities sum to 1 within 1e-6 (NaN fails) and its
+        label is an argmax tag within 1e-9; an ensemble has >= 2 passes."""
+        fault = _first_fault(self)
+        if fault is not None:
+            raise ValueError(fault[1])
+
+
+class _Vocabulary(dict):
+    """A code for each tag, in the order of first lookup."""
+
+    def __missing__(self, tag) -> int:
+        if not isinstance(tag, str):
+            raise TypeError(f"tag {tag!r} is not a string")
+        code = self[tag] = len(self)
+        return code
+
+
+class _BatchBuilder:
+    """Gathers records one at a time into the arrays of a
+    :class:`PredictionBatch`; a record that does not fit is a TypeError or
+    ValueError from :meth:`add`."""
+
+    def __init__(self):
+        self.ids: list[int] = []
+        self.rows: set[int] = set()
+        self.lengths: list[int] = []
+        self.vocab = _Vocabulary()
+        self.labels: list[int] = []
+        self.keys: list[int] = []  # each token's log-probability tags, token by token
+        self.counts: list[int] = []  # the number of tags of each token
+        self.values: list[np.ndarray] = []  # one array of log-probabilities per record
+        self.passes: list[list[int]] | None = None
+        self.has_logprobs = False
+
+    def add(self, sid: int, labels, logprobs, ensemble) -> None:
+        if sid in self.rows:
+            raise ValueError(f"sentence id {sid} repeats")
+        if not isinstance(labels, (list, tuple)):
+            raise TypeError(f"labels must be a list, got {type(labels).__name__}")
+        if self.ids and (
+            (logprobs is not None) != self.has_logprobs
+            or (ensemble is not None) != (self.passes is not None)
+        ):
+            raise ValueError("log-probabilities and ensembles must be on every record or none")
+        n = len(labels)
+        code = self.vocab.__getitem__
+        self.labels.extend(map(code, labels))
+        if logprobs is not None:
+            if len(logprobs) != n:
+                raise ValueError("logprobs length mismatch")
+            values = np.array(list(chain.from_iterable(map(dict.values, logprobs))))
+            if values.dtype.kind not in "fi":
+                raise TypeError("log-probabilities must be numbers")
+            self.keys.extend(map(code, chain.from_iterable(logprobs)))
+            self.counts.extend(map(len, logprobs))
+            self.values.append(values)
+        if ensemble is not None:
+            if self.passes is None:
+                self.passes = [[] for _ in ensemble]
+            if len(ensemble) != len(self.passes):
+                raise ValueError(f"{len(ensemble)} ensemble passes, the first record "
+                                 f"{len(self.passes)}")
+            for out, tags in zip(self.passes, ensemble):
+                if not isinstance(tags, (list, tuple)) or len(tags) != n:
+                    raise ValueError("ensemble pass length mismatch")
+                out.extend(map(code, tags))
+        self.ids.append(sid)
+        self.rows.add(sid)
+        self.lengths.append(n)
+        self.has_logprobs = logprobs is not None
+
+    def build(self) -> PredictionBatch:
+        """The batch, its vocabulary sorted."""
+        vocab = sorted(self.vocab)
+        rank = np.empty(len(vocab), dtype=np.intp)
+        rank[[self.vocab[tag] for tag in vocab]] = np.arange(len(vocab))
+        offsets = np.zeros(len(self.ids) + 1, dtype=np.intp)
+        np.cumsum(self.lengths, out=offsets[1:])
+        label_ids = rank[np.asarray(self.labels, dtype=np.intp)]
+        tokens = len(label_ids)
+        logprobs = ensemble = None
+        if self.has_logprobs:
+            logprobs = np.full((tokens, len(vocab)), -np.inf)
+            rows = np.repeat(np.arange(tokens), self.counts)
+            logprobs[rows, rank[np.asarray(self.keys, dtype=np.intp)]] = np.concatenate(
+                self.values
+            )
+        if self.passes is not None:
+            codes = np.asarray(self.passes, dtype=np.intp).reshape(len(self.passes), tokens)
+            ensemble = rank[codes]
+        return PredictionBatch(self.ids, offsets, vocab, label_ids, logprobs, ensemble)
+
+
+def _first_fault(batch: PredictionBatch) -> tuple[int, str] | None:
+    """The row of the first sentence that breaks a rule of
+    :meth:`PredictionBatch.validate`, and what it breaks; None if none."""
+    lp = batch.logprobs
+    if lp is not None and len(lp):
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals = np.exp(lp).sum(axis=1)
+            bad_sum = ~(np.abs(totals - 1.0) <= 1e-6)  # NaN fails too
+            bad_label = lp[np.arange(len(lp)), batch.label_ids] < lp.max(axis=1) - 1e-9
+        bad = np.flatnonzero(bad_sum | bad_label)
+        if len(bad):
+            t = int(bad[0])
+            row = int(np.searchsorted(batch.offsets, t, side="right")) - 1
+            where = f"sentence {batch._keys[row]} token {t - int(batch.offsets[row])}"
+            if bad_sum[t]:
+                return row, f"{where}: probabilities sum to {float(totals[t])}"
+            label = batch.vocab[batch.label_ids[t]]
+            return row, f"{where}: label {label!r} is not an argmax tag"
+    if batch.ensemble is not None and len(batch) and len(batch.ensemble) < 2:
+        return 0, f"sentence {batch._keys[0]}: ensemble needs >= 2 passes"
+    return None
 
 
 def write_records(records: Iterable[PredictionRecord], fh: IO[str]) -> None:
-    """Line-delimited JSON exchange format, one record per sentence."""
+    """Line-delimited JSON exchange format, one record per sentence, every
+    object's keys sorted."""
     for r in records:
-        payload: dict = {"sentence_id": r.sentence_id, "labels": list(r.labels)}
+        payload: dict = {"sentence_id": r.sentence_id, "labels": r.labels}
         if r.logprobs is not None:
-            payload["logprobs"] = [dict(sorted(lp.items())) for lp in r.logprobs]
+            payload["logprobs"] = r.logprobs
         if r.ensemble is not None:
-            payload["ensemble"] = [list(p) for p in r.ensemble]
+            payload["ensemble"] = r.ensemble
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def read_records(fh: IO[str] | str, validate: bool = True) -> dict[int, PredictionRecord]:
-    """The records of the JSON lines in ``fh``, keyed by sentence id; a line
-    that holds no record is a ValueError naming it."""
-    out: dict[int, PredictionRecord] = {}
+def read_records(fh: IO[str] | str, validate: bool = True) -> PredictionBatch:
+    """The records of the JSON lines in ``fh``, in line order.  Each line
+    holds one record with a unique sentence id; the records carry
+    log-probabilities all or none, and ensembles all or none and then of one
+    pass count.  A line that breaks this, or with ``validate`` a rule of
+    :meth:`PredictionBatch.validate`, is a ValueError naming it."""
+    builder = _BatchBuilder()
+    lines: list[str] = []
     for _, line in _iter_lines(fh):
         line = line.strip()
         if not line:
             continue
         try:
             payload = json.loads(line)
-            rec = PredictionRecord(
-                sentence_id=int(payload["sentence_id"]),
-                labels=tuple(payload["labels"]),
-                logprobs=tuple(dict(lp) for lp in payload["logprobs"])
-                if "logprobs" in payload
-                else None,
-                ensemble=tuple(tuple(p) for p in payload["ensemble"])
-                if "ensemble" in payload
-                else None,
-            )
-            if validate:
-                rec.validate()
+            sid = int(payload["sentence_id"])
+            builder.add(sid, payload["labels"], payload.get("logprobs"), payload.get("ensemble"))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(
-                f"malformed record line {line[:80]!r}: {type(exc).__name__}: {exc}"
-            ) from exc
-        out[rec.sentence_id] = rec
-    return out
+            raise _malformed(line, exc) from exc
+        lines.append(line)
+    batch = builder.build()
+    fault = _first_fault(batch) if validate else None
+    if fault is not None:
+        raise _malformed(lines[fault[0]], ValueError(fault[1]))
+    return batch
+
+
+def _malformed(line: str, exc: Exception) -> ValueError:
+    return ValueError(f"malformed record line {line[:80]!r}: {type(exc).__name__}: {exc}")
 
 
 # -- uncertainty scores -----------------------------------------------------
 
 
-def score_us(record: PredictionRecord) -> float:
-    """Least-confidence score: negated length-normalized sum of the best
-    per-token log-probabilities (0 = fully confident, larger = less sure)."""
-    if record.logprobs is None:
+def _sentence_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each sentence's float64 sum of its tokens' ``values``, added left to
+    right from 0.0 as CPython 3.11's ``sum`` adds floats.  The sentences are
+    taken longest first, so that position ``j`` adds the ``j``-th value of a
+    prefix of them: one vector addition per position, no padded matrix."""
+    lengths = np.diff(offsets)
+    order = np.argsort(-lengths, kind="stable")
+    starts = offsets[:-1][order]
+    # the number of sentences with a token at each position
+    active = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))
+    totals = np.zeros(len(lengths))
+    for j, m in enumerate(active.tolist()):
+        totals[:m] += values[starts[:m] + j]
+    out = np.empty_like(totals)
+    out[order] = totals
+    return out
+
+
+def score_us(batch: PredictionBatch) -> np.ndarray:
+    """Least-confidence score of each sentence, in batch order: the negated
+    length-normalized sum of its tokens' best log-probabilities (0 = fully
+    confident, larger = less sure)."""
+    if batch.logprobs is None:
         raise CapabilityError("black-box predictor provides no probabilities")
-    total = sum(max(lp.values()) for lp in record.logprobs)
-    return -total / len(record.labels)
+    best = batch.logprobs.max(axis=1)
+    return -_sentence_sums(best, batch.offsets) / np.diff(batch.offsets)
 
 
-def score_bald(record: PredictionRecord) -> float:
-    """Mean per-token disagreement with the ensemble mode (ties broken by
-    the lexicographically smallest tag)."""
-    if record.ensemble is None:
+def score_bald(batch: PredictionBatch) -> np.ndarray:
+    """Mean per-token disagreement with the ensemble mode of each sentence,
+    in batch order: a token scores (K - the mode's count) / K over K
+    passes."""
+    if batch.ensemble is None or not len(batch.ensemble):
         raise CapabilityError("black-box predictor provides no ensemble passes")
-    K = len(record.ensemble)
-    total = 0.0
-    for l in range(len(record.labels)):
-        counts: dict[str, int] = {}
-        for pass_tags in record.ensemble:
-            counts[pass_tags[l]] = counts.get(pass_tags[l], 0) + 1
-        top = max(counts.values())
-        mode = min(t for t, n in counts.items() if n == top)
-        total += (K - counts[mode]) / K
-    return total / len(record.labels)
+    K, tokens = batch.ensemble.shape
+    L = len(batch.vocab)
+    codes = batch.ensemble + L * np.arange(tokens)
+    top = np.bincount(codes.ravel(), minlength=tokens * L).reshape(tokens, L).max(axis=1)
+    return _sentence_sums((K - top) / K, batch.offsets) / np.diff(batch.offsets)
 
 
 @dataclass

@@ -503,6 +503,90 @@ def per_sentence_predict(tagger, sentences, want_logprobs=False, ensemble_k=None
     return records
 
 
+def dict_tagger_predict(tagger, dataset, want_logprobs=False, ensemble_k=None, seed=0):
+    """``simlab.tagger_predict`` as it ran before prediction batches: a dict
+    of records, one log-prob dict per token, and each ensemble member a
+    ``ReferenceTagger`` fitted on name lists that tags by label names."""
+    import itertools
+
+    from groupdecay.simlab import ReferenceTagger, _flatten, _spans
+
+    sentences = list(dataset)
+    surfaces, lengths = _flatten(sentences)
+    flat = tagger._log_probs(tagger._rows(surfaces), lengths)
+    labels = [tagger.labels[i] for i in flat.argmax(axis=1).tolist()]
+    vocab = sorted(tagger.surface_index, key=tagger.surface_index.__getitem__)
+    rows, label_ids, train_lengths = tagger._train
+    train_surfaces = [vocab[r] for r in rows.tolist()]
+    train_tags = [tagger.labels[i] for i in label_ids.tolist()]
+    members = []
+    if ensemble_k is not None:
+        n = len(train_lengths)
+        for k in range(ensemble_k):
+            rng = np.random.default_rng([seed, 71, k])
+            draws = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            drawn = np.repeat(draws > 0, train_lengths)
+            member = object.__new__(ReferenceTagger)
+            member._fit(
+                list(itertools.compress(train_surfaces, drawn)),
+                list(itertools.compress(train_tags, drawn)),
+                train_lengths[draws > 0],
+                tagger.smoothing_alpha,
+                np.repeat(draws, train_lengths)[drawn],
+            )
+            members.append(member._label_names(surfaces, lengths))
+    records = {}
+    for s, (a, b) in zip(sentences, _spans(lengths)):
+        logprobs = None
+        if want_logprobs:
+            logprobs = tuple(dict(zip(tagger.labels, row)) for row in flat[a:b].tolist())
+        ensemble = tuple(tuple(member[a:b]) for member in members) if members else None
+        records[s.id] = PredictionRecord(
+            sentence_id=s.id, labels=tuple(labels[a:b]), logprobs=logprobs, ensemble=ensemble
+        )
+    return records
+
+
+def record_score_us(record):
+    """Least confidence of one record, as scored before prediction batches:
+    the sum of each token's best log-probability, negated, over the length.
+    The sum adds left to right from 0.0, as CPython 3.11's ``sum`` did
+    (later versions compensate)."""
+    total = 0.0
+    for lp in record.logprobs:
+        total += max(lp.values())
+    return -total / len(record.labels)
+
+
+def record_score_bald(record):
+    """Ensemble disagreement of one record, as scored before prediction
+    batches: a count dict per token."""
+    K = len(record.ensemble)
+    total = 0.0
+    for l in range(len(record.labels)):
+        counts = {}
+        for pass_tags in record.ensemble:
+            counts[pass_tags[l]] = counts.get(pass_tags[l], 0) + 1
+        top = max(counts.values())
+        mode = min(t for t, n in counts.items() if n == top)
+        total += (K - counts[mode]) / K
+    return total / len(record.labels)
+
+
+def copying_write_records(records, fh):
+    """``write_records`` as it ran before: each token's log-prob dict copied
+    in key order, then the whole payload dumped with sorted keys."""
+    import json
+
+    for r in records:
+        payload = {"sentence_id": r.sentence_id, "labels": list(r.labels)}
+        if r.logprobs is not None:
+            payload["logprobs"] = [dict(sorted(lp.items())) for lp in r.logprobs]
+        if r.ensemble is not None:
+            payload["ensemble"] = [list(p) for p in r.ensemble]
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+
+
 def _relabeled(dataset, label_lists):
     sentences = tuple(
         Sentence(

@@ -259,6 +259,38 @@ class TestSimulate:
         assert out.read_text() == "not a directory"
         assert sorted(tmp_path.iterdir()) == [cfg, out]
 
+    @pytest.mark.parametrize(
+        "strategy,empty_validation,burn_in,message",
+        [
+            ("edg", True, 2, "fits its curves on the validation set, which has no tokens"),
+            ("edg_ext1", True, 2, "fits its curves on the validation set, which has no tokens"),
+            ("rnd", False, 40, "burn-in takes 16000 tokens; the pool has"),
+        ],
+        ids=["edg-empty-validation", "edg_ext1-empty-validation", "pool-below-burn-in"],
+    )
+    def test_refused_run_writes_nothing(self, synth_dir, tmp_path, capsys, strategy,
+                                        empty_validation, burn_in, message):
+        out = tmp_path / "run_refused"
+        config = _sim_config(synth_dir, out, strategy=strategy, burn_in_batches=burn_in,
+                             total_batches=burn_in + 2)
+        if empty_validation:
+            (tmp_path / "empty.conll").write_text("")
+            config["paths"]["validation"] = str(tmp_path / "empty.conll")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", cfg) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        # a refused --force run leaves the run it would replace in place
+        config = _sim_config(synth_dir, out, strategy="rnd")
+        cfg.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", cfg) == 0
+        history = (out / "history.jsonl").read_bytes()
+        cfg.write_text(json.dumps({**config, "loop": {**config["loop"], "burn_in_batches": 40,
+                                                      "total_batches": 42}}))
+        assert run_cli("simulate", "--config", cfg, "--force") == 3
+        assert (out / "history.jsonl").read_bytes() == history
+
     def test_force_starts_from_a_clean_run_directory(self, synth_dir, tmp_path):
         out, fresh = tmp_path / "run_force", tmp_path / "run_fresh"
         cfg = tmp_path / "cfg_force.json"

@@ -221,6 +221,27 @@ class TestOneLineRule:
         lines = list(corpus._iter_lines(text))
         assert lines == list(corpus._iter_lines(io.StringIO(text, newline="")))
 
+    @pytest.mark.parametrize(
+        "text", ["a O\rb O\n", "a O\rb O", "a O\r\rb O\r\n\r\nc O\n", "\r", "x\ry\r\nz\n\r"]
+    )
+    def test_bytes_end_lines_where_text_does(self, text):
+        # a byte stream iterates by LF alone; a lone CR still ends its line
+        data = text.encode("utf-8")
+        forms = {
+            "str": text,
+            "text stream": io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
+            "untranslated text stream": io.StringIO(text, newline=""),
+            "byte stream": io.BytesIO(data),
+        }
+        lines = {name: list(corpus._iter_lines(form)) for name, form in forms.items()}
+        assert all(got == lines["str"] for got in lines.values()), lines
+        for form in (text, io.BytesIO(data), io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")):
+            assert parse_conll(form) == parse_conll(text)
+
+    def test_bytes_name_the_line_that_is_not_utf8(self):
+        with pytest.raises(CorpusFormatError, match="^line 3: not valid UTF-8"):
+            list(corpus._iter_lines(io.BytesIO(b"a O\rb O\n\xff O\n")))
+
 
 @st.composite
 def conll_datasets(draw):

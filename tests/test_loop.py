@@ -414,3 +414,38 @@ def test_traced_names_are_called_through_the_loop_module(lab, monkeypatch):
     assert all(calls.values()), calls
     for name in ("group_error", "group_mass", "sentence_group_delta"):
         assert callable(getattr(loop, name))
+
+
+class _DictRecords:
+    """The builtin tagger's predictions as a plain dict of records, its keys
+    in reverse order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def predict(self, sentences, want_logprobs=False, ensemble_k=None):
+        batch = self.inner.predict(sentences, want_logprobs, ensemble_k)
+        return {sid: batch[sid] for sid in reversed(list(batch))}
+
+
+@pytest.mark.parametrize("name", ["us_edg_ext2", "bald_edg_ext2"])
+def test_a_dict_of_records_drives_the_loop(lab, name):
+    """A custom predictor's mapping of records is scored as the builtin
+    batch is: the same history and the same uncertainty snapshots."""
+    spec, pool, val, test, partition, table = lab
+    cfg = _config(total_batches=5, uncertainty_lag_tokens=500)
+    runs = []
+    for trainer in (builtin_trainer(), lambda train: _DictRecords(builtin_trainer()(train))):
+        snapshots = []
+
+        def observe(event, payload):
+            if event == "checkpoint" and payload["snapshot"] is not None:
+                snapshots.append(payload["snapshot"])
+
+        history = run_active_loop(
+            cfg, [partition], trainer, pool, val, strategy=name, table=table, observer=observe
+        )
+        runs.append((history.to_jsonl(), snapshots))
+    (history, snapshots), (dict_history, dict_snapshots) = runs
+    assert hashlib.sha256(dict_history.encode()).hexdigest() == RECORDED_HISTORIES[name, "SENTENCE"]
+    assert dict_history == history and snapshots and dict_snapshots == snapshots

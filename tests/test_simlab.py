@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupdecay import simlab
+from groupdecay import simlab, strategies
 from groupdecay.corpus import Dataset, Sentence, Token, parse_conll, serialize_conll
 from groupdecay.simlab import (
     ReferenceTagger,
@@ -19,7 +19,8 @@ from groupdecay.simlab import (
     tagger_predict,
 )
 from oracles import (
-    PerSentenceTagger, mean_assign_types, per_round_pseudo_labels, per_sentence_predict,
+    PerSentenceTagger, dict_tagger_predict, mean_assign_types, per_round_pseudo_labels,
+    per_sentence_predict,
 )
 
 
@@ -391,6 +392,73 @@ class TestTaggerPredict:
         for r in recs.values():
             assert len(r.ensemble) == 4
             r.validate()
+
+
+def _float_bits(values) -> bytes:
+    return np.asarray(list(values), dtype=np.float64).tobytes()
+
+
+class TestTaggerPredictBatch:
+    """``tagger_predict`` returns a batch whose records are the dict
+    records it built before, bit for bit, and which reads as the
+    benchmark's recorder reads it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_train=st.integers(1, 12),
+        n_eval=st.integers(1, 10),
+        alpha=st.sampled_from([1.0, 0.3]),
+        ensemble_k=st.sampled_from([None, 2, 3, 10]),
+        want_logprobs=st.booleans(),
+    )
+    def test_records_equal_the_dict_records(
+        self, seed, n_train, n_eval, alpha, ensemble_k, want_logprobs
+    ):
+        # few training sentences, so bootstrap members lack surfaces and
+        # labels; the evaluation sentences also use surfaces none was trained on
+        rng = np.random.default_rng(seed)
+        train = Dataset(
+            tuple(_random_sentences(rng, n_train, _WORDS[:4])), frozenset({"E1", "E2"}), "train"
+        )
+        evaluation = _random_sentences(rng, n_eval, _WORDS, labeled=False)
+        tagger = ReferenceTagger(train, alpha)
+        got = tagger_predict(tagger, evaluation, want_logprobs, ensemble_k, seed % 5)
+        want = dict_tagger_predict(tagger, evaluation, want_logprobs, ensemble_k, seed % 5)
+        assert list(got) == list(want)
+        for sid, rec in want.items():
+            mine = got[sid]
+            assert (mine.sentence_id, mine.labels, mine.ensemble) == (
+                rec.sentence_id, rec.labels, rec.ensemble
+            )
+            if want_logprobs:
+                assert [list(lp) for lp in mine.logprobs] == [list(lp) for lp in rec.logprobs]
+                assert _float_bits(v for lp in mine.logprobs for v in lp.values()) == (
+                    _float_bits(v for lp in rec.logprobs for v in lp.values())
+                )
+            else:
+                assert mine.logprobs is rec.logprobs is None
+
+    def test_reads_as_the_benchmark_reads_it(self, corpus):
+        tagger = ReferenceTagger(Dataset(corpus.sentences[:40], corpus.label_inventory, "train"))
+        sentences = list(corpus.sentences[40:90])
+        batch = tagger_predict(tagger, sentences, want_logprobs=True)
+        # the recorder's least confidence: items(), then each token dict's values()
+        for (sid, rec), score in zip(batch.items(), strategies.score_us(batch).tolist()):
+            best, worst = 0.0, 0.0
+            for lp in rec.logprobs:
+                best += max(lp.values())
+                worst = max(worst, abs(math.fsum(math.exp(v) for v in lp.values()) - 1.0))
+            assert -best / len(rec.labels) == score and worst < 1e-9
+        batch = tagger_predict(tagger, sentences, ensemble_k=4)
+        for s in sentences:
+            passes = batch[s.id].ensemble
+            assert len(passes) == 4 and all(len(p) == len(s) for p in passes)
+
+    def test_repeated_sentence_ids_are_refused(self, corpus):
+        tagger = ReferenceTagger(Dataset(corpus.sentences[:40], corpus.label_inventory, "train"))
+        with pytest.raises(ValueError, match="repeats"):
+            tagger_predict(tagger, [corpus.sentences[50]] * 2)
 
 
 class TestMakePseudoPool:

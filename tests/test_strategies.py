@@ -22,6 +22,7 @@ from groupdecay.partition import (
 from groupdecay.strategies import (
     AlternationChoice,
     CapabilityError,
+    PredictionBatch,
     PredictionRecord,
     UncertaintySnapshot,
     alternation_policy,
@@ -35,9 +36,12 @@ from groupdecay.strategies import (
 )
 from groupdecay.strategies import _BLOCK_ROWS, _similarity, _uncovered
 from oracles import (
+    copying_write_records,
     dict_fass_select,
     heap_fass_select,
     per_sentence_rates,
+    record_score_bald,
+    record_score_us,
     string_prediction_difference_records,
     token_group_ids,
 )
@@ -47,15 +51,21 @@ def _lp(probs: dict[str, float]) -> dict[str, float]:
     return {t: math.log(p) for t, p in probs.items()}
 
 
+def _one(score, record: PredictionRecord) -> float:
+    """``score`` of a batch that holds ``record`` alone."""
+    [value] = score(PredictionBatch.from_records({record.sentence_id: record})).tolist()
+    return value
+
+
 class TestScoreUs:
     def test_fully_confident_is_zero(self):
         rec = PredictionRecord(0, ("O", "O"), logprobs=(_lp({"O": 1.0}), _lp({"O": 1.0})))
-        assert score_us(rec) == pytest.approx(0.0)
+        assert _one(score_us, rec) == pytest.approx(0.0)
 
     def test_half_probability_tokens(self):
         lp = _lp({"O": 0.5, "B-PER": 0.5})
         rec = PredictionRecord(0, ("B-PER", "B-PER"), logprobs=(lp, lp))
-        assert score_us(rec) == pytest.approx(math.log(2))
+        assert _one(score_us, rec) == pytest.approx(math.log(2))
 
     def test_duplication_invariance(self):
         lp1 = _lp({"O": 0.7, "B-PER": 0.3})
@@ -64,28 +74,28 @@ class TestScoreUs:
         rec2 = PredictionRecord(
             0, ("O", "B-PER", "O", "B-PER"), logprobs=(lp1, lp2, lp1, lp2)
         )
-        assert score_us(rec) == pytest.approx(score_us(rec2))
+        assert _one(score_us, rec) == pytest.approx(_one(score_us, rec2))
 
     def test_missing_logprobs_raises(self):
         with pytest.raises(CapabilityError, match="no probabilities"):
-            score_us(PredictionRecord(0, ("O",)))
+            _one(score_us, PredictionRecord(0, ("O",)))
 
 
 class TestScoreBald:
     def test_full_agreement_zero(self):
         rec = PredictionRecord(0, ("O", "O"), ensemble=(("O", "O"),) * 5)
-        assert score_bald(rec) == 0.0
+        assert _one(score_bald, rec) == 0.0
 
     def test_six_four_split(self):
         passes = tuple(("O",) for _ in range(6)) + tuple(("B-PER",) for _ in range(4))
         rec = PredictionRecord(0, ("O",), ensemble=passes)
-        assert score_bald(rec) == pytest.approx(0.4)
+        assert _one(score_bald, rec) == pytest.approx(0.4)
 
     def test_k2_total_disagreement_uses_smallest_mode(self):
         rec = PredictionRecord(
             0, ("O", "O"), ensemble=(("O", "B-PER"), ("B-PER", "O"))
         )
-        assert score_bald(rec) == pytest.approx(0.5)
+        assert _one(score_bald, rec) == pytest.approx(0.5)
 
     def test_bounds(self):
         rng = np.random.default_rng(0)
@@ -97,12 +107,158 @@ class TestScoreBald:
                 tuple(tags[int(rng.integers(3))] for _ in range(n)) for _ in range(K)
             )
             rec = PredictionRecord(0, ensemble[0], ensemble=ensemble)
-            s = score_bald(rec)
+            s = _one(score_bald, rec)
             assert 0.0 <= s <= (K - 1) / K + 1e-12
 
     def test_missing_ensemble_raises(self):
         with pytest.raises(CapabilityError):
-            score_bald(PredictionRecord(0, ("O",)))
+            _one(score_bald, PredictionRecord(0, ("O",)))
+
+
+_TAGS = ("O", "B-PER", "I-PER", "B-LOC", "I-LOC")
+# exact zeros of both signs, values whose sums round, and values far apart
+_LOGPROBS = st.sampled_from([0.0, -0.0, -1e-300, -0.1, -0.5, -math.log(2), -1.0, -20.0]) | (
+    st.floats(-60.0, 0.0, allow_nan=False)
+)
+
+
+@st.composite
+def record_maps(draw, logprobs=True, ensemble=True, full=False):
+    """Prediction records by sentence id: sentences of 1 token and longer
+    ones, log-prob dicts over some or (``full``) all tags in a random key
+    order, and K >= 2 ensemble passes over few tags, so that modes tie."""
+    n = draw(st.integers(1, 8))
+    ids = draw(st.lists(st.integers(-5, 10**6), min_size=n, max_size=n, unique=True))
+    K = draw(st.integers(2, 6))
+    records = {}
+    for sid in ids:
+        length = draw(st.sampled_from([1, 1, 2, 3]) | st.integers(1, 40))
+        labels = tuple(draw(st.lists(st.sampled_from(_TAGS), min_size=length, max_size=length)))
+        lps = ens = None
+        if logprobs:
+            keys = st.permutations(_TAGS) if full else st.lists(
+                st.sampled_from(_TAGS), min_size=1, max_size=5, unique=True
+            )
+            lps = tuple(
+                {tag: draw(_LOGPROBS) for tag in draw(keys)} for _ in range(length)
+            )
+        if ensemble:
+            ens = tuple(
+                tuple(draw(st.lists(st.sampled_from(_TAGS[:3]), min_size=length,
+                                    max_size=length)))
+                for _ in range(K)
+            )
+        records[sid] = PredictionRecord(sid, labels, lps, ens)
+    return records
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _written(records, writer=write_records) -> str:
+    buf = io.StringIO()
+    writer(records, buf)
+    return buf.getvalue()
+
+
+class TestPredictionBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(record_maps())
+    def test_scores_are_bit_equal_to_the_per_record_scores(self, records):
+        batch = PredictionBatch.from_records(records)
+        assert list(batch) == list(records)
+        assert _bits(score_us(batch)) == _bits([record_score_us(r) for r in records.values()])
+        assert _bits(score_bald(batch)) == _bits(
+            [record_score_bald(r) for r in records.values()]
+        )
+
+    def test_all_zero_maxima_and_two_pass_ties(self):
+        records = {
+            7: PredictionRecord(7, ("O",), ({"O": -0.0, "B-PER": -3.0},), (("O",), ("B-PER",))),
+            2: PredictionRecord(2, ("O", "O"), ({"O": 0.0}, {"O": -0.0, "I-PER": -0.0}),
+                                (("O", "B-PER"), ("I-PER", "O"))),
+        }
+        batch = PredictionBatch.from_records(records)
+        assert _bits(score_us(batch)) == _bits([record_score_us(r) for r in records.values()])
+        assert _bits(score_bald(batch)) == _bits([0.5, 0.5])
+
+    @settings(max_examples=100, deadline=None)
+    @given(record_maps())
+    def test_records_come_back_from_the_arrays(self, records):
+        batch = PredictionBatch.from_records(records)
+        for sid, rec in records.items():
+            got = batch[sid]
+            assert (got.sentence_id, got.labels, got.ensemble) == (sid, rec.labels, rec.ensemble)
+            # a tag a token has no value for reads -inf
+            assert got.logprobs == tuple(
+                {tag: lp.get(tag, -math.inf) for tag in batch.vocab} for lp in rec.logprobs
+            )
+            assert _bits([v for lp in got.logprobs for v in lp.values()]) == _bits(
+                [lp.get(tag, -math.inf) for lp in rec.logprobs for tag in batch.vocab]
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(record_maps(), st.data())
+    def test_take_and_with_ids_keep_each_record(self, records, data):
+        batch = PredictionBatch.from_records(records)
+        ids = data.draw(st.permutations(list(records)))[:data.draw(st.integers(0, len(records)))]
+        part = batch.take(ids)
+        assert list(part) == ids
+        assert dict(part.items()) == {sid: batch[sid] for sid in ids}
+        moved = part.with_ids([10**7 + k for k in range(len(ids))])
+        assert [r.labels for r in moved.values()] == [batch[sid].labels for sid in ids]
+
+    @settings(max_examples=100, deadline=None)
+    @given(record_maps())
+    def test_written_batch_reads_back_bit_for_bit(self, records):
+        batch = PredictionBatch.from_records(records)
+        read = read_records(_written(batch.values()), validate=False)
+        assert read == batch
+        assert list(read) == list(batch) and read.vocab == batch.vocab
+        assert read.logprobs.tobytes() == batch.logprobs.tobytes()
+        assert read.ensemble.tobytes() == batch.ensemble.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(record_maps(full=True))
+    def test_written_records_read_back(self, records):
+        assert read_records(_written(records.values()), validate=False) == records
+
+    @settings(max_examples=100, deadline=None)
+    @given(record_maps(full=True))
+    def test_writer_bytes_equal_the_copying_writer(self, records):
+        # the log-prob dicts come in shuffled key orders
+        assert _written(records.values()) == _written(records.values(), copying_write_records)
+
+    def test_mapping_protocol(self):
+        batch = PredictionBatch([5, 3], [0, 2, 3], ("B-PER", "O"), [1, 0, 1])
+        assert len(batch) == 2 and list(batch) == [5, 3] and 3 in batch and 4 not in batch
+        assert batch[3] == PredictionRecord(3, ("O",))
+        assert batch.get(4) is None
+        with pytest.raises(KeyError):
+            batch[4]
+        with pytest.raises(ValueError, match="sentence id 5 repeats"):
+            PredictionBatch([5, 5], [0, 2, 3], ("B-PER", "O"), [1, 0, 1])
+        with pytest.raises(ValueError, match="offsets"):
+            PredictionBatch([5, 3], [0, 2, 4], ("B-PER", "O"), [1, 0, 1])
+        with pytest.raises(ValueError, match="ensemble has shape"):
+            PredictionBatch([5, 3], [0, 2, 3], ("B-PER", "O"), [1, 0, 1], ensemble=[[1, 0]])
+
+    @pytest.mark.parametrize(
+        "second,match",
+        [
+            (PredictionRecord(2, ("O",), logprobs=({"O": 0.0},)), "every record or none"),
+            (PredictionRecord(2, ("O",), ensemble=(("O",),) * 3), "3 ensemble passes"),
+            (PredictionRecord(2, ("O",), ensemble=(("O", "O"), ("O",))), "pass length"),
+            (PredictionRecord(2, ("O", "O"), ensemble=(("O",), ("O",))), "pass length"),
+            (PredictionRecord(2, ("O",), ensemble=(("O",), (1,))), "not a string"),
+        ],
+        ids=["mixed-logprobs", "pass-count", "pass-length", "label-count", "tag-number"],
+    )
+    def test_records_that_do_not_fit_are_named(self, second, match):
+        first = PredictionRecord(1, ("O",), ensemble=(("O",), ("O",)))
+        with pytest.raises(ValueError, match=f"sentence 2: .*{match}"):
+            PredictionBatch.from_records({1: first, 2: second})
 
 
 class TestUncertaintyDecay:
@@ -676,15 +832,53 @@ class TestRecordIO:
             '{"sentence_id": 0, "labels": ["O"], "logprobs": [{"O": NaN, "B-X": NaN}]}',
             '{"sentence_id": 0, "labels": ["O"], "ensemble": [1, 2]}',
             '{"sentence_id": 0',
+            '{"sentence_id": 1, "labels": ["O"]}',
+            '{"sentence_id": 0, "labels": "O"}',
+            '{"sentence_id": 0, "labels": ["O"], "logprobs": [{"O": true}]}',
+            '{"sentence_id": 0, "labels": ["O"], "logprobs": [{"O": 0.0}, {"O": 0.0}]}',
+            '{"sentence_id": 0, "labels": ["O"], "logprobs": [{"O": 1e999}]}',
+            '{"sentence_id": 0, "labels": ["O"], "ensemble": [["O"], ["O"]]}',
         ],
         ids=["no-sentence-id", "labels-number", "logprob-string", "logprob-overflow",
-             "logprob-nan", "ensemble-numbers", "not-json"],
+             "logprob-nan", "ensemble-numbers", "not-json", "repeated-id", "labels-string",
+             "logprob-bool", "logprobs-length", "logprob-infinite", "ensemble-on-one"],
     )
     def test_malformed_line_is_value_error_naming_it(self, line):
         text = '{"sentence_id": 1, "labels": ["O"]}\n' + line + "\n"
         with pytest.raises(ValueError, match="malformed record line") as info:
             read_records(text)
         assert line[:20] in str(info.value)
+
+    @pytest.mark.parametrize(
+        "line,match",
+        [
+            ('{"sentence_id": 4, "labels": ["O", "O"], "logprobs": [{"O": 0.0}, {"O": -0.7}]}',
+             "sentence 4 token 1: probabilities sum to"),
+            ('{"sentence_id": 4, "labels": ["O", "B-X"], "logprobs": [{"O": 0.0}, '
+             '{"O": -0.10536051565782628, "B-X": -2.3025850929940455}]}',
+             "sentence 4 token 1: label 'B-X' is not an argmax tag"),
+            ('{"sentence_id": 4, "labels": ["O"], "logprobs": [{"O": NaN}]}',
+             "sentence 4 token 0: probabilities sum to nan"),
+        ],
+        ids=["sum", "argmax", "nan"],
+    )
+    def test_validation_names_the_line_sentence_and_token(self, line, match):
+        text = '{"sentence_id": 1, "labels": ["O"], "logprobs": [{"O": 0.0}]}\n' + line + "\n"
+        with pytest.raises(ValueError, match="malformed record line") as info:
+            read_records(text)
+        assert line[:40] in str(info.value) and match in str(info.value)
+        assert read_records(text, validate=False)[4].labels[0] == "O"
+
+    def test_ensemble_pass_counts_must_agree(self):
+        text = (
+            '{"sentence_id": 0, "labels": ["O"], "ensemble": [["O"], ["O"]]}\n'
+            '{"sentence_id": 1, "labels": ["O"], "ensemble": [["O"], ["O"], ["O"]]}\n'
+        )
+        with pytest.raises(ValueError, match="sentence_id.: 1.*3 ensemble passes, the first "
+                                             "record 2"):
+            read_records(text)
+        with pytest.raises(ValueError, match="ensemble needs >= 2 passes"):
+            read_records('{"sentence_id": 0, "labels": ["O"], "ensemble": [["O"]]}\n')
 
     def test_validation_rejects_bad_probabilities(self):
         bad = PredictionRecord(0, ("O",), logprobs=({"O": math.log(0.5)},))
